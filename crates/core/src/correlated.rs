@@ -98,17 +98,31 @@ impl CorrelatedPerturbation {
 
     /// Privatizes one label-item pair.
     pub fn privatize<R: Rng + ?Sized>(&self, pair: LabelItem, rng: &mut R) -> Result<CpReport> {
+        let mut report = CpReport {
+            label: 0,
+            bits: BitVec::zeros(0),
+        };
+        self.privatize_into(pair, rng, &mut report)?;
+        Ok(report)
+    }
+
+    /// [`CorrelatedPerturbation::privatize`] into `out`, reusing its bit
+    /// storage (reallocated only when its length is not `d+1`). Same
+    /// draws, same report.
+    pub fn privatize_into<R: Rng + ?Sized>(
+        &self,
+        pair: LabelItem,
+        rng: &mut R,
+        out: &mut CpReport,
+    ) -> Result<()> {
         self.domains.check(pair)?;
-        let perturbed_label = self.label_mech.perturb(pair.label, rng)?;
-        let input = if perturbed_label == pair.label {
+        out.label = self.label_mech.perturb(pair.label, rng)?;
+        let input = if out.label == pair.label {
             ValidityInput::Valid(pair.item)
         } else {
             ValidityInput::Invalid
         };
-        Ok(CpReport {
-            label: perturbed_label,
-            bits: self.item_mech.privatize(input, rng)?,
-        })
+        self.item_mech.privatize_into(input, rng, &mut out.bits)
     }
 
     /// Privatizes a batch of pairs on up to `threads` workers with the

@@ -77,11 +77,25 @@ impl Pts {
 
     /// Privatizes one pair: label and item perturbed independently.
     pub fn privatize<R: Rng + ?Sized>(&self, pair: LabelItem, rng: &mut R) -> Result<PtsReport> {
+        let mut report = PtsReport {
+            label: 0,
+            bits: BitVec::zeros(0),
+        };
+        self.privatize_into(pair, rng, &mut report)?;
+        Ok(report)
+    }
+
+    /// [`Pts::privatize`] into `out`, reusing its bit storage (reallocated
+    /// only when its length is not `d`). Same draws, same report.
+    pub fn privatize_into<R: Rng + ?Sized>(
+        &self,
+        pair: LabelItem,
+        rng: &mut R,
+        out: &mut PtsReport,
+    ) -> Result<()> {
         self.domains.check(pair)?;
-        Ok(PtsReport {
-            label: self.label_mech.perturb(pair.label, rng)?,
-            bits: self.item_mech.privatize(pair.item, rng)?,
-        })
+        out.label = self.label_mech.perturb(pair.label, rng)?;
+        self.item_mech.privatize_into(pair.item, rng, &mut out.bits)
     }
 
     /// Privatizes a batch of pairs on up to `threads` workers with the

@@ -81,6 +81,21 @@ pub trait FwArm: Sync + Sized {
     /// Privatizes the user at absolute stream position `abs`.
     fn privatize(&self, rng: &mut StdRng, abs: u64, pair: LabelItem) -> Result<Self::Rep>;
 
+    /// [`FwArm::privatize`] into `out`, overwriting the report a previous
+    /// call left there. Draws exactly what `privatize` draws, so a fold
+    /// may use either. The default assigns from `privatize`; arms with
+    /// unary-encoded reports override it to reuse `out`'s bit storage.
+    fn privatize_into(
+        &self,
+        rng: &mut StdRng,
+        abs: u64,
+        pair: LabelItem,
+        out: &mut Self::Rep,
+    ) -> Result<()> {
+        *out = self.privatize(rng, abs, pair)?;
+        Ok(())
+    }
+
     /// Uplink cost of one report in bits.
     fn report_bits(rep: &Self::Rep) -> usize;
 
@@ -131,13 +146,17 @@ impl<M: FwArm> Stage for FwStage<M> {
         part: &mut Self::Acc,
     ) -> Result<()> {
         let FwPartial { agg, comm, scratch } = part;
-        scratch.clear();
+        // The scratch keeps its longest block: reports already held there
+        // are overwritten in place, so steady-state folds allocate nothing.
         for (i, &pair) in pairs.iter().enumerate() {
-            let report = self.arm.privatize(rng, abs + i as u64, pair)?;
-            comm.record(M::report_bits(&report));
-            scratch.push(report);
+            let at = abs + i as u64;
+            match scratch.get_mut(i) {
+                Some(report) => self.arm.privatize_into(rng, at, pair, report)?,
+                None => scratch.push(self.arm.privatize(rng, at, pair)?),
+            }
+            comm.record(M::report_bits(&scratch[i]));
         }
-        self.arm.absorb(agg, scratch)
+        self.arm.absorb(agg, &scratch[..pairs.len()])
     }
 
     fn merge(&self, into: &mut Self::Acc, from: &Self::Acc) -> Result<()> {
@@ -316,6 +335,16 @@ impl FwArm for PtsArm {
         self.mech.privatize(pair, rng)
     }
 
+    fn privatize_into(
+        &self,
+        rng: &mut StdRng,
+        _abs: u64,
+        pair: LabelItem,
+        out: &mut PtsReport,
+    ) -> Result<()> {
+        self.mech.privatize_into(pair, rng, out)
+    }
+
     fn report_bits(rep: &PtsReport) -> usize {
         rep.size_bits()
     }
@@ -376,6 +405,16 @@ impl FwArm for CpArm {
 
     fn privatize(&self, rng: &mut StdRng, _abs: u64, pair: LabelItem) -> Result<CpReport> {
         self.mech.privatize(pair, rng)
+    }
+
+    fn privatize_into(
+        &self,
+        rng: &mut StdRng,
+        _abs: u64,
+        pair: LabelItem,
+        out: &mut CpReport,
+    ) -> Result<()> {
+        self.mech.privatize_into(pair, rng, out)
     }
 
     fn report_bits(rep: &CpReport) -> usize {
@@ -454,6 +493,55 @@ mod tests {
         check(FwStage::new(PtjArm::new(eps, domains).unwrap()), &data);
         check(FwStage::new(PtsArm::new(e1, e2, domains).unwrap()), &data);
         check(FwStage::new(CpArm::new(e1, e2, domains).unwrap()), &data);
+    }
+
+    /// Folding through the reused scratch (`privatize_into`, fragments of
+    /// varying length) equals privatizing owned reports shard by shard
+    /// with `privatize` — the draw order the executor's shard streams pin.
+    #[test]
+    fn scratch_reuse_matches_owned_reports() {
+        use mcim_oracles::parallel::{shard_rng, SHARD_SIZE};
+        let eps = Eps::new(2.0).unwrap();
+        let domains = Domains::new(3, 70).unwrap();
+        let (e1, e2) = eps.split(0.5).unwrap();
+        let data = pairs(2 * SHARD_SIZE + 777);
+
+        fn check<M: FwArm>(arm: M, data: &[LabelItem]) {
+            let mut owned = arm.new_agg();
+            let mut comm = CommStats::default();
+            for (s, shard) in data.chunks(SHARD_SIZE).enumerate() {
+                let mut rng = shard_rng(5, s as u64);
+                let abs = (s * SHARD_SIZE) as u64;
+                let block: Vec<M::Rep> = shard
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &p)| arm.privatize(&mut rng, abs + i as u64, p).unwrap())
+                    .collect();
+                block.iter().for_each(|r| comm.record(M::report_bits(r)));
+                arm.absorb(&mut owned, &block).unwrap();
+            }
+            let mut expected = Vec::new();
+            owned.save(&mut expected);
+            comm.save(&mut expected);
+
+            let stage = FwStage::new(arm);
+            for chunk in [SHARD_SIZE, 1000, 333] {
+                let part = Exec::stream()
+                    .seed(5)
+                    .threads(1)
+                    .chunk_size(chunk)
+                    .in_process()
+                    .fold(&mut SliceSource::new(data), 5, &stage)
+                    .unwrap();
+                let mut bytes = Vec::new();
+                part.save(&mut bytes);
+                assert_eq!(bytes, expected, "{} chunk={chunk}", M::KIND);
+            }
+        }
+
+        check(PtsArm::new(e1, e2, domains).unwrap(), &data);
+        check(CpArm::new(e1, e2, domains).unwrap(), &data);
+        check(HecArm::new(eps, domains).unwrap(), &data);
     }
 
     /// A partial's wire state loads only into a template of the same shape.

@@ -105,8 +105,35 @@ impl ValidityPerturbation {
 
     /// Encodes and perturbs an input.
     pub fn privatize<R: Rng + ?Sized>(&self, input: ValidityInput, rng: &mut R) -> Result<BitVec> {
-        let encoded = self.encode(input)?;
-        self.ue.perturb_bits(&encoded, rng)
+        let mut out = BitVec::zeros(self.report_bits());
+        self.privatize_into(input, rng, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`ValidityPerturbation::privatize`] into `out`, reusing its
+    /// allocation (reallocated only when its length is not `d+1`).
+    ///
+    /// Both encodings are one-hot over `d+1` bits, so this is
+    /// [`UnaryEncoding::privatize_into`] at the encoded position: the
+    /// Bernoulli(`q`) plane, then one `p` draw for the hot bit — exactly
+    /// what [`UnaryEncoding::perturb_bits`] draws for a one-hot input.
+    pub fn privatize_into<R: Rng + ?Sized>(
+        &self,
+        input: ValidityInput,
+        rng: &mut R,
+        out: &mut BitVec,
+    ) -> Result<()> {
+        let hot = match input {
+            ValidityInput::Valid(v) if v >= self.d => {
+                return Err(Error::ValueOutOfDomain {
+                    value: v as u64,
+                    domain: self.d as u64,
+                })
+            }
+            ValidityInput::Valid(v) => v,
+            ValidityInput::Invalid => self.d,
+        };
+        self.ue.privatize_into(hot, rng, out)
     }
 
     /// Privatizes a batch of inputs on up to `threads` workers with the

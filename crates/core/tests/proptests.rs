@@ -5,10 +5,10 @@ use mcim_core::{
     CorrelatedPerturbation, CpAggregator, Domains, FrequencyTable, LabelItem, ValidityInput,
     ValidityPerturbation, VpAggregator,
 };
-use mcim_oracles::Eps;
+use mcim_oracles::{BitVec, Eps, UnaryEncoding};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 proptest! {
     /// Joint-index mapping is a bijection for arbitrary domains.
@@ -52,6 +52,31 @@ proptest! {
             ValidityInput::Valid(v) => prop_assert!(encoded.get(v as usize)),
             ValidityInput::Invalid => prop_assert!(encoded.get(d as usize)),
         }
+    }
+
+    /// VP's allocation-free path is the one-hot case of perturbing the
+    /// encoding: same bits, same RNG state afterwards, even when `out`
+    /// starts with the wrong length.
+    #[test]
+    fn vp_privatize_into_matches_perturbed_encoding(
+        eps_v in 0.2f64..6.0,
+        d in 1u32..200,
+        item in 0u32..200,
+        seed in any::<u64>(),
+    ) {
+        let eps = Eps::new(eps_v).unwrap();
+        let vp = ValidityPerturbation::new(eps, d).unwrap();
+        let ue = UnaryEncoding::optimized(eps, d + 1).unwrap();
+        let input = if item < d { ValidityInput::Valid(item) } else { ValidityInput::Invalid };
+        let mut a = StdRng::seed_from_u64(seed);
+        let mut b = StdRng::seed_from_u64(seed);
+        let mut out = BitVec::zeros(3);
+        for _ in 0..4 {
+            vp.privatize_into(input, &mut a, &mut out).unwrap();
+            let expected = ue.perturb_bits(&vp.encode(input).unwrap(), &mut b).unwrap();
+            prop_assert_eq!(&out, &expected);
+        }
+        prop_assert_eq!(a.next_u64(), b.next_u64());
     }
 
     /// Theorem 5's invalid noise is below Theorem 4's for every

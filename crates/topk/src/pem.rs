@@ -25,7 +25,7 @@ use mcim_oracles::exec::{Exec, Executor, Stage, StageDecode};
 use mcim_oracles::hash::SplitMix64;
 use mcim_oracles::stream::{drain_source, required_len, ReportSource, SliceSource, Take};
 use mcim_oracles::wire::{StageSpec, Wire, WireReader};
-use mcim_oracles::{Aggregator, Eps, Error, Oracle, Result};
+use mcim_oracles::{Aggregator, BitVec, Eps, Error, Oracle, Result};
 
 use crate::encoding::PrefixCode;
 
@@ -128,8 +128,10 @@ impl Stage for PemVpRoundStage {
         items: &[Option<u32>],
         (agg, comm): &mut Self::Acc,
     ) -> Result<()> {
+        let mut report = BitVec::zeros(self.vp.report_bits());
         for &item in items {
-            let report = self.vp.privatize(self.classify(item), rng)?;
+            self.vp
+                .privatize_into(self.classify(item), rng, &mut report)?;
             comm.record(report.len());
             agg.absorb(&report)?;
         }

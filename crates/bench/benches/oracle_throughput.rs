@@ -50,6 +50,8 @@ use mcim_oracles::{parallel, Aggregator, Eps, Oracle, Report};
 
 const D: u32 = 1024;
 const EPS: f64 = 1.0;
+/// Disabled/enabled run pairs behind `metrics_overhead_batch_tn`.
+const OVERHEAD_PAIRS: usize = 10;
 
 struct Scenario {
     name: &'static str,
@@ -71,6 +73,17 @@ fn time<T: std::fmt::Debug>(trials: usize, mut f: impl FnMut() -> T) -> (f64, T)
         last = Some(out);
     }
     (best, last.expect("at least one trial"))
+}
+
+/// Median of `xs` (mean of the middle two for an even count).
+fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let mid = xs.len() / 2;
+    if xs.len() % 2 == 0 {
+        (xs[mid - 1] + xs[mid]) / 2.0
+    } else {
+        xs[mid]
+    }
 }
 
 fn scenario(name: &'static str, n: usize, trials: usize, f: impl FnMut() -> u64) -> Scenario {
@@ -285,21 +298,38 @@ fn main() {
     // The same batch pipeline with the global `mcim_obs` registry
     // recording. Disabled (every scenario above), each instrumentation
     // site folds to one relaxed atomic load, so the plain scenarios
-    // already price the off path; enabled it must stay within noise —
-    // the JSON's `metrics_overhead_batch_tn` is the enabled/disabled
-    // wall-time ratio (acceptance gate: ≤ 1.03). The snapshot recorded
-    // here is embedded in the JSON artifact under `obs`.
+    // already price the off path; enabled it must stay within noise.
+    // One best-of-3 pair swings with whatever else the box is doing, so
+    // the JSON's `metrics_overhead_batch_tn` is the median enabled/disabled
+    // wall-time ratio over OVERHEAD_PAIRS back-to-back pairs, alternating
+    // which side runs first (acceptance gate: ≤ 1.03). The snapshot
+    // recorded by the enabled runs is embedded in the JSON under `obs`.
     mcim_obs::reset();
-    mcim_obs::set_enabled(true);
-    scenarios.push(scenario(
-        "exec_plan_batch_tn_metrics",
-        exec_n,
-        trials,
-        || run_plan(&Exec::batch().seed(6).threads(threads)),
-    ));
+    let mut off_ms = Vec::with_capacity(OVERHEAD_PAIRS);
+    let mut on_ms = Vec::with_capacity(OVERHEAD_PAIRS);
+    let mut ratios = Vec::with_capacity(OVERHEAD_PAIRS);
+    for pair in 0..OVERHEAD_PAIRS {
+        let on_first = pair % 2 == 1;
+        let (mut off, mut on) = (0.0, 0.0);
+        for enabled in [on_first, !on_first] {
+            mcim_obs::set_enabled(enabled);
+            let (ms, checksum) = time(1, || run_plan(&Exec::batch().seed(6).threads(threads)));
+            std::hint::black_box(checksum);
+            if enabled {
+                on = ms;
+            } else {
+                off = ms;
+            }
+        }
+        off_ms.push(off);
+        on_ms.push(on);
+        ratios.push(on / off);
+    }
     mcim_obs::set_enabled(false);
     let obs_snapshot = mcim_obs::snapshot();
     mcim_obs::reset();
+    let metrics_overhead = median(&mut ratios);
+    let (off_median_ms, on_median_ms) = (median(&mut off_ms), median(&mut on_ms));
 
     // ------------------------------------------------- dist reduce ----
     // The distributed reducer racing the in-process executor on the same
@@ -406,8 +436,10 @@ fn main() {
     for (name, x) in &speedups {
         println!("  {name:>32}  {x:.2}x");
     }
-    let metrics_overhead = ms_of("exec_plan_batch_tn_metrics") / ms_of("exec_plan_batch_tn");
-    println!("metrics overhead (exec_plan_batch_tn, enabled/disabled): {metrics_overhead:.3}x");
+    println!(
+        "metrics overhead (exec_plan_batch_tn, enabled/disabled, median of {OVERHEAD_PAIRS} \
+         pairs): {metrics_overhead:.3}x (off {off_median_ms:.1} ms, on {on_median_ms:.1} ms)"
+    );
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
@@ -436,6 +468,10 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"metrics_overhead_batch_tn\": {metrics_overhead:.3},"
+    );
+    let _ = writeln!(
+        json,
+        "  \"metrics_overhead_pairs\": {{ \"pairs\": {OVERHEAD_PAIRS}, \"off_median_ms\": {off_median_ms:.3}, \"on_median_ms\": {on_median_ms:.3} }},"
     );
     let _ = writeln!(json, "  \"obs\": {}", obs_snapshot.to_json().trim_end());
     let _ = writeln!(json, "}}");

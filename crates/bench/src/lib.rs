@@ -13,7 +13,10 @@
 //! * `MCIM_SCALE` — `small` (default) or `paper`,
 //! * `MCIM_TRIALS` — trial-count override.
 //!
-//! EXPERIMENTS.md records the shape comparison at the default scale.
+//! Each target is named after the table or figure it regenerates
+//! (`table1_var_coefficients`, `fig6_frequency_rmse`, …); the README
+//! section "Reproducing the paper's tables and figures" shows how to run
+//! them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

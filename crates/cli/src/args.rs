@@ -118,39 +118,16 @@ impl Args {
     }
 
     /// Builds the [`Exec`] plan shared by the `freq` and `topk` commands
-    /// from `--seed`, `--threads`, `--chunk-size` and `--rng-contract` —
-    /// the single place the CLI's execution options are interpreted.
+    /// from `--seed`, `--threads` and `--chunk-size` — the single place
+    /// the CLI's execution options are interpreted.
     ///
     /// Without `--chunk-size` the plan is a batch plan (the input is
     /// materialized anyway); with it, a stream plan whose chunk is clamped
     /// to one shard (chunks smaller than a shard cannot parallelize).
     /// `--threads` wins over the `MCIM_THREADS` environment variable,
     /// which wins over the machine's parallelism; results never depend on
-    /// the choice. `--rng-contract` only accepts the current contract
-    /// (`v2`) — `v1` is retired and errors with a migration hint rather
-    /// than silently re-deriving different bits. Print the resolved plan
-    /// with `--verbose`.
+    /// the choice. Print the resolved plan with `--verbose`.
     pub fn exec_plan(&self) -> Result<Exec, ArgError> {
-        use mcim_oracles::exec::RngContract;
-        if let Some(contract) = self.optional("rng-contract") {
-            match contract {
-                "v2" => {}
-                "v1" => {
-                    return Err(ArgError(format!(
-                        "`--rng-contract v1` is retired: the split sequential/batch sampling \
-                         streams were replaced by the word-parallel contract v{}, and v1 \
-                         outputs cannot be reproduced — re-derive pinned outputs under v2 \
-                         (see the README section \"RNG contract\")",
-                        RngContract::CURRENT_VERSION
-                    )))
-                }
-                other => {
-                    return Err(ArgError(format!(
-                        "option `--rng-contract` must be `v2` (got `{other}`)"
-                    )))
-                }
-            }
-        }
         let mut plan = Exec::seeded(self.num_or("seed", 0u64)?);
         plan = if self.optional("chunk-size").is_some() {
             let chunk: usize = self.required_num("chunk-size")?;
@@ -255,27 +232,5 @@ mod tests {
             .unwrap()
             .exec_plan()
             .is_err());
-    }
-
-    #[test]
-    fn rng_contract_accepts_only_v2() {
-        let current = parse(&["freq", "--rng-contract", "v2", "--seed", "4"])
-            .unwrap()
-            .exec_plan()
-            .unwrap();
-        assert_eq!(current.base_seed(), 4);
-
-        let retired = parse(&["freq", "--rng-contract", "v1"])
-            .unwrap()
-            .exec_plan()
-            .unwrap_err();
-        assert!(retired.0.contains("retired"), "{retired}");
-        assert!(retired.0.contains("README"), "{retired}");
-
-        let unknown = parse(&["freq", "--rng-contract", "v3"])
-            .unwrap()
-            .exec_plan()
-            .unwrap_err();
-        assert!(unknown.0.contains("must be `v2`"), "{unknown}");
     }
 }

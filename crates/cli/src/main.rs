@@ -65,10 +65,6 @@ COMMON OPTIONS:
                   survived either way: lost shards replay on surviving
                   workers, or in-process when none remain — results stay
                   bit-identical, only `--verbose` shows the difference
-  --rng-contract <v2> assert the RNG contract the run is pinned against.
-                  Only the current word-parallel contract `v2` is
-                  accepted; `v1` is retired and errors with a migration
-                  hint (see the README section \"RNG contract\")
   --metrics-out <file> write the run's telemetry snapshot after the
                   results: Prometheus text exposition, or the JSON
                   envelope when the path ends in `.json`. Metrics never
@@ -391,7 +387,6 @@ fn cmd_freq(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         "seed",
         "threads",
         "chunk-size",
-        "rng-contract",
         "dist",
         "dist-spawn",
         "dist-timeout",
@@ -488,7 +483,6 @@ fn cmd_topk(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         "seed",
         "threads",
         "chunk-size",
-        "rng-contract",
         "dist",
         "dist-spawn",
         "dist-timeout",
@@ -947,6 +941,7 @@ mod tests {
             run_cli(&["freq", "--input", "x.csv", "--eps", "1", "--typo", "1"]).is_err(),
             "unknown option"
         );
+        // The contract is fixed per build: there is no flag to assert it.
         let err = run_cli(&[
             "freq",
             "--input",
@@ -954,10 +949,10 @@ mod tests {
             "--eps",
             "1",
             "--rng-contract",
-            "v1",
+            "v3",
         ])
-        .expect_err("retired contract");
-        assert!(err.to_string().contains("retired"), "{err}");
+        .expect_err("no contract flag");
+        assert!(err.to_string().contains("unknown option"), "{err}");
     }
 
     #[test]

@@ -169,9 +169,16 @@ pub fn cp_variance_exact(f: f64, n: f64, n_total: f64, pr: CpProbs) -> f64 {
 }
 
 /// Derived variance of the PTS (GRR + OUE, uncorrelated) estimate Eq. (6),
-/// treating `n̂` and the global item estimate as independent (the same
-/// simplification the paper's Eq. (5) uses for `n̂`). `f_item` is the global
-/// frequency of the item across classes.
+/// treating `n̂` and the global item estimate as independent of the raw
+/// pair count (the same simplification the paper's Eq. (5) uses for `n̂`).
+/// `f_item` is the global frequency of the item across classes.
+///
+/// All three count the same reports: the raw count's covariances with the
+/// other two are non-negative and enter Eq. (6) with a negative sign, so
+/// dropping them makes this an **upper bound** on the exact
+/// [`pts_variance_exact`] — typically 2–3× too large (~2.4× at
+/// `d = 1024`, ε = 1) — the way [`thm8_cp_variance`] bounds
+/// [`cp_variance_exact`].
 pub fn pts_variance(f: f64, n: f64, f_item: f64, n_total: f64, pr: CpProbs) -> f64 {
     let CpProbs { p1, q1, p2, q2 } = pr;
     let denom = (p1 - q1) * (p2 - q2);
@@ -193,6 +200,33 @@ pub fn pts_variance(f: f64, n: f64, f_item: f64, n_total: f64, pr: CpProbs) -> f
         + q2 * q2 * (p1 - q1) * (p1 - q1) * var_n_hat
         + q1 * q1 * (p2 - q2) * (p2 - q2) * var_item_hat)
         / denom2
+}
+
+/// Exact variance of the PTS estimate Eq. (6), per user rather than per
+/// counter.
+///
+/// Up to constants the estimate is `Σ_u X_u / ((p₁−q₁)(p₂−q₂))` with
+/// `X = A·B − q₂·A − q₁·B`, where `A` (label reported as `C`) and `B` (bit
+/// `I` set) are a user's independent Bernoulli(`a`) and Bernoulli(`b`)
+/// draws. Users are independent, so the variance is the sum over the four
+/// user populations — `(C, I)`, `(C, I′)`, `(C′, I)`, `(C′, I′)`, with
+/// `(a, b)` = `(p₁, p₂)`, `(p₁, q₂)`, `(q₁, p₂)`, `(q₁, q₂)` — of
+/// `Var X = ab(1 − 2q₁ − 2q₂ + 2q₁q₂) + q₂²a + q₁²b − (ab − q₂a − q₁b)²`.
+/// This keeps the `f̃`–`n̂` and `f̃`–item-total covariances
+/// [`pts_variance`] drops.
+pub fn pts_variance_exact(f: f64, n: f64, f_item: f64, n_total: f64, pr: CpProbs) -> f64 {
+    let CpProbs { p1, q1, p2, q2 } = pr;
+    let var_x = |a: f64, b: f64| {
+        let mean = a * b - q2 * a - q1 * b;
+        a * b * (1.0 - 2.0 * q1 - 2.0 * q2 + 2.0 * q1 * q2) + q2 * q2 * a + q1 * q1 * b
+            - mean * mean
+    };
+    let raw = f * var_x(p1, p2)
+        + (n - f) * var_x(p1, q2)
+        + (f_item - f) * var_x(q1, p2)
+        + (n_total - n - f_item + f) * var_x(q1, q2);
+    let denom = (p1 - q1) * (p2 - q2);
+    raw / (denom * denom)
 }
 
 /// **Theorem 10** — the paper's lower bound on the variance gap
@@ -468,6 +502,66 @@ mod tests {
     }
 
     #[test]
+    fn pts_exact_variance_matches_monte_carlo() {
+        use crate::frameworks::{Pts, PtsAggregator, PtsReport};
+        use crate::{Domains, LabelItem};
+        use mcim_oracles::BitVec;
+        // 3 classes × 4 items; item 0 is held inside and outside class 0,
+        // so both covariances the simplified form drops are present.
+        let domains = Domains::new(3, 4).unwrap();
+        let e = eps(2.0);
+        let fw = Pts::with_total(e, domains).unwrap();
+        let pr = CpProbs::even_split(e, 3).unwrap();
+        let (n_total, n_class, f, f_item) = (1000usize, 400usize, 250usize, 400usize);
+        let pair = |u: usize| {
+            if u < f {
+                LabelItem::new(0, 0)
+            } else if u < n_class {
+                LabelItem::new(0, 1 + (u % 3) as u32)
+            } else if u < n_class + f_item - f {
+                LabelItem::new(1 + (u % 2) as u32, 0)
+            } else {
+                LabelItem::new(1 + (u % 2) as u32, 1 + (u % 3) as u32)
+            }
+        };
+        let trials = 4000;
+        let mut rng = StdRng::seed_from_u64(78);
+        let mut report = PtsReport {
+            label: 0,
+            bits: BitVec::zeros(4),
+        };
+        let (mut sum, mut sum_sq) = (0.0, 0.0);
+        for _ in 0..trials {
+            let mut agg = PtsAggregator::new(&fw);
+            for u in 0..n_total {
+                fw.privatize_into(pair(u), &mut rng, &mut report).unwrap();
+                agg.absorb(&report).unwrap();
+            }
+            let est = agg.estimate().get(0, 0);
+            sum += est;
+            sum_sq += est * est;
+        }
+        let mean = sum / trials as f64;
+        let var = sum_sq / trials as f64 - mean * mean;
+        let args = (f as f64, n_class as f64, f_item as f64, n_total as f64);
+        let exact = pts_variance_exact(args.0, args.1, args.2, args.3, pr);
+        let se = (exact / trials as f64).sqrt();
+        assert!(
+            (mean - f as f64).abs() < 5.0 * se,
+            "mean {mean} vs f {f} (se {se})"
+        );
+        // A variance over 4000 trials has ~2.2% relative SE.
+        assert!(
+            (var - exact).abs() < 0.08 * exact,
+            "var {var} vs exact {exact}"
+        );
+        // The independence form only drops negative covariance terms.
+        let bound = pts_variance(args.0, args.1, args.2, args.3, pr);
+        assert!(bound >= var, "bound {bound} vs empirical {var}");
+        assert!(bound >= exact, "bound {bound} vs exact {exact}");
+    }
+
+    #[test]
     fn thm10_gap_is_positive() {
         for e in [0.5, 1.0, 2.0, 4.0] {
             let pr = CpProbs::even_split(eps(e), 4).unwrap();
@@ -486,6 +580,10 @@ mod tests {
             let cp = thm8_cp_variance(f, n, n_total, pr);
             let pts = pts_variance(f, n, f_item, n_total, pr);
             assert!(pts > cp, "ε={e}: pts {pts} vs cp {cp}");
+            // And with both covariances kept.
+            let pts = pts_variance_exact(f, n, f_item, n_total, pr);
+            let cp = cp_variance_exact(f, n, n_total, pr);
+            assert!(pts > cp, "ε={e}: exact pts {pts} vs exact cp {cp}");
         }
     }
 }

@@ -15,11 +15,11 @@
 //! generic [`execute`](Framework::execute) entry point that processes a
 //! whole dataset (or stream) under an [`Exec`] plan and returns the
 //! estimated [`FrequencyTable`] with communication statistics. Under
-//! RNG-contract v2 every [`Exec`] mode folds through the same sharded
+//! the RNG contract every [`Exec`] mode folds through the same sharded
 //! stages, so `execute` is a thin wrapper over
 //! [`execute_on`](Framework::execute_on) with the plan's in-process
 //! executor; the legacy `run`/`run_batch`/`run_stream` triplet (and the
-//! separate v1 sequential stream it preserved) is gone.
+//! separate sequential stream it preserved) is gone.
 
 mod hec;
 mod ptj;
@@ -134,7 +134,7 @@ impl Framework {
     /// Runs the framework end-to-end under an [`Exec`] plan — the single
     /// entry point for every execution mode.
     ///
-    /// Under RNG-contract v2 every mode (sequential, batch, stream, auto)
+    /// Under the RNG contract every mode (sequential, batch, stream, auto)
     /// folds the same sharded stages through the plan's in-process
     /// [`Executor`], so seed-equal plans are bit-identical across modes,
     /// thread counts and chunk sizes; mode only picks the resource

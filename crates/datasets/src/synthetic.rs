@@ -8,8 +8,8 @@
 //!   classes' top-20), SYN4 does not.
 //!
 //! All generators take an explicit `scale` so benches can run a laptop-size
-//! configuration by default and the paper's full size on demand (see
-//! EXPERIMENTS.md).
+//! configuration by default and the paper's full size on demand (the
+//! `MCIM_SCALE` knob of the `mcim-bench` targets).
 
 use mcim_core::{Domains, LabelItem};
 use rand::rngs::StdRng;

@@ -41,7 +41,7 @@ use std::time::Duration;
 
 use rand::rngs::StdRng;
 
-use mcim_oracles::exec::{Exec, Executor, FoldReport, InProcess, Stage};
+use mcim_oracles::exec::{check_contract, Exec, Executor, FoldReport, InProcess, Stage};
 use mcim_oracles::parallel::{shard_rng, SHARD_SIZE};
 use mcim_oracles::stream::ReportSource;
 use mcim_oracles::wire::{StageSpec, Wire, WireReader, WireState};
@@ -787,12 +787,14 @@ impl Executor for Coordinator {
         S: ReportSource<Item = St::Item>,
         St: Stage,
     {
-        self.plan.validate_contract()?;
         let Some(spec) = stage.spec() else {
             // No wire form — run the stage locally. The shard contract
             // makes this bit-identical, just not remote.
             return InProcess::new(&self.plan).fold(source, stage_seed, stage);
         };
+        // Refuse before shipping anything: workers would refuse the job
+        // too, and the in-process fallback must not fold it either.
+        check_contract(spec.contract)?;
 
         let mut conns = self.conns();
         if conns.is_empty() {

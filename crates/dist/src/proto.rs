@@ -51,9 +51,9 @@ pub mod fault;
 
 /// Protocol version; bumped on any frame-layout change. Coordinator and
 /// worker exchange it in `Hello` and refuse mismatches. Version 2 added
-/// the RNG-contract field to `Job`, so a v1 coordinator (whose stages
-/// sample under the retired split sequential/batch contract) is refused at
-/// the handshake rather than silently producing divergent bits.
+/// the RNG-contract field to `Job`; a worker refuses any job whose
+/// contract differs from its own, so builds on different contracts never
+/// silently produce divergent bits.
 pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Upper bound on one frame's tag+body bytes (64 MiB — comfortably above
@@ -160,7 +160,7 @@ pub enum Frame {
         /// Base seed of the stage's per-shard RNG streams.
         stage_seed: u64,
         /// RNG-contract version the coordinator built the stage under
-        /// (see [`RngContract`](mcim_oracles::exec::RngContract)). The
+        /// (see [`RNG_CONTRACT`](mcim_oracles::exec::RNG_CONTRACT)). The
         /// worker refuses jobs from a different contract — a mismatch
         /// would merge partials sampled from incompatible RNG streams.
         contract: u32,

@@ -22,7 +22,7 @@ use std::net::{TcpListener, TcpStream};
 
 use rand::rngs::StdRng;
 
-use mcim_oracles::exec::{RngContract, Stage, StageDecode};
+use mcim_oracles::exec::{Stage, StageDecode, RNG_CONTRACT};
 use mcim_oracles::parallel::{shard_rng, SHARD_SIZE};
 use mcim_oracles::wire::{Wire, WireReader, WireState};
 use mcim_oracles::{Error, Result};
@@ -355,15 +355,14 @@ impl Worker {
                     // Refuse cross-contract jobs before touching the
                     // registry: a stage folded under a different sampling
                     // contract would return plausible but wrong partials.
-                    if contract != RngContract::CURRENT_VERSION {
+                    if contract != RNG_CONTRACT {
                         drain_and_refuse(
                             &mut conn,
                             format!(
                                 "RNG-contract mismatch: job declares v{contract}, worker \
-                                 implements v{} — re-run the coordinator under contract \
-                                 v{} (see the README section \"RNG contract\")",
-                                RngContract::CURRENT_VERSION,
-                                RngContract::CURRENT_VERSION,
+                                 implements v{RNG_CONTRACT} — run coordinator and workers \
+                                 from the same build (see the README section \"RNG \
+                                 contract\")"
                             ),
                         )?;
                         continue;

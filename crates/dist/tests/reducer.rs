@@ -374,6 +374,101 @@ fn worker_stage_errors_propagate() {
     cluster.join();
 }
 
+/// A job or spec stamped with another RNG contract is refused on both
+/// ends: the worker drains the job and replies `Err` naming both
+/// versions, and the coordinator refuses to ship (or locally fold) it.
+#[test]
+fn other_contract_jobs_and_specs_are_refused() {
+    use mcim_dist::proto::{read_frame, write_frame};
+    use mcim_dist::{Frame, ShardAssignment, PROTOCOL_VERSION};
+    use mcim_oracles::exec::RNG_CONTRACT;
+
+    let mut script = Vec::new();
+    for frame in [
+        Frame::Hello {
+            version: PROTOCOL_VERSION,
+        },
+        Frame::Job {
+            stage_seed: 1,
+            contract: 2,
+            kind: "fw/pts".into(),
+            payload: Vec::new(),
+            shards: ShardAssignment::Range { first: 0, end: 1 },
+        },
+        Frame::Flush,
+        Frame::Shutdown,
+    ] {
+        write_frame(&mut script, &frame).unwrap();
+    }
+    let mut replies = Vec::new();
+    builtin_worker()
+        .serve_io(&script[..], &mut replies)
+        .unwrap();
+    let mut replies = &replies[..];
+    assert!(matches!(
+        read_frame(&mut replies).unwrap(),
+        Some(Frame::Hello { .. })
+    ));
+    match read_frame(&mut replies).unwrap() {
+        Some(Frame::Err { message }) => {
+            assert!(message.contains("declares v2"), "{message}");
+            assert!(
+                message.contains(&format!("implements v{RNG_CONTRACT}")),
+                "{message}"
+            );
+        }
+        other => panic!("expected an Err reply, got {other:?}"),
+    }
+    assert_eq!(read_frame(&mut replies).unwrap(), None);
+
+    struct StaleStage;
+    impl Stage for StaleStage {
+        type Item = u32;
+        type Acc = u64;
+        fn template(&self) -> u64 {
+            0
+        }
+        fn fold(
+            &self,
+            _rng: &mut rand::rngs::StdRng,
+            _abs: u64,
+            items: &[u32],
+            acc: &mut u64,
+        ) -> Result<()> {
+            *acc += items.len() as u64;
+            Ok(())
+        }
+        fn merge(&self, into: &mut u64, from: &u64) -> Result<()> {
+            *into += *from;
+            Ok(())
+        }
+        fn spec(&self) -> Option<StageSpec> {
+            Some(StageSpec {
+                contract: 2,
+                ..StageSpec::new("fw/pts", |_| {})
+            })
+        }
+    }
+    let cluster = TestWorkers::start(1, 1);
+    let coordinator = Coordinator::connect(&Exec::seeded(0), &cluster.addrs).unwrap();
+    let items: Vec<u32> = (0..100).collect();
+    let err = coordinator
+        .fold(&mut SliceSource::new(&items), 1, &StaleStage)
+        .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            Error::InvalidParameter {
+                name: "rng-contract",
+                ..
+            }
+        ),
+        "{err}"
+    );
+    drop(coordinator);
+    cluster.join();
+}
+
 /// Zero workers is an immediate configuration error.
 #[test]
 fn empty_worker_set_is_rejected() {

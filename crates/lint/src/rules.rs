@@ -204,7 +204,7 @@ fn is_wire_sensitive(rel: &str, toks: &[Tok]) -> bool {
     })
 }
 
-/// The raw Bernoulli fillers. Under RNG-contract v2 every noise plane
+/// The raw Bernoulli fillers. Under the RNG contract every noise plane
 /// must be drawn through `UnaryEncoding`'s private `fill_plane` sampler —
 /// a pipeline call site reaching these directly forks the noise stream
 /// (the wordwise/geometric branch point would no longer be
@@ -216,7 +216,7 @@ const RAW_SAMPLERS: &[&str] = &["fill_bernoulli", "fill_bernoulli_wordwise"];
 /// the one sanctioned chooser between them (`ue.rs`'s `fill_plane`).
 const SAMPLER_HOME_FILES: &[&str] = &["crates/oracles/src/bitvec.rs", "crates/oracles/src/ue.rs"];
 
-/// RNG-stream constructors. Under RNG-contract v2 every stream a
+/// RNG-stream constructors. Under the RNG contract every stream a
 /// pipeline consumes is derived by `shard_rng(stage_seed, shard)`
 /// (splitmix64 key-stretching in `parallel.rs`); constructing a stream
 /// any other way forks the noise sequence and breaks the cross-mode
@@ -446,7 +446,7 @@ pub fn check_file(rel: &str, source: &str, class: FileClass) -> FileReport {
                 id,
                 format!(
                     "`{id}` constructs an RNG stream outside the sanctioned homes \
-                     (parallel.rs/ue.rs/bitvec.rs); RNG-contract v2 derives every pipeline \
+                     (parallel.rs/ue.rs/bitvec.rs); the RNG contract derives every pipeline \
                      stream via `shard_rng(stage_seed, shard)` so all execution modes share \
                      one noise sequence — route through it, or justify a non-privatization \
                      stream with a pragma"

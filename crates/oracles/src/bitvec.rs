@@ -4,12 +4,15 @@
 //! perturbation) transmit one bit per domain value, so reports for realistic
 //! domains (hundreds to tens of thousands of items) dominate both memory and
 //! aggregation time. [`BitVec`] packs bits into `u64` words and provides the
-//! two hot operations:
+//! hot operations:
 //!
-//! * [`BitVec::fill_bernoulli`] — set every bit independently with
-//!   probability `q` using *geometric skipping*: instead of `len` Bernoulli
-//!   draws it draws one geometric gap per set bit, i.e. `O(len·q)` RNG calls.
-//!   For OUE at ε = 4, that is ~55× fewer draws.
+//! * [`BitVec::fill_bernoulli_wordwise`] — set every bit independently with
+//!   probability `q`, 64 lanes per RNG word: a fixed 8 bit-sliced steps
+//!   per output word plus one 64-bit draw per lane they leave undecided
+//!   (8.25 words per 64 output bits on average, exact for every `q`).
+//! * [`BitVec::fill_bernoulli`] — the same fill using *geometric skipping*:
+//!   instead of `len` Bernoulli draws it draws one geometric gap per set
+//!   bit, i.e. `O(len·q)` RNG calls — cheaper for sparse fills (small `q`).
 //! * [`BitVec::iter_ones`] — word-at-a-time iteration over set bits for
 //!   server-side aggregation.
 
@@ -189,30 +192,43 @@ impl BitVec {
     /// Sets every bit independently to 1 with probability `q`, sampling
     /// **64 lanes at a time** instead of per-set-bit geometric gaps.
     ///
-    /// Each lane's bit is `[U < q]` for an independent uniform `U ∈ [0, 1)`.
-    /// The comparison is evaluated bit-sliced: walking `q`'s binary
-    /// expansion MSB-first with one random word per step, a lane is decided
-    /// `U < q` at the first position where `U`'s bit is 0 and `q`'s bit is
-    /// 1, decided `U ≥ q` where `U`'s bit is 1 and `q`'s bit is 0, and
-    /// stays undecided while the prefixes agree. Lanes still undecided when
-    /// `q`'s (finite, `f64`) expansion ends have matched every 1-bit of `q`
-    /// and are therefore `≥ q`. The result is **exactly** Bernoulli(`q`) —
-    /// no truncation bias — because the loop only terminates once every
-    /// lane is decided or `q`'s expansion is exhausted.
+    /// Each lane's bit is `[U < q]` for an independent uniform `U ∈ [0, 1)`
+    /// built from fresh fair bits, compared against `q`'s exact binary
+    /// expansion MSB-first. Per output word (RNG contract v3):
     ///
-    /// The undecided mask halves in expectation every step, so the expected
-    /// RNG cost is ~`log₂ 64 + 2 ≈ 8` words per output word *independent of
-    /// `q`*, with no `ln` evaluations. Geometric skipping
+    /// 1. **K = [`WORDWISE_STEPS`] = 8 bit-sliced steps, always.** Step
+    ///    `j` draws one word whose lane bits are bit `j` of every lane's
+    ///    `U`. A lane is decided `U < q` at the first step where its bit
+    ///    is 0 and `q`'s is 1, `U ≥ q` where its bit is 1 and `q`'s is 0,
+    ///    and stays undecided while the prefixes agree. The steps are
+    ///    branch-free and their count does not depend on the draws.
+    /// 2. **Fix-up, per lane still undecided, in increasing lane order.**
+    ///    When `q`'s expansion ended within the K steps the lane has matched
+    ///    all of `q` and is `≥ q`, with no draw. Otherwise one fresh word is
+    ///    `U`'s next 64 bits (MSB first), compared as an integer against
+    ///    `q`'s next 64 expansion bits; on a tie the next word is drawn,
+    ///    only while `q`'s expansion continues past the bits compared.
+    ///
+    /// The result is **exactly** Bernoulli(`q`): no truncation bias. A lane
+    /// survives the K steps with probability `2⁻ᴷ`, so the expected RNG
+    /// cost is at most `K + 64·2⁻ᴷ = 8.25` words per output word
+    /// *independent of `q`*, with no `ln` evaluations. Geometric skipping
     /// ([`BitVec::fill_bernoulli`]) costs one `f64` draw **and one `ln`**
     /// per set bit, i.e. `O(64·q)` per word — cheaper only for sparse fills
-    /// (small `q`). Batch privatization picks between the two by `q`; both
-    /// are exact, they only consume the RNG stream differently.
+    /// (small `q`). `UnaryEncoding`'s plane sampler picks between the two
+    /// by `q`; both are exact, they only consume the RNG stream differently.
     pub fn fill_bernoulli_wordwise<R: Rng + ?Sized>(&mut self, q: f64, rng: &mut R) {
-        if self.len == 0 || q <= 0.0 || q >= 1.0 {
+        if self.len == 0 || q.is_nan() || q <= 0.0 || q >= 1.0 {
             // Degenerate probabilities: delegate for the constant fills.
-            self.fill_bernoulli(q.clamp(0.0, 1.0), rng);
+            self.fill_bernoulli(if q >= 1.0 { 1.0 } else { 0.0 }, rng);
             return;
         }
+        let q = Expansion::new(q);
+        let head = q.window(WORDWISE_STEPS);
+        // Step j's lane mask: all ones where q's bit j is 1.
+        let steps: [u64; WORDWISE_STEPS as usize] = std::array::from_fn(|j| {
+            0u64.wrapping_sub((head >> (WORDWISE_STEPS as usize - 1 - j)) & 1)
+        });
         let n_words = self.words.len();
         for (idx, w) in self.words.iter_mut().enumerate() {
             let live = if idx + 1 < n_words || self.len % 64 == 0 {
@@ -222,23 +238,16 @@ impl BitVec {
             };
             let mut result = 0u64;
             let mut undecided = live;
-            // Walk q's binary expansion: doubling an f64 < 1 and
-            // subtracting 1 from a value in [1, 2) are both exact, so `x`
-            // enumerates the expansion bit-for-bit and reaches 0 after
-            // finitely many steps.
-            let mut x = q;
-            while undecided != 0 && x > 0.0 {
-                x *= 2.0;
-                let q_bit = x >= 1.0;
-                if q_bit {
-                    x -= 1.0;
-                }
+            for &q_bit in &steps {
                 let r = rng.next_u64();
-                if q_bit {
-                    result |= undecided & !r;
-                    undecided &= r;
-                } else {
-                    undecided &= !r;
+                result |= undecided & !r & q_bit;
+                undecided &= !(r ^ q_bit);
+            }
+            while undecided != 0 {
+                let lane = undecided.trailing_zeros();
+                undecided &= undecided - 1;
+                if q.tail_below(rng) {
+                    result |= 1 << lane;
                 }
             }
             *w = result;
@@ -298,6 +307,79 @@ impl BitVec {
     }
 }
 
+/// Bit-sliced steps [`BitVec::fill_bernoulli_wordwise`] runs per output
+/// word before settling the lanes still undecided one by one. A constant
+/// of RNG contract v3: changing it changes every seeded output.
+pub const WORDWISE_STEPS: u32 = 8;
+
+/// A probability `q ∈ (0, 1)` as its exact binary expansion `q = m·2⁻ˢ`,
+/// read off the `f64` bits.
+#[derive(Debug, Clone, Copy)]
+struct Expansion {
+    m: u64,
+    s: u32,
+    /// Position of the expansion's last 1-bit (position 1 is the bit just
+    /// after the binary point).
+    last: u32,
+}
+
+impl Expansion {
+    /// `q` must be finite and in `(0, 1)`.
+    fn new(q: f64) -> Self {
+        let bits = q.to_bits();
+        let exp = ((bits >> 52) & 0x7ff) as u32;
+        let frac = bits & ((1 << 52) - 1);
+        // Subnormals have no implicit bit and the minimum exponent.
+        let (m, s) = if exp == 0 {
+            (frac, 1074)
+        } else {
+            (frac | 1 << 52, 1075 - exp)
+        };
+        Expansion {
+            m,
+            s,
+            last: s - m.trailing_zeros(),
+        }
+    }
+
+    /// `⌊q·2ᵗ⌋ mod 2⁶⁴`: expansion positions `t−63 ..= t` as an integer,
+    /// position `t` in the lowest bit.
+    fn window(&self, t: u32) -> u64 {
+        if t >= self.s {
+            let shift = t - self.s;
+            if shift < 64 {
+                self.m << shift
+            } else {
+                0
+            }
+        } else {
+            let shift = self.s - t;
+            if shift < 64 {
+                self.m >> shift
+            } else {
+                0
+            }
+        }
+    }
+
+    /// Settles one lane whose first [`WORDWISE_STEPS`] bits equal `q`'s:
+    /// whether the rest of its `U` falls below the rest of `q`, drawing
+    /// 64-bit words only while `q`'s expansion continues past the bits
+    /// already compared.
+    fn tail_below<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
+        let mut t = WORDWISE_STEPS;
+        while self.last > t {
+            t += 64;
+            let q_word = self.window(t);
+            let r = rng.next_u64();
+            if r != q_word {
+                return r < q_word;
+            }
+        }
+        false
+    }
+}
+
 /// Iterator over set-bit indices of a [`BitVec`].
 pub struct IterOnes<'a> {
     words: &'a [u64],
@@ -326,7 +408,7 @@ impl Iterator for IterOnes<'_> {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     #[test]
     fn zeros_is_empty_of_ones() {
@@ -435,6 +517,100 @@ mod tests {
                 "q={q}: empirical mean {mean} too far off"
             );
         }
+    }
+
+    /// `q`'s binary expansion at positions `1..=n` by the doubling walk
+    /// (doubling an `f64 < 1` and subtracting 1 from one in `[1, 2)` are
+    /// both exact), independent of the sampler's bit arithmetic.
+    fn expansion_bits(q: f64, n: usize) -> Vec<bool> {
+        let mut x = q;
+        (0..n)
+            .map(|_| {
+                x *= 2.0;
+                let bit = x >= 1.0;
+                if bit {
+                    x -= 1.0;
+                }
+                bit
+            })
+            .collect()
+    }
+
+    /// The v3 contract, replayed draw by draw: every lane's `U` is its K
+    /// sliced bits followed by its fix-up words, every output bit is
+    /// exactly `[U < q]`, and the sampler consumes exactly K words per
+    /// output word plus one per fix-up draw.
+    #[test]
+    fn fill_bernoulli_wordwise_is_exactly_u_below_q() {
+        const K: usize = WORDWISE_STEPS as usize;
+        let oue = |e: f64| 1.0 / (e.exp() + 1.0);
+        let long = (1.0 / 3.0) * 2f64.powi(-30);
+        let qs = [
+            0.5,
+            0.25,
+            0.75,
+            oue(0.5),
+            oue(1.0),
+            oue(2.0),
+            1.0 / 16.0,
+            0.003,
+            long,
+        ];
+        let mut rng = StdRng::seed_from_u64(2024);
+        let mut total_fixups = 0usize;
+        for q in qs {
+            let q_bits = expansion_bits(q, 1100);
+            let q_len = q_bits.iter().rposition(|&b| b).map_or(0, |i| i + 1);
+            if q == long {
+                assert!(q_len > K + 64, "{q} must run past K+64 bits");
+            }
+            for len in [1usize, 63, 64, 65, 1024] {
+                let mut replay = rng.clone();
+                let mut v = BitVec::zeros(len);
+                v.fill_bernoulli_wordwise(q, &mut rng);
+
+                let (mut draws, mut fixups) = (0usize, 0usize);
+                for word in 0..len.div_ceil(64) {
+                    let sliced: Vec<u64> = (0..K).map(|_| replay.next_u64()).collect();
+                    draws += K;
+                    for lane in 0..(len - word * 64).min(64) {
+                        // The first position where U and q differ decides;
+                        // equal through q's last 1-bit means U ≥ q.
+                        let mut u_bits: Vec<bool> =
+                            sliced.iter().map(|r| (r >> lane) & 1 == 1).collect();
+                        let below = loop {
+                            let differ = u_bits
+                                .iter()
+                                .zip(q_bits.iter().chain(std::iter::repeat(&false)))
+                                .find(|(u, q)| u != q);
+                            if let Some((_, &q_bit)) = differ {
+                                break q_bit;
+                            }
+                            if u_bits.len() >= q_len {
+                                break false;
+                            }
+                            let r = replay.next_u64();
+                            draws += 1;
+                            fixups += 1;
+                            u_bits.extend((0..64).rev().map(|b| (r >> b) & 1 == 1));
+                        };
+                        assert_eq!(
+                            v.get(word * 64 + lane),
+                            below,
+                            "q={q} len={len} bit {}",
+                            word * 64 + lane
+                        );
+                    }
+                }
+                if q_len <= K {
+                    assert_eq!(fixups, 0, "q={q}: expansion ends within K steps");
+                }
+                assert_eq!(draws, K * len.div_ceil(64) + fixups);
+                assert_eq!(replay, rng, "q={q} len={len}: draw count differs");
+                total_fixups += fixups;
+            }
+        }
+        assert!(total_fixups > 0, "the fix-up path was never exercised");
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //! | `Stream` | sharded deterministic runtime, bounded chunks | bit-identical to every other mode |
 //! | `Auto` | resolves to `Stream` | bit-identical to every other mode |
 //!
-//! Under [RNG-contract v2](RngContract) **every mode is one code path**:
+//! Under the [RNG contract](RNG_CONTRACT) **every mode is one code path**:
 //! the chunked executor over absolute [`parallel::SHARD_SIZE`] shards,
 //! each shard privatized with its deterministic
 //! [`parallel::shard_rng`]`(stage_seed, shard)` stream. Mode only chooses
@@ -40,9 +40,7 @@
 //! whole source into a single chunk, `Stream` holds
 //! `O(chunk + threads × shard)` — so seed-equal plans produce bit-identical
 //! results in all four modes (including the distributed backend, which
-//! replays the same shard streams on worker processes). The historical v1
-//! sequential stream (one caller `StdRng` over the whole input) is retired;
-//! plans declaring [`RngContract::V1`] are refused with a migration hint.
+//! replays the same shard streams on worker processes).
 //!
 //! ```
 //! use mcim_oracles::exec::Exec;
@@ -72,7 +70,7 @@ pub enum ExecMode {
     #[default]
     Auto,
     /// The sharded runtime pinned to a single worker thread — smallest
-    /// footprint, bit-identical to every other mode under contract v2.
+    /// footprint, bit-identical to every other mode.
     Sequential,
     /// Sharded deterministic runtime over a fully materialized input.
     Batch,
@@ -100,88 +98,32 @@ impl ExecMode {
     }
 }
 
-/// The versioned contract naming *which* seeded RNG streams the pipelines
-/// draw their noise from.
+/// The RNG contract this build implements: the version naming exactly
+/// which seeded RNG draws every privatization path makes.
 ///
-/// A contract version pins, for a given `(stage_seed, shard)` pair, the
-/// exact sequence of RNG draws every privatization path performs — it is
-/// the thing the workspace's bit-identity nets actually test. Bumping it
-/// is how seeded outputs are allowed to change: once, versioned, across
-/// every execution mode together.
-///
-/// * **v1** (retired): unary encoding drew its noise planes through the
-///   per-report geometric sampler on the sequential path but word-parallel
-///   in `privatize_batch`, so the sequential stream was a *different*
-///   stream from the sharded ones and pipelines were locked out of the
-///   fast sampler. No v1 compatibility path survives; v1 plans are
-///   refused with a migration hint.
-/// * **v2** (current): every unary-encoding path — sequential, batch,
-///   stream, distributed workers and their recovery replays — draws noise
-///   planes through the same word-parallel sampler
-///   ([`crate::BitVec::fill_bernoulli_wordwise`] above the density
-///   cross-over) from the same `(stage_seed, shard)` stream, so all four
-///   [`ExecMode`]s are bit-identical to each other.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RngContract {
-    /// The retired v1 streams (split sequential/batch sampling).
-    V1,
-    /// Word-parallel privatization end-to-end; the only supported
-    /// contract.
-    #[default]
-    V2,
-}
+/// For a given `(stage_seed, shard)` pair the contract pins the whole
+/// draw sequence — the shard streams and the word-parallel plane sampler
+/// (see the `stream` module docs for the specification). It is what the
+/// workspace's bit-identity nets actually test. Bumping it is how seeded
+/// outputs are allowed to change: once, versioned, across every execution
+/// mode together. Every [`StageSpec`] is stamped with it, and executors
+/// and dist workers refuse a spec or job stamped with any other value
+/// ([`check_contract`]).
+pub const RNG_CONTRACT: u32 = 3;
 
-impl RngContract {
-    /// The contract this build implements.
-    pub const CURRENT: RngContract = RngContract::V2;
-    /// The wire encoding of the current contract (what [`StageSpec`]s and
-    /// dist Job frames carry).
-    pub const CURRENT_VERSION: u32 = 2;
-
-    /// Numeric version for wire frames and stage specs.
-    pub fn version(self) -> u32 {
-        match self {
-            RngContract::V1 => 1,
-            RngContract::V2 => 2,
-        }
-    }
-
-    /// Lower-case name used in plan displays and CLI flags.
-    pub fn name(self) -> &'static str {
-        match self {
-            RngContract::V1 => "v1",
-            RngContract::V2 => "v2",
-        }
-    }
-
-    /// The contract a numeric wire version names, if any.
-    pub fn from_version(version: u32) -> Option<RngContract> {
-        match version {
-            1 => Some(RngContract::V1),
-            2 => Some(RngContract::V2),
-            _ => None,
-        }
-    }
-
-    /// `Ok` iff this build can execute the contract. The v1 streams were
-    /// deleted with the contract bump, so v1 plans are refused here rather
-    /// than silently producing v2 output under a v1 label.
-    pub fn validate(self) -> Result<()> {
-        match self {
-            RngContract::V2 => Ok(()),
-            RngContract::V1 => Err(crate::Error::InvalidParameter {
-                name: "rng-contract",
-                constraint: "contract v1 (split sequential/batch UE sampling) is retired; \
-                             re-derive pinned outputs under v2 — see the README section \
-                             \"RNG contract\"",
-            }),
-        }
-    }
-}
-
-impl fmt::Display for RngContract {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
+/// `Ok` iff `version` is this build's [`RNG_CONTRACT`]. Executors apply it
+/// to a stage's [`StageSpec`] before drawing any noise: a stage folded
+/// under a different contract would return plausible but wrong results.
+pub fn check_contract(version: u32) -> Result<()> {
+    if version == RNG_CONTRACT {
+        Ok(())
+    } else {
+        Err(crate::Error::InvalidParameter {
+            name: "rng-contract",
+            constraint: "the stage spec is stamped with an RNG contract this build does not \
+                         implement; run coordinator and workers from the same build (see the \
+                         README section \"RNG contract\")",
+        })
     }
 }
 
@@ -199,7 +141,6 @@ pub struct Exec {
     seed: u64,
     threads: Option<usize>,
     chunk_items: Option<usize>,
-    contract: RngContract,
 }
 
 impl Default for Exec {
@@ -216,7 +157,6 @@ impl Exec {
             seed: 0,
             threads: None,
             chunk_items: None,
-            contract: RngContract::CURRENT,
         }
     }
 
@@ -225,8 +165,8 @@ impl Exec {
         Exec::new().seed(seed)
     }
 
-    /// A [`ExecMode::Sequential`] plan (historical caller-RNG semantics
-    /// under `StdRng::seed_from_u64(seed)`).
+    /// A [`ExecMode::Sequential`] plan: the sharded runtime pinned to one
+    /// worker, bit-identical to every other mode.
     pub fn sequential() -> Self {
         Exec::new().mode(ExecMode::Sequential)
     }
@@ -247,9 +187,9 @@ impl Exec {
         self
     }
 
-    /// Sets the base RNG seed (default 0). Sharded modes derive one
-    /// deterministic stream per absolute shard from it; sequential mode
-    /// seeds its single `StdRng` with it.
+    /// Sets the base RNG seed (default 0). Every mode derives one
+    /// deterministic stream per absolute shard from it
+    /// ([`parallel::shard_rng`]).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
@@ -273,15 +213,6 @@ impl Exec {
         self
     }
 
-    /// Declares the RNG contract this plan expects (default
-    /// [`RngContract::CURRENT`]). Executors refuse to fold under a
-    /// contract this build does not implement, so pinned v1 expectations
-    /// fail loudly instead of silently reproducing v2 streams.
-    pub fn rng_contract(mut self, contract: RngContract) -> Self {
-        self.contract = contract;
-        self
-    }
-
     /// The declared mode.
     pub fn declared_mode(&self) -> ExecMode {
         self.mode
@@ -292,7 +223,7 @@ impl Exec {
         self.mode.resolved()
     }
 
-    /// Whether this plan runs the historical sequential path.
+    /// Whether this plan is pinned to one worker.
     pub fn is_sequential(&self) -> bool {
         self.resolved_mode() == ExecMode::Sequential
     }
@@ -314,17 +245,6 @@ impl Exec {
     /// The ingestion chunk size this plan resolves to.
     pub fn resolved_chunk_items(&self) -> usize {
         self.chunk_items.unwrap_or(DEFAULT_CHUNK_ITEMS).max(1)
-    }
-
-    /// The RNG contract this plan declares.
-    pub fn resolved_contract(&self) -> RngContract {
-        self.contract
-    }
-
-    /// `Ok` iff this build implements the plan's declared contract; the
-    /// per-fold gate every executor applies before drawing any noise.
-    pub fn validate_contract(&self) -> Result<()> {
-        self.contract.validate()
     }
 
     /// The equivalent [`StreamConfig`] of the sharded modes.
@@ -362,7 +282,7 @@ impl fmt::Display for Exec {
                 None => write!(f, " chunk={}(default)", self.resolved_chunk_items())?,
             }
         }
-        write!(f, " contract={}", self.contract)
+        write!(f, " contract=v{RNG_CONTRACT}")
     }
 }
 
@@ -629,7 +549,10 @@ impl Executor for InProcess {
         S: ReportSource<Item = St::Item>,
         St: Stage,
     {
-        self.plan.validate_contract()?;
+        let spec = stage.spec();
+        if let Some(spec) = &spec {
+            check_contract(spec.contract)?;
+        }
         let mut config = self.plan.stream_config();
         if self.plan.resolved_mode() == ExecMode::Batch {
             // Batch mode materializes: one chunk spanning the whole
@@ -644,7 +567,7 @@ impl Executor for InProcess {
         // Per-stage wall time, labeled by the stage's registry kind
         // (ad-hoc `FnStage` folds have no spec and share one label).
         let span = mcim_obs::span_with(|| {
-            let kind = stage.spec().map_or("adhoc", |spec| spec.kind);
+            let kind = spec.as_ref().map_or("adhoc", |spec| spec.kind);
             mcim_obs::labeled("mcim_stage_duration_seconds", &[("stage", kind)])
         });
         let acc = fold_stream(
@@ -720,11 +643,11 @@ mod tests {
         assert!(shown.contains("seed=5"), "{shown}");
         assert!(shown.contains("threads=2"), "{shown}");
         assert!(shown.contains("chunk=64"), "{shown}");
-        assert!(shown.contains("contract=v2"), "{shown}");
+        assert!(shown.contains("contract=v3"), "{shown}");
         let batch = Exec::batch().to_string();
         assert!(batch.contains("mode=batch"), "{batch}");
         assert!(!batch.contains("chunk="), "batch hides the chunk: {batch}");
-        assert!(batch.contains("contract=v2"), "{batch}");
+        assert!(batch.contains("contract=v3"), "{batch}");
     }
 
     /// Unset knobs display their lazily resolved values tagged as such, so
@@ -743,52 +666,55 @@ mod tests {
         let seq = Exec::sequential().to_string();
         assert!(seq.contains("mode=sequential"), "{seq}");
         assert!(seq.contains("threads=1(auto)"), "sequential pins 1: {seq}");
-        assert!(
-            seq.contains("chunk="),
-            "sequential chunk-streams under v2: {seq}"
-        );
-        assert!(seq.contains("contract=v2"), "{seq}");
+        assert!(seq.contains("chunk="), "sequential chunk-streams: {seq}");
+        assert!(seq.contains("contract=v3"), "{seq}");
         let explicit = Exec::stream().threads(7).to_string();
         assert!(explicit.contains("threads=7"), "{explicit}");
         assert!(!explicit.contains("threads=7(auto)"), "{explicit}");
     }
 
+    /// A stage whose spec carries another contract is refused before any
+    /// noise is drawn; the current contract folds.
     #[test]
-    fn rng_contract_versions_round_trip() {
-        assert_eq!(RngContract::CURRENT, RngContract::V2);
-        assert_eq!(RngContract::CURRENT.version(), RngContract::CURRENT_VERSION);
-        for contract in [RngContract::V1, RngContract::V2] {
-            assert_eq!(
-                RngContract::from_version(contract.version()),
-                Some(contract)
-            );
+    fn specs_from_another_contract_are_refused() {
+        struct Stamped(u32);
+        impl Stage for Stamped {
+            type Item = u32;
+            type Acc = u64;
+            fn template(&self) -> u64 {
+                0
+            }
+            fn fold(&self, _: &mut StdRng, _: u64, items: &[u32], acc: &mut u64) -> Result<()> {
+                *acc += items.len() as u64;
+                Ok(())
+            }
+            fn merge(&self, into: &mut u64, from: &u64) -> Result<()> {
+                *into += from;
+                Ok(())
+            }
+            fn spec(&self) -> Option<StageSpec> {
+                Some(StageSpec {
+                    contract: self.0,
+                    ..StageSpec::new("test/stamped", |_| {})
+                })
+            }
         }
-        assert_eq!(RngContract::from_version(0), None);
-        assert_eq!(RngContract::from_version(3), None);
-        assert_eq!(RngContract::V1.name(), "v1");
-        assert_eq!(RngContract::V2.to_string(), "v2");
-        assert_eq!(Exec::new().resolved_contract(), RngContract::V2);
-    }
 
-    #[test]
-    fn v1_plans_are_refused_with_a_migration_hint() {
-        let plan = Exec::seeded(3).rng_contract(RngContract::V1);
-        let err = plan.validate_contract().unwrap_err();
-        let crate::Error::InvalidParameter { name, constraint } = &err else {
-            panic!("expected InvalidParameter, got {err:?}");
-        };
-        assert_eq!(*name, "rng-contract");
-        assert!(constraint.contains("v2"), "{constraint}");
-        assert!(constraint.contains("RNG contract"), "{constraint}");
-
-        // The gate fires on the executor, before any noise is drawn.
-        let stage = sum_mix_stage();
-        let folded = plan
-            .in_process()
-            .fold(&mut SliceSource::new(&[1u32, 2, 3]), 7, &stage);
-        assert_eq!(folded.unwrap_err(), err);
-        // Current-contract plans pass.
-        Exec::seeded(3).validate_contract().unwrap();
+        assert_eq!(RNG_CONTRACT, 3);
+        let exec = Exec::seeded(3).in_process();
+        let items = [1u32, 2, 3];
+        for stale in [1, 2, RNG_CONTRACT + 1] {
+            let err = exec
+                .fold(&mut SliceSource::new(&items), 7, &Stamped(stale))
+                .unwrap_err();
+            let crate::Error::InvalidParameter { name, constraint } = &err else {
+                panic!("expected InvalidParameter, got {err:?}");
+            };
+            assert_eq!(*name, "rng-contract");
+            assert!(constraint.contains("RNG contract"), "{constraint}");
+        }
+        let folded = exec.fold(&mut SliceSource::new(&items), 7, &Stamped(RNG_CONTRACT));
+        assert_eq!(folded.unwrap(), 3);
     }
 
     #[allow(clippy::type_complexity)]

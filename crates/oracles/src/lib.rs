@@ -80,7 +80,7 @@ pub mod parallel;
 pub mod stream;
 pub mod wire;
 
-pub use bitvec::BitVec;
+pub use bitvec::{BitVec, WORDWISE_STEPS};
 pub use budget::Eps;
 pub use colsum::ColumnCounter;
 pub use error::Error;

@@ -128,7 +128,7 @@ impl Oracle {
     /// bit-identical reports.
     ///
     /// Every shard privatizes exactly as a per-report [`Oracle::privatize`]
-    /// loop would: under RNG-contract v2 the unary-encoding sampler draws
+    /// loop would: under the RNG contract the unary-encoding sampler draws
     /// its noise planes word-parallel for dense `q` on *every* entry point
     /// ([`UnaryEncoding::privatize`] and
     /// [`crate::UnaryEncoding::privatize_into`] consume the RNG stream
@@ -480,7 +480,7 @@ mod tests {
             // The documented contract: shard s is privatized sequentially
             // with parallel::shard_rng(base, s) through the plain
             // per-report privatize loop — for every mechanism, including
-            // unary encoding (contract v2 shares one sampler stream).
+            // unary encoding (the contract shares one sampler stream).
             let mut reference = Vec::new();
             for (s, chunk) in values.chunks(parallel::SHARD_SIZE).enumerate() {
                 let mut rng = parallel::shard_rng(base, s as u64);

@@ -61,9 +61,9 @@ pub fn configured_threads() -> usize {
 /// seeds and consecutive shard indices both land on decorrelated streams.
 ///
 /// This derivation is part of the workspace RNG contract
-/// ([`crate::exec::RngContract`]) and is identical under v1 and v2: the
-/// v2 bump changed *what* each shard's RNG is asked to sample (one shared
-/// plane sampler on every path), never *which* RNG a shard gets.
+/// ([`crate::exec::RNG_CONTRACT`]) and is identical under every version so
+/// far: the v2 and v3 bumps changed *what* each shard's RNG is asked to
+/// sample, never *which* RNG a shard gets.
 #[inline]
 pub fn shard_seed(base_seed: u64, shard: u64) -> u64 {
     splitmix64(base_seed.wrapping_add(splitmix64(shard ^ SHARD_SALT)))

@@ -28,39 +28,46 @@
 //! and associative (true for counter sums and [`super::parallel`]-style
 //! accumulators).
 //!
-//! ## RNG-contract v2: one sampler stream for every mode
+//! ## RNG contract v3: one sampler stream for every mode
 //!
 //! The workspace's seeded outputs are governed by a versioned **RNG
-//! contract** ([`crate::exec::RngContract`]); this section is the v2
+//! contract** ([`crate::exec::RNG_CONTRACT`]); this section is the v3
 //! specification.
 //!
 //! 1. **Shard streams.** Item `i` belongs to absolute shard
 //!    `i / `[`SHARD_SIZE`]; shard `s` is processed with
-//!    [`shard_rng`]`(stage_seed, s)`. The derivation (splitmix64 over a
-//!    salted shard index, seeding a `StdRng`) is unchanged from v1.
-//!    Fragments of a split shard continue the carried RNG state in order,
-//!    including on distributed workers and their recovery replays.
-//! 2. **One sampler per draw, everywhere.** Unary-encoding noise planes
-//!    are drawn through the contract-v2 plane sampler
-//!    (`UnaryEncoding::fill_plane`): word-parallel
-//!    ([`crate::BitVec::fill_bernoulli_wordwise`] — 64 lanes per RNG word,
-//!    no `ln` per set bit) whenever the plane probability is at least
-//!    `UnaryEncoding::WORDWISE_MIN_Q`, geometric skipping below it. The
-//!    branch depends only on mechanism parameters, never on the execution
-//!    mode, so `privatize`, `privatize_into` and `perturb_bits` consume
-//!    the RNG stream identically wherever they run.
-//! 3. **Consequence.** Sequential, batch, stream and distributed execution
+//!    [`shard_rng`]`(stage_seed, s)` (splitmix64 over a salted shard
+//!    index, seeding a `StdRng`). Fragments of a split shard continue the
+//!    carried RNG state in order, including on distributed workers and
+//!    their recovery replays.
+//! 2. **One plane sampler, everywhere.** Unary-encoding noise planes are
+//!    drawn through `UnaryEncoding::fill_plane`: geometric skipping below
+//!    `UnaryEncoding::WORDWISE_MIN_Q`, and otherwise the word-parallel
+//!    [`crate::BitVec::fill_bernoulli_wordwise`]. The branch depends only
+//!    on mechanism parameters, never on the execution mode, so
+//!    `privatize`, `privatize_into` and `perturb_bits` consume the RNG
+//!    stream identically wherever they run.
+//! 3. **The word-parallel draw order.** For each 64-bit output word, in
+//!    word order: exactly [`crate::WORDWISE_STEPS`]` = 8` draws,
+//!    draw `j` supplying bit `j` (MSB first) of every lane's uniform `U`;
+//!    then, for each lane still tied with `q`'s expansion, in increasing
+//!    lane order, one draw holding `U`'s next 64 bits, repeated only on a
+//!    tie while `q`'s expansion continues. A lane is set iff `U < q`.
+//!    Lanes tied after the 8 draws when `q`'s expansion has already ended
+//!    are clear and draw nothing. On average that is 8.25 draws per word.
+//! 4. **Consequence.** Sequential, batch, stream and distributed execution
 //!    are one code path differing only in resource envelope, and their
 //!    outputs are bit-identical per `(stage_seed, threads, chunk,
 //!    workers)` — the committed determinism / `Exec`-equivalence / chaos
 //!    nets pin exactly this.
 //!
-//! Under v1, the sequential path privatized through a per-report
-//! geometric sampler while `privatize_batch` went word-parallel: two
-//! streams for the same seed, and the fast sampler locked out of every
-//! pipeline the equivalence nets pinned. The v2 bump changed all seeded
-//! estimates once (versioned, re-baselined) in exchange for the
-//! word-parallel sampler end-to-end; v1 plans are refused, not emulated.
+//! History: v1 privatized the sequential path through a per-report
+//! geometric sampler while `privatize_batch` went word-parallel — two
+//! streams for one seed. v2 unified them on a bit-sliced sampler whose
+//! loop ran until every lane was decided, costing a mispredicted branch
+//! per word. v3 fixes the depth at 8 steps plus an exact per-lane
+//! fix-up. Each bump changed every seeded estimate once, across all modes
+//! together; earlier contracts are refused, not emulated.
 
 use rand::rngs::StdRng;
 

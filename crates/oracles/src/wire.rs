@@ -292,11 +292,10 @@ pub struct StageSpec {
     pub kind: &'static str,
     /// Encoded stage parameters ([`Wire`] values).
     pub payload: Vec<u8>,
-    /// The [`RngContract`](crate::exec::RngContract) version
-    /// ([`version()`](crate::exec::RngContract::version)) the emitting
-    /// coordinator folds under. Travels in the dist Job frame so a worker
-    /// on a different contract refuses the job instead of silently folding
-    /// a different stream.
+    /// The [`RNG_CONTRACT`](crate::exec::RNG_CONTRACT) the emitting build
+    /// folds under. Travels in the dist Job frame so a worker on a
+    /// different contract refuses the job instead of silently folding a
+    /// different stream.
     pub contract: u32,
 }
 
@@ -309,7 +308,7 @@ impl StageSpec {
         StageSpec {
             kind,
             payload,
-            contract: crate::exec::RngContract::CURRENT_VERSION,
+            contract: crate::exec::RNG_CONTRACT,
         }
     }
 }
@@ -419,7 +418,7 @@ mod tests {
         assert_eq!(u32::take(&mut WireReader::new(&spec.payload)).unwrap(), 7);
         assert_eq!(
             spec.contract,
-            crate::exec::RngContract::CURRENT_VERSION,
+            crate::exec::RNG_CONTRACT,
             "specs are stamped with the build's contract"
         );
     }

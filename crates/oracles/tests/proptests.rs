@@ -124,7 +124,7 @@ proptest! {
     /// The two Bernoulli fillers behind the RNG-contract sampler are
     /// statistically equivalent: for any density `q`, the word-parallel
     /// path and the geometric-skip path both realize per-bit marginal
-    /// Bernoulli(q). Contract v2 may therefore pick between them from the
+    /// Bernoulli(q). The contract may therefore pick between them from the
     /// mechanism parameters alone — the choice moves which stream the
     /// bits come from, never their distribution.
     #[test]

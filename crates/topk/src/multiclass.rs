@@ -236,7 +236,7 @@ pub struct TopKResult {
 /// plan seed and fans out over fixed-size shards with derived per-shard
 /// RNGs, so the mined result is bit-identical for every thread count,
 /// chunk size and worker count. Sequential plans are this same runtime
-/// pinned to one worker (RNG-contract v2; see `mcim_oracles::stream`).
+/// pinned to one worker (the RNG contract; see `mcim_oracles::stream`).
 struct Pace<'r, E: Executor> {
     /// Per-stage seed stream.
     stream: SplitMix64,
@@ -312,7 +312,7 @@ impl<E: Executor> Pace<'_, E> {
 ///
 /// Every mode fans each bulk privatize+aggregate stage out over
 /// fixed-size shards with RNG streams derived from the plan seed
-/// (RNG-contract v2), so the mined result is a pure function of
+/// (the RNG contract), so the mined result is a pure function of
 /// `(method, config, domains, pairs, seed)` — bit-identical across
 /// sequential, batch, stream and distributed execution for every thread
 /// count and chunk size (the `MCIM_THREADS` CI matrix locks this in).
@@ -360,9 +360,6 @@ where
     E: Executor,
     S: ReportSource<Item = LabelItem>,
 {
-    // PTJ/PTS-Shuffled never reach `Executor::fold`, so the contract gate
-    // must also sit here — every multi-class entry point refuses v1 plans.
-    executor.plan().validate_contract()?;
     if mcim_obs::enabled() {
         let name = method.name();
         mcim_obs::counter_add(

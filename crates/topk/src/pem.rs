@@ -454,7 +454,7 @@ impl PemEngine {
     /// label does not match the class being mined). Returns uplink
     /// statistics.
     ///
-    /// Under RNG-contract v2 every mode folds the round's serializable
+    /// Under the RNG contract every mode folds the round's serializable
     /// stage through the plan's in-process executor
     /// ([`PemEngine::execute_round_on`]), so seed-equal plans are
     /// bit-identical across modes, thread counts and chunk sizes.
@@ -654,7 +654,7 @@ impl Pem {
     /// round (pulled straight off the source via [`Take`] — stream mode
     /// never materializes a round group beyond one chunk) and runs round
     /// `r` through [`PemEngine::execute_round_on`] with the `r`-th seed of
-    /// the [`SplitMix64`] stream over the plan seed; under RNG-contract v2
+    /// the [`SplitMix64`] stream over the plan seed; under the RNG contract
     /// the modes are bit-identical to each other for every thread count
     /// and chunk size. The round split needs the population size up
     /// front, so sharded modes require a **sized** source; sequential

@@ -1,4 +1,4 @@
-//! The `Exec` equivalence matrix under RNG-contract v2: every in-process
+//! The `Exec` equivalence matrix under the RNG contract: every in-process
 //! mode of every `execute` entry point must be **bit-identical** to every
 //! other mode for the same plan seed.
 //!
@@ -329,7 +329,7 @@ fn topk_execute_is_mode_invariant() {
     }
 }
 
-/// Under RNG-contract v2 sequential mode IS the sharded runtime pinned to
+/// Under the RNG contract sequential mode IS the sharded runtime pinned to
 /// one worker — the modes share one noise stream, so a sequential run and
 /// a multi-threaded batch run of the same seed must agree bit-for-bit
 /// (pre-v2, sequential kept a separate caller-RNG stream and this test

@@ -299,8 +299,8 @@ fn main() {
     // recording. Disabled (every scenario above), each instrumentation
     // site folds to one relaxed atomic load, so the plain scenarios
     // already price the off path; enabled it must stay within noise.
-    // One best-of-3 pair swings with whatever else the box is doing, so
-    // the JSON's `metrics_overhead_batch_tn` is the median enabled/disabled
+    // A single pair swings with whatever else the box is doing, so the
+    // JSON's `metrics_overhead_batch_tn` is the median enabled/disabled
     // wall-time ratio over OVERHEAD_PAIRS back-to-back pairs, alternating
     // which side runs first (acceptance gate: ≤ 1.03). The snapshot
     // recorded by the enabled runs is embedded in the JSON under `obs`.

@@ -346,19 +346,9 @@ impl Expansion {
     /// position `t` in the lowest bit.
     fn window(&self, t: u32) -> u64 {
         if t >= self.s {
-            let shift = t - self.s;
-            if shift < 64 {
-                self.m << shift
-            } else {
-                0
-            }
+            self.m.checked_shl(t - self.s).unwrap_or(0)
         } else {
-            let shift = self.s - t;
-            if shift < 64 {
-                self.m >> shift
-            } else {
-                0
-            }
+            self.m.checked_shr(self.s - t).unwrap_or(0)
         }
     }
 

@@ -184,11 +184,14 @@ impl UnaryEncoding {
     /// a margin for the cheap-`ln` case.
     pub const WORDWISE_MIN_Q: f64 = 1.0 / 16.0;
 
-    /// Perturbs an *already encoded* bit vector of length `d`.
+    /// Perturbs an *already encoded* bit vector of length `d`, which may
+    /// have any number of bits set.
     ///
-    /// Needed by layers that encode specially (the paper's validity
-    /// perturbation encodes invalid items on an extra flag bit and then
-    /// applies exactly this bit-flipping step).
+    /// For a one-hot encoding on the sparse path below (always, for OUE's
+    /// `p = 1/2` at `d ≥ 2`) this draws exactly what
+    /// [`UnaryEncoding::privatize_into`] draws at the hot position — which
+    /// is how the paper's validity perturbation privatizes its `d+1`-bit
+    /// one-hot encodings without building them.
     ///
     /// The Bernoulli(`q`) noise plane comes from the shared contract
     /// sampler (word-parallel for dense `q`, geometric below

@@ -7,10 +7,18 @@
 //!   whitespace tolerated). Malformed lines fail with the 1-based line
 //!   number.
 //! * [`CsvPairSource`] — the CLI's `label,item` CSV, with an optional
-//!   header, read line-buffered instead of `read_to_string`.
+//!   header.
 //! * [`SyntheticPairSource`] — a seeded generator producing Zipf-per-class
 //!   pairs on the fly (the stream-ingestion benchmark's 5M-user workload
 //!   costs no input memory at all).
+//!
+//! Both file sources scan lines in place in an 8 KiB `BufReader`'s buffer:
+//! memory is that buffer plus one carry line (a line cut by a refill is
+//! copied there), with no allocation per line. A canonical `digits,digits`
+//! CSV line is parsed straight from its bytes; every other line — header,
+//! blanks and whitespace, signs, overflow, extra fields, invalid UTF-8 —
+//! goes through the format's one `&str` parser, so errors and the grammar
+//! are the same whichever way a line is read.
 
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
@@ -37,61 +45,49 @@ fn line_err(path: &Path, lineno: u64, what: &str) -> Error {
     }
 }
 
-/// The shared line-pulling machinery behind both file-backed pair sources:
+/// The shared line scanner behind both file-backed pair sources:
 /// buffered reading, 1-based line counting, and I/O-error wrapping live
-/// here exactly once; the formats differ only in their line parser.
+/// here exactly once; the formats differ only in their [`Grammar`].
+///
+/// Lines are split in place in the reader's buffer (`fill_buf` /
+/// `consume`), so a line costs no allocation; only a line that straddles a
+/// refill is copied, into the one reused `carry` buffer.
 #[derive(Debug)]
 struct PairFile {
     path: PathBuf,
-    reader: std::io::Lines<std::io::BufReader<std::fs::File>>,
+    grammar: Grammar,
+    reader: std::io::BufReader<std::fs::File>,
+    /// The start of a line cut off by the end of the reader's buffer.
+    carry: Vec<u8>,
     lineno: u64,
     yielded: u64,
 }
 
 impl PairFile {
-    fn open(path: &Path) -> Result<Self> {
+    fn open(path: &Path, grammar: Grammar) -> Result<Self> {
         let file = std::fs::File::open(path).map_err(|e| io_err(path, e))?;
         Ok(PairFile {
             path: path.to_path_buf(),
-            reader: std::io::BufReader::new(file).lines(),
+            grammar,
+            reader: std::io::BufReader::new(file),
+            carry: Vec::new(),
             lineno: 0,
             yielded: 0,
         })
     }
 
-    /// Pulls up to `max` pairs, parsing each line with `parse` (which
-    /// returns `Ok(None)` for skippable lines — blanks, headers).
-    fn fill_with(
-        &mut self,
-        buf: &mut Vec<LabelItem>,
-        max: usize,
-        parse: impl Fn(&Path, u64, &str) -> Result<Option<LabelItem>>,
-    ) -> Result<usize> {
-        let mut got = 0usize;
-        while got < max {
-            let Some(line) = self.reader.next() else {
-                break;
-            };
-            self.lineno += 1;
-            let line = line.map_err(|e| io_err(&self.path, e))?;
-            if let Some(pair) = parse(&self.path, self.lineno, &line)? {
-                buf.push(pair);
-                got += 1;
-            }
-        }
-        self.yielded += got as u64;
-        Ok(got)
+    /// Pulls up to `max` pairs into `buf`.
+    fn fill(&mut self, buf: &mut Vec<LabelItem>, max: usize) -> Result<usize> {
+        let got = self.scan(max as u64, |pair| buf.push(pair))?;
+        self.yielded += got;
+        Ok(got as usize)
     }
 
     /// Un-consumes the `n` most recent pairs by reopening the file and
-    /// re-parsing (and discarding) everything before the target position.
+    /// re-scanning (and discarding) everything before the target position.
     /// Exactness depends on the file not changing between passes — the
     /// batch/stream equivalence contract already assumes that.
-    fn rewind_with(
-        &mut self,
-        n: u64,
-        parse: impl Fn(&Path, u64, &str) -> Result<Option<LabelItem>>,
-    ) -> Result<bool> {
+    fn rewind(&mut self, n: u64) -> Result<bool> {
         let target = self.yielded.checked_sub(n).ok_or_else(|| Error::Source {
             message: format!(
                 "{}: rewind({n}) exceeds the {} pairs already yielded",
@@ -99,21 +95,137 @@ impl PairFile {
                 self.yielded
             ),
         })?;
-        *self = PairFile::open(&self.path)?;
-        while self.yielded < target {
-            let Some(line) = self.reader.next() else {
-                return Err(Error::Source {
-                    message: format!("{}: file shrank during rewind", self.path.display()),
-                });
-            };
-            self.lineno += 1;
-            let line = line.map_err(|e| io_err(&self.path, e))?;
-            if parse(&self.path, self.lineno, &line)?.is_some() {
-                self.yielded += 1;
-            }
+        *self = PairFile::open(&self.path, self.grammar)?;
+        if self.scan(target, |_| {})? < target {
+            return Err(Error::Source {
+                message: format!("{}: file shrank during rewind", self.path.display()),
+            });
         }
+        self.yielded = target;
         Ok(true)
     }
+
+    /// Hands the next pairs, up to `want`, to `sink` and returns how many
+    /// it handed over; fewer than `want` only at the end of the file. A
+    /// line that fails to parse is consumed before its error returns.
+    fn scan(&mut self, want: u64, mut sink: impl FnMut(LabelItem)) -> Result<u64> {
+        let PairFile {
+            path,
+            grammar,
+            reader,
+            carry,
+            lineno,
+            ..
+        } = self;
+        // Parses the next line, handing its pair (if any) to `sink`.
+        let mut take = |line: &[u8]| -> Result<u64> {
+            *lineno += 1;
+            Ok(match grammar.parse(path, *lineno, line)? {
+                Some(pair) => {
+                    sink(pair);
+                    1
+                }
+                None => 0,
+            })
+        };
+        let mut got = 0u64;
+        while got < want {
+            let chunk = match reader.fill_buf() {
+                Ok(chunk) => chunk,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(io_err(path, e)),
+            };
+            if chunk.is_empty() {
+                // End of file: an unterminated last line is still a line.
+                if carry.is_empty() {
+                    break;
+                }
+                let taken = take(carry);
+                carry.clear();
+                got += taken?;
+                continue;
+            }
+            let mut used = 0;
+            while got < want {
+                let rest = &chunk[used..];
+                let Some(len) = rest.iter().position(|&b| b == b'\n') else {
+                    carry.extend_from_slice(rest);
+                    used = chunk.len();
+                    break;
+                };
+                let line = if carry.is_empty() {
+                    &rest[..len]
+                } else {
+                    carry.extend_from_slice(&rest[..len]);
+                    &carry[..]
+                };
+                let taken = take(line);
+                carry.clear();
+                used += len + 1;
+                match taken {
+                    Ok(n) => got += n,
+                    Err(e) => {
+                        reader.consume(used);
+                        return Err(e);
+                    }
+                }
+            }
+            reader.consume(used);
+        }
+        Ok(got)
+    }
+}
+
+/// The line grammar of a pair file.
+#[derive(Debug, Clone, Copy)]
+enum Grammar {
+    Csv,
+    Ndjson,
+}
+
+impl Grammar {
+    /// Parses one line, given without its `\n`. A canonical CSV line is
+    /// read straight from its bytes; every other line goes through the
+    /// format's `&str` parser, so that parser stays the one grammar.
+    fn parse(self, path: &Path, lineno: u64, line: &[u8]) -> Result<Option<LabelItem>> {
+        let line = line.strip_suffix(b"\r").unwrap_or(line);
+        if let Grammar::Csv = self {
+            if let Some(pair) = canonical_csv_pair(line) {
+                return Ok(Some(pair));
+            }
+        }
+        let line = std::str::from_utf8(line).map_err(|_| Error::Source {
+            message: format!("{}: stream did not contain valid UTF-8", path.display()),
+        })?;
+        match self {
+            Grammar::Csv => parse_csv_line(path, lineno, line),
+            Grammar::Ndjson => parse_ndjson_line(path, lineno, line),
+        }
+    }
+}
+
+/// `Some` iff `line` is exactly `digits,digits` with both numbers in
+/// `u32` — lines [`parse_csv_line`] reads to the same pair — parsed
+/// without UTF-8 validation; `None` sends the line to the full grammar.
+fn canonical_csv_pair(line: &[u8]) -> Option<LabelItem> {
+    let comma = line.iter().position(|&b| b == b',')?;
+    let (label, item) = (&line[..comma], &line[comma + 1..]);
+    Some(LabelItem::new(decimal_u32(label)?, decimal_u32(item)?))
+}
+
+/// A non-empty run of ASCII digits (leading zeros allowed) as a `u32`;
+/// `None` for anything else, overflow included.
+fn decimal_u32(digits: &[u8]) -> Option<u32> {
+    if digits.is_empty() {
+        return None;
+    }
+    digits.iter().try_fold(0u32, |value, &b| {
+        let digit = b.wrapping_sub(b'0');
+        if digit > 9 {
+            return None;
+        }
+        value.checked_mul(10)?.checked_add(u32::from(digit))
+    })
 }
 
 /// Parses one `label,item` CSV line (line 1 may be a header).
@@ -174,11 +286,11 @@ fn parse_ndjson_line(path: &Path, lineno: u64, line: &str) -> Result<Option<Labe
     }
 }
 
-/// A `label,item` CSV file as a stream source. Lines are pulled through a
-/// buffered reader; memory is one line plus the reader's buffer. This is
-/// the **only** CSV pair grammar in the workspace — the CLI's batch
-/// loader drains this same source, so batch and streaming runs can never
-/// parse a file differently.
+/// A `label,item` CSV file as a stream source. Lines are scanned in place
+/// in a buffered reader; memory is the reader's buffer plus one carry
+/// line. This is the **only** CSV pair grammar in the workspace — the
+/// CLI's batch loader drains this same source, so batch and streaming runs
+/// can never parse a file differently.
 #[derive(Debug)]
 pub struct CsvPairSource {
     file: PairFile,
@@ -188,7 +300,7 @@ impl CsvPairSource {
     /// Opens `path`. An optional `label,item` header is skipped on read.
     pub fn open(path: &Path) -> Result<Self> {
         Ok(CsvPairSource {
-            file: PairFile::open(path)?,
+            file: PairFile::open(path, Grammar::Csv)?,
         })
     }
 }
@@ -197,11 +309,11 @@ impl ReportSource for CsvPairSource {
     type Item = LabelItem;
 
     fn fill(&mut self, buf: &mut Vec<LabelItem>, max: usize) -> Result<usize> {
-        self.file.fill_with(buf, max, parse_csv_line)
+        self.file.fill(buf, max)
     }
 
     fn rewind(&mut self, n: u64) -> Result<bool> {
-        self.file.rewind_with(n, parse_csv_line)
+        self.file.rewind(n)
     }
 }
 
@@ -217,7 +329,7 @@ impl NdjsonPairSource {
     /// Opens `path`.
     pub fn open(path: &Path) -> Result<Self> {
         Ok(NdjsonPairSource {
-            file: PairFile::open(path)?,
+            file: PairFile::open(path, Grammar::Ndjson)?,
         })
     }
 }
@@ -226,11 +338,11 @@ impl ReportSource for NdjsonPairSource {
     type Item = LabelItem;
 
     fn fill(&mut self, buf: &mut Vec<LabelItem>, max: usize) -> Result<usize> {
-        self.file.fill_with(buf, max, parse_ndjson_line)
+        self.file.fill(buf, max)
     }
 
     fn rewind(&mut self, n: u64) -> Result<bool> {
-        self.file.rewind_with(n, parse_ndjson_line)
+        self.file.rewind(n)
     }
 }
 
@@ -324,6 +436,8 @@ impl ReportSource for SyntheticPairSource {
 mod tests {
     use super::*;
     use std::io::Write;
+
+    use rand::rngs::StdRng;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("mcim-dataset-sources");
@@ -453,6 +567,188 @@ mod tests {
         }
         std::fs::write(&path, body).unwrap();
         assert_rewind_replays(CsvPairSource::open(&path).unwrap(), 120);
+    }
+
+    /// The reader `PairFile` replaced — `BufRead::lines()` and the `&str`
+    /// parsers: the pairs before the first error, and that error's text.
+    fn reference_read(path: &Path, grammar: Grammar) -> (Vec<LabelItem>, Option<String>) {
+        let file = std::fs::File::open(path).unwrap();
+        let mut pairs = Vec::new();
+        for (lineno, line) in (1u64..).zip(std::io::BufReader::new(file).lines()) {
+            let parsed = line
+                .map_err(|e| io_err(path, e))
+                .and_then(|line| match grammar {
+                    Grammar::Csv => parse_csv_line(path, lineno, &line),
+                    Grammar::Ndjson => parse_ndjson_line(path, lineno, &line),
+                });
+            match parsed {
+                Ok(Some(pair)) => pairs.push(pair),
+                Ok(None) => {}
+                Err(e) => return (pairs, Some(e.to_string())),
+            }
+        }
+        (pairs, None)
+    }
+
+    /// Drains a source `max` pairs at a time, stopping at the first error.
+    fn drain_at<S: ReportSource<Item = LabelItem>>(
+        mut source: S,
+        max: usize,
+    ) -> (Vec<LabelItem>, Option<String>) {
+        let mut pairs = Vec::new();
+        loop {
+            let before = pairs.len();
+            match source.fill(&mut pairs, max) {
+                Ok(0) => return (pairs, None),
+                Ok(got) => assert!(got <= max && pairs.len() == before + got),
+                Err(e) => return (pairs, Some(e.to_string())),
+            }
+        }
+    }
+
+    /// One line of a seeded test file: mostly canonical, with every other
+    /// kind the grammar accepts mixed in — or, with `fault`, a line of a
+    /// kind the grammar rejects. CRLF endings are mixed into either.
+    fn random_line(rng: &mut StdRng, grammar: Grammar, fault: bool) -> Vec<u8> {
+        let (a, b) = (
+            rng.random_range(0..5000u32),
+            rng.random_range(0..100_000u32),
+        );
+        let (max, over) = (u32::MAX, u64::from(u32::MAX) + 1);
+        let kinds: Vec<Vec<u8>> = match (grammar, fault) {
+            (Grammar::Csv, false) => vec![
+                format!("{a},{b}").into(),
+                format!("{a},{b}").into(),
+                format!("{a},{b}").into(),
+                format!("{max},{b}").into(),
+                format!("+{a},00{b}").into(),
+                format!(" {a} , {b}\t").into(),
+                b"".into(),
+                b" \t ".into(),
+            ],
+            (Grammar::Ndjson, false) => vec![
+                format!("{{\"label\": {a}, \"item\": {b}}}").into(),
+                format!("{{\"label\": {a}, \"item\": {b}}}").into(),
+                format!("{{\"item\": {b}, \"label\": {max}}}").into(),
+                format!(" {{ \"item\":0{b} ,\"label\" : +{a} }} ").into(),
+                b"".into(),
+                b" \t ".into(),
+            ],
+            (Grammar::Csv, true) => vec![
+                format!("{a},{over}").into(),
+                format!("{a},{b},7").into(),
+                b"label,item".into(),
+                [format!("{a},").as_bytes(), &[0xff, 0xfe]].concat(),
+            ],
+            (Grammar::Ndjson, true) => vec![
+                format!("{{\"label\": {over}, \"item\": {b}}}").into(),
+                format!("{{\"label\": {a}}}").into(),
+                b"label,item".into(),
+                [format!("{{\"label\": {a}, ").as_bytes(), &[0xff, 0xfe]].concat(),
+            ],
+        };
+        let mut line = kinds[rng.random_range(0..kinds.len())].clone();
+        if rng.random_bool(0.2) {
+            line.push(b'\r');
+        }
+        line
+    }
+
+    /// A seeded file of 2–5k lines, well over the 8 KiB reader buffer so
+    /// lines straddle refills at every offset, sometimes without a final
+    /// newline. Half the CSV files start with a header; with `fault`, one
+    /// line is rejected — a CSV header on line 2 counts.
+    fn random_file(seed: u64, grammar: Grammar, fault: bool) -> Vec<u8> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let lines = rng.random_range(2000..5000usize);
+        let header_at = match (grammar, rng.random_range(0..4)) {
+            (Grammar::Ndjson, _) => None,
+            (_, 0 | 1) => Some(0),
+            (_, 2) if fault => Some(1),
+            _ => None,
+        };
+        let fault_at = (fault && header_at != Some(1)).then(|| rng.random_range(0..lines));
+        let mut body = Vec::new();
+        for i in 0..lines {
+            let line = if header_at == Some(i) {
+                b"Label,Item".to_vec()
+            } else {
+                random_line(&mut rng, grammar, fault_at == Some(i))
+            };
+            body.extend_from_slice(&line);
+            if i + 1 < lines || rng.random_bool(0.5) {
+                body.push(b'\n');
+            }
+        }
+        body
+    }
+
+    fn open_as(path: &Path, grammar: Grammar) -> PairFile {
+        PairFile::open(path, grammar).unwrap()
+    }
+
+    impl ReportSource for PairFile {
+        type Item = LabelItem;
+
+        fn fill(&mut self, buf: &mut Vec<LabelItem>, max: usize) -> Result<usize> {
+            PairFile::fill(self, buf, max)
+        }
+
+        fn rewind(&mut self, n: u64) -> Result<bool> {
+            PairFile::rewind(self, n)
+        }
+    }
+
+    #[test]
+    fn scanner_matches_the_line_reader() {
+        let mut errors = 0;
+        for grammar in [Grammar::Csv, Grammar::Ndjson] {
+            for seed in 0..40u64 {
+                let path = tmp(&format!("scan-{grammar:?}-{seed}.txt"));
+                std::fs::write(&path, random_file(seed, grammar, seed % 2 == 1)).unwrap();
+                let expected = reference_read(&path, grammar);
+                errors += usize::from(expected.1.is_some());
+                for max in [1, 2, 7, 100, 4096, usize::MAX] {
+                    let got = drain_at(open_as(&path, grammar), max);
+                    assert_eq!(got, expected, "{grammar:?} seed {seed} max {max}");
+                }
+            }
+        }
+        assert_eq!(errors, 40, "every file with a fault must fail");
+    }
+
+    #[test]
+    fn scanner_rewinds_replay_the_first_pass() {
+        for grammar in [Grammar::Csv, Grammar::Ndjson] {
+            for seed in 100..110u64 {
+                let path = tmp(&format!("rewind-{grammar:?}-{seed}.txt"));
+                std::fs::write(&path, random_file(seed, grammar, false)).unwrap();
+                let (all, err) = reference_read(&path, grammar);
+                assert!(err.is_none() && all.len() > 1000);
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut source = open_as(&path, grammar);
+                let mut pos = 0usize;
+                let mut seen = Vec::new();
+                for _ in 0..8 {
+                    let advance = rng.random_range(0..all.len() - pos);
+                    while seen.len() < pos + advance {
+                        let max = rng
+                            .random_range(1..600usize)
+                            .min(pos + advance - seen.len());
+                        assert!(source.fill(&mut seen, max).unwrap() > 0);
+                    }
+                    pos += advance;
+                    assert_eq!(seen[..], all[..pos], "{grammar:?} seed {seed}");
+                    let back = rng.random_range(0..=pos);
+                    assert!(source.rewind(back as u64).unwrap());
+                    pos -= back;
+                    seen.truncate(pos);
+                }
+                let (rest, err) = drain_at(source, 333);
+                assert!(err.is_none());
+                assert_eq!(rest[..], all[pos..], "{grammar:?} seed {seed}");
+            }
+        }
     }
 
     #[test]

@@ -25,6 +25,12 @@
 //! `dist_reduce_w4_vs_w1` the multi-process scaling — all bit-identical
 //! outputs by the executor contract.
 //!
+//! A `plane_sampler_crossover` sweep times the two exact Bernoulli plane
+//! fillers the RNG contract chooses between — `fill_bernoulli_wordwise`
+//! and the geometric `fill_bernoulli` — in ns per 64 output bits at
+//! `q ≈ 2⁻⁴ … 2⁻⁹`, for a 65-bit plane (a PTS-CP report at `d = 64`) and a
+//! 1024-bit one. `UnaryEncoding::WORDWISE_MIN_Q` is read off this sweep.
+//!
 //! Prints a table, saves `results/oracle_throughput.csv`, and emits the
 //! machine-readable baseline `results/BENCH_oracle_throughput.json` that
 //! the CI uploads so later PRs can track the perf trajectory.
@@ -46,12 +52,51 @@ use mcim_core::{
 };
 use mcim_oracles::exec::Exec;
 use mcim_oracles::stream::SliceSource;
-use mcim_oracles::{parallel, Aggregator, Eps, Oracle, Report};
+use mcim_oracles::{parallel, Aggregator, BitVec, Eps, Oracle, Report, UnaryEncoding};
+use rand::rngs::StdRng;
 
 const D: u32 = 1024;
 const EPS: f64 = 1.0;
 /// Disabled/enabled run pairs behind `metrics_overhead_batch_tn`.
 const OVERHEAD_PAIRS: usize = 10;
+
+/// Plane lengths of the sampler crossover sweep.
+const SWEEP_LENS: [usize; 2] = [65, 1024];
+/// Exponents `k` of the swept probabilities `q = 2⁻ᵏ·(1 + 2⁻⁴⁰)`.
+///
+/// The `1 + 2⁻⁴⁰` factor gives every `q` a binary expansion longer than
+/// the word-parallel sampler's fixed steps, as a mechanism's `q` (e.g.
+/// OUE's `1/(e^ε + 1)`) has; an exact `2⁻ᵏ` with `k ≤ 8` would skip the
+/// per-lane fix-up draws and flatter the word-parallel side.
+const SWEEP_LOG2_Q: std::ops::RangeInclusive<i32> = 4..=9;
+/// Output bits each sweep point fills per trial.
+const SWEEP_BITS: usize = 1 << 24;
+/// Trials per sweep point; a ~10 ms trial is short enough for the best of
+/// many to dodge a shared machine's noise.
+const SWEEP_TRIALS: usize = 15;
+
+/// One point of the crossover sweep, in ns per 64 output bits.
+struct Crossover {
+    len: usize,
+    log2_q: i32,
+    wordwise: f64,
+    geometric: f64,
+}
+
+/// Best-of-[`SWEEP_TRIALS`] cost of `fill` on a `len`-bit plane, in ns per
+/// 64 output bits.
+fn ns_per_64_bits(len: usize, mut fill: impl FnMut(&mut BitVec, &mut StdRng)) -> f64 {
+    let fills = SWEEP_BITS / len;
+    let mut plane = BitVec::zeros(len);
+    let mut rng = parallel::shard_rng(7, 0);
+    let (ms, ()) = time(SWEEP_TRIALS, || {
+        for _ in 0..fills {
+            fill(&mut plane, &mut rng);
+            std::hint::black_box(&plane);
+        }
+    });
+    ms * 1e6 * 64.0 / (fills * len) as f64
+}
 
 struct Scenario {
     name: &'static str,
@@ -368,6 +413,56 @@ fn main() {
         drop(spawned);
     }
 
+    // -------------------------------------------- sampler crossover ----
+    // The contract's plane sampler goes word-parallel at and above
+    // `WORDWISE_MIN_Q` and skips geometrically below it; both fillers are
+    // exact, so the threshold is purely a cost choice made from this sweep.
+    let mut crossover = Vec::new();
+    for len in SWEEP_LENS {
+        for log2_q in SWEEP_LOG2_Q {
+            let q = (-f64::from(log2_q)).exp2() * (1.0 + 2f64.powi(-40));
+            crossover.push(Crossover {
+                len,
+                log2_q,
+                wordwise: ns_per_64_bits(len, |plane, rng| {
+                    plane.fill_bernoulli_wordwise(q, rng);
+                }),
+                geometric: ns_per_64_bits(len, |plane, rng| {
+                    plane.fill_bernoulli(q, rng);
+                }),
+            });
+        }
+    }
+    let mut sweep = Table::new(
+        "plane_sampler_crossover",
+        &[
+            "len",
+            "q",
+            "wordwise_ns_per_64",
+            "geometric_ns_per_64",
+            "faster",
+        ],
+    );
+    for c in &crossover {
+        sweep.push(vec![
+            c.len.to_string(),
+            format!("2^-{}·(1+2^-40)", c.log2_q),
+            format!("{:.2}", c.wordwise),
+            format!("{:.2}", c.geometric),
+            if c.wordwise <= c.geometric {
+                "wordwise"
+            } else {
+                "geometric"
+            }
+            .to_string(),
+        ]);
+    }
+    sweep.print_and_save().expect("saving CSV");
+    println!(
+        "WORDWISE_MIN_Q = 2^{} (planes at or above it go word-parallel)",
+        UnaryEncoding::WORDWISE_MIN_Q.log2()
+    );
+
     // ------------------------------------------------------- results ----
     let mut table = Table::new("oracle_throughput", &["scenario", "ms", "reports_per_sec"]);
     for s in &scenarios {
@@ -473,6 +568,20 @@ fn main() {
         json,
         "  \"metrics_overhead_pairs\": {{ \"pairs\": {OVERHEAD_PAIRS}, \"off_median_ms\": {off_median_ms:.3}, \"on_median_ms\": {on_median_ms:.3} }},"
     );
+    let _ = writeln!(
+        json,
+        "  \"plane_sampler_crossover\": {{ \"unit\": \"ns per 64 output bits\", \"q\": \"2^q_log2 * (1 + 2^-40)\", \"wordwise_min_q_log2\": {}, \"points\": [",
+        UnaryEncoding::WORDWISE_MIN_Q.log2()
+    );
+    for (i, c) in crossover.iter().enumerate() {
+        let comma = if i + 1 < crossover.len() { "," } else { "" };
+        let _ = writeln!(
+            json,
+            "    {{ \"len\": {}, \"q_log2\": -{}, \"wordwise\": {:.2}, \"geometric\": {:.2} }}{comma}",
+            c.len, c.log2_q, c.wordwise, c.geometric
+        );
+    }
+    let _ = writeln!(json, "  ] }},");
     let _ = writeln!(json, "  \"obs\": {}", obs_snapshot.to_json().trim_end());
     let _ = writeln!(json, "}}");
 

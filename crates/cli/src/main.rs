@@ -949,7 +949,7 @@ mod tests {
             "--eps",
             "1",
             "--rng-contract",
-            "v3",
+            "v4",
         ])
         .expect_err("no contract flag");
         assert!(err.to_string().contains("unknown option"), "{err}");

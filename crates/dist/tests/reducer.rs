@@ -390,7 +390,7 @@ fn other_contract_jobs_and_specs_are_refused() {
         },
         Frame::Job {
             stage_seed: 1,
-            contract: 2,
+            contract: 3,
             kind: "fw/pts".into(),
             payload: Vec::new(),
             shards: ShardAssignment::Range { first: 0, end: 1 },
@@ -411,7 +411,7 @@ fn other_contract_jobs_and_specs_are_refused() {
     ));
     match read_frame(&mut replies).unwrap() {
         Some(Frame::Err { message }) => {
-            assert!(message.contains("declares v2"), "{message}");
+            assert!(message.contains("declares v3"), "{message}");
             assert!(
                 message.contains(&format!("implements v{RNG_CONTRACT}")),
                 "{message}"
@@ -444,7 +444,7 @@ fn other_contract_jobs_and_specs_are_refused() {
         }
         fn spec(&self) -> Option<StageSpec> {
             Some(StageSpec {
-                contract: 2,
+                contract: 3,
                 ..StageSpec::new("fw/pts", |_| {})
             })
         }

@@ -194,7 +194,7 @@ impl BitVec {
     ///
     /// Each lane's bit is `[U < q]` for an independent uniform `U ∈ [0, 1)`
     /// built from fresh fair bits, compared against `q`'s exact binary
-    /// expansion MSB-first. Per output word (RNG contract v3):
+    /// expansion MSB-first. Per output word (RNG contract v3 and later):
     ///
     /// 1. **K = [`WORDWISE_STEPS`] = 8 bit-sliced steps, always.** Step
     ///    `j` draws one word whose lane bits are bit `j` of every lane's
@@ -309,7 +309,7 @@ impl BitVec {
 
 /// Bit-sliced steps [`BitVec::fill_bernoulli_wordwise`] runs per output
 /// word before settling the lanes still undecided one by one. A constant
-/// of RNG contract v3: changing it changes every seeded output.
+/// of the RNG contract since v3: changing it changes every seeded output.
 pub const WORDWISE_STEPS: u32 = 8;
 
 /// A probability `q ∈ (0, 1)` as its exact binary expansion `q = m·2⁻ˢ`,
@@ -526,10 +526,11 @@ mod tests {
             .collect()
     }
 
-    /// The v3 contract, replayed draw by draw: every lane's `U` is its K
-    /// sliced bits followed by its fix-up words, every output bit is
-    /// exactly `[U < q]`, and the sampler consumes exactly K words per
-    /// output word plus one per fix-up draw.
+    /// The contract's word-parallel draw order (v3 and later), replayed
+    /// draw by draw: every lane's `U` is its K sliced bits followed by its
+    /// fix-up words, every output bit is exactly `[U < q]`, and the
+    /// sampler consumes exactly K words per output word plus one per
+    /// fix-up draw.
     #[test]
     fn fill_bernoulli_wordwise_is_exactly_u_below_q() {
         const K: usize = WORDWISE_STEPS as usize;

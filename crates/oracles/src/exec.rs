@@ -109,7 +109,7 @@ impl ExecMode {
 /// mode together. Every [`StageSpec`] is stamped with it, and executors
 /// and dist workers refuse a spec or job stamped with any other value
 /// ([`check_contract`]).
-pub const RNG_CONTRACT: u32 = 3;
+pub const RNG_CONTRACT: u32 = 4;
 
 /// `Ok` iff `version` is this build's [`RNG_CONTRACT`]. Executors apply it
 /// to a stage's [`StageSpec`] before drawing any noise: a stage folded
@@ -643,11 +643,11 @@ mod tests {
         assert!(shown.contains("seed=5"), "{shown}");
         assert!(shown.contains("threads=2"), "{shown}");
         assert!(shown.contains("chunk=64"), "{shown}");
-        assert!(shown.contains("contract=v3"), "{shown}");
+        assert!(shown.contains("contract=v4"), "{shown}");
         let batch = Exec::batch().to_string();
         assert!(batch.contains("mode=batch"), "{batch}");
         assert!(!batch.contains("chunk="), "batch hides the chunk: {batch}");
-        assert!(batch.contains("contract=v3"), "{batch}");
+        assert!(batch.contains("contract=v4"), "{batch}");
     }
 
     /// Unset knobs display their lazily resolved values tagged as such, so
@@ -667,7 +667,7 @@ mod tests {
         assert!(seq.contains("mode=sequential"), "{seq}");
         assert!(seq.contains("threads=1(auto)"), "sequential pins 1: {seq}");
         assert!(seq.contains("chunk="), "sequential chunk-streams: {seq}");
-        assert!(seq.contains("contract=v3"), "{seq}");
+        assert!(seq.contains("contract=v4"), "{seq}");
         let explicit = Exec::stream().threads(7).to_string();
         assert!(explicit.contains("threads=7"), "{explicit}");
         assert!(!explicit.contains("threads=7(auto)"), "{explicit}");
@@ -700,10 +700,10 @@ mod tests {
             }
         }
 
-        assert_eq!(RNG_CONTRACT, 3);
+        assert_eq!(RNG_CONTRACT, 4);
         let exec = Exec::seeded(3).in_process();
         let items = [1u32, 2, 3];
-        for stale in [1, 2, RNG_CONTRACT + 1] {
+        for stale in [1, 2, 3, RNG_CONTRACT + 1] {
             let err = exec
                 .fold(&mut SliceSource::new(&items), 7, &Stamped(stale))
                 .unwrap_err();

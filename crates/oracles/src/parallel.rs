@@ -62,8 +62,8 @@ pub fn configured_threads() -> usize {
 ///
 /// This derivation is part of the workspace RNG contract
 /// ([`crate::exec::RNG_CONTRACT`]) and is identical under every version so
-/// far: the v2 and v3 bumps changed *what* each shard's RNG is asked to
-/// sample, never *which* RNG a shard gets.
+/// far: the v2, v3 and v4 bumps changed *what* each shard's RNG is asked
+/// to sample, never *which* RNG a shard gets.
 #[inline]
 pub fn shard_seed(base_seed: u64, shard: u64) -> u64 {
     splitmix64(base_seed.wrapping_add(splitmix64(shard ^ SHARD_SALT)))

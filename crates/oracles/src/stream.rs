@@ -28,10 +28,10 @@
 //! and associative (true for counter sums and [`super::parallel`]-style
 //! accumulators).
 //!
-//! ## RNG contract v3: one sampler stream for every mode
+//! ## RNG contract v4: one sampler stream for every mode
 //!
 //! The workspace's seeded outputs are governed by a versioned **RNG
-//! contract** ([`crate::exec::RNG_CONTRACT`]); this section is the v3
+//! contract** ([`crate::exec::RNG_CONTRACT`]); this section is the v4
 //! specification.
 //!
 //! 1. **Shard streams.** Item `i` belongs to absolute shard
@@ -42,11 +42,11 @@
 //!    their recovery replays.
 //! 2. **One plane sampler, everywhere.** Unary-encoding noise planes are
 //!    drawn through `UnaryEncoding::fill_plane`: geometric skipping below
-//!    `UnaryEncoding::WORDWISE_MIN_Q`, and otherwise the word-parallel
-//!    [`crate::BitVec::fill_bernoulli_wordwise`]. The branch depends only
-//!    on mechanism parameters, never on the execution mode, so
-//!    `privatize`, `privatize_into` and `perturb_bits` consume the RNG
-//!    stream identically wherever they run.
+//!    `UnaryEncoding::WORDWISE_MIN_Q` = 1/64, and otherwise (`q ≥ 1/64`)
+//!    the word-parallel [`crate::BitVec::fill_bernoulli_wordwise`]. The
+//!    branch depends only on mechanism parameters, never on the execution
+//!    mode, so `privatize`, `privatize_into` and `perturb_bits` consume
+//!    the RNG stream identically wherever they run.
 //! 3. **The word-parallel draw order.** For each 64-bit output word, in
 //!    word order: exactly [`crate::WORDWISE_STEPS`]` = 8` draws,
 //!    draw `j` supplying bit `j` (MSB first) of every lane's uniform `U`;
@@ -66,8 +66,11 @@
 //! streams for one seed. v2 unified them on a bit-sliced sampler whose
 //! loop ran until every lane was decided, costing a mispredicted branch
 //! per word. v3 fixes the depth at 8 steps plus an exact per-lane
-//! fix-up. Each bump changed every seeded estimate once, across all modes
-//! together; earlier contracts are refused, not emulated.
+//! fix-up. v4 moves the geometric/word-parallel crossover from 1/16 to
+//! the measured 1/64; only planes with `q` in `[1/64, 1/16)` — e.g.
+//! PTS-CP's validity plane at ε = 6 — draw differently. Each bump changed
+//! seeded estimates once, across all modes together; earlier contracts
+//! are refused, not emulated.
 
 use rand::rngs::StdRng;
 

@@ -177,12 +177,31 @@ impl UnaryEncoding {
         Ok(())
     }
 
-    /// Probability threshold above which the contract's plane sampler
-    /// goes word-parallel. Geometric skipping costs ~`64·q` draws + `ln`s
-    /// per word; the bit-sliced sampler a flat 8.25 words. The cross-over
-    /// (with `ln` ≈ 2 word-draws of work) sits near `q ≈ 0.04`; 1/16 keeps
-    /// a margin for the cheap-`ln` case.
-    pub const WORDWISE_MIN_Q: f64 = 1.0 / 16.0;
+    /// Probability at and above which the contract's plane sampler goes
+    /// word-parallel (RNG contract v4; v2 and v3 used 1/16).
+    ///
+    /// The bit-sliced sampler costs a flat 8.25 RNG words per output word.
+    /// Geometric skipping costs one draw and one `ln` per set bit (`64·q`
+    /// per word) plus a fixed `ln_1p` per plane, which weighs most on
+    /// short planes. The crossover sweep of the `oracle_throughput` bench
+    /// (`plane_sampler_crossover` in `BENCH_oracle_throughput.json`,
+    /// shared 2-core VM) measured, in ns per 64 output bits, word-parallel
+    /// vs geometric at `q = 2⁻ᵏ·(1 + 2⁻⁴⁰)` (a full expansion, so the
+    /// word-parallel side pays its fix-up draws as a mechanism's `q` does):
+    ///
+    /// | plane | q ≈ 2⁻⁵ | q ≈ 2⁻⁶ | q ≈ 2⁻⁷ | q ≈ 2⁻⁸ |
+    /// |---|---|---|---|---|
+    /// | 65 bits (PTS-CP at d = 64) | 40 vs 102 | 41 vs 84 | 36 vs 50 | 34 vs 34 |
+    /// | 1024 bits | 17 vs 37 | 16 vs 21 | 16 vs 12 | 16 vs 8 |
+    ///
+    /// Over seven runs, word-parallel won at `2⁻⁶` on both lengths every
+    /// time and geometric won at `2⁻⁷` on 1024-bit planes every time;
+    /// 65-bit planes cross near `2⁻⁸`. 2⁻⁶ is the lowest threshold at
+    /// which word-parallel never loses on either length. 65-bit planes in
+    /// `[2⁻⁸, 2⁻⁶)` stay geometric, as under v3, and give up up to ~2×
+    /// just below 2⁻⁶; a threshold on `q` alone cannot serve both lengths
+    /// there.
+    pub const WORDWISE_MIN_Q: f64 = 1.0 / 64.0;
 
     /// Perturbs an *already encoded* bit vector of length `d`, which may
     /// have any number of bits set.
@@ -321,18 +340,28 @@ mod tests {
         // the same plane sampler, so equal seeds give equal outputs AND
         // equal post-call RNG states — on either side of the
         // WORDWISE_MIN_Q cross-over.
-        for m in [
+        let cases = [
             UnaryEncoding::optimized(eps(1.0), 96).unwrap(), // dense q
             UnaryEncoding::symmetric(eps(0.5), 96).unwrap(), // dense q
+            // q ≈ 0.047: a PTS-CP plane at ε₂ = 3, d = 64 — word-parallel
+            // since contract v4 (geometric under 1/16).
+            UnaryEncoding::optimized(eps(3.0), 65).unwrap(),
             UnaryEncoding::optimized(eps(6.0), 96).unwrap(), // sparse q
-        ] {
+        ];
+        let wordwise = cases
+            .iter()
+            .filter(|m| m.q() >= UnaryEncoding::WORDWISE_MIN_Q)
+            .count();
+        assert_eq!(wordwise, 3, "both sampler branches must stay covered");
+        for m in cases {
+            let d = m.domain_size();
             let mut a = StdRng::seed_from_u64(77);
             let mut b = StdRng::seed_from_u64(77);
-            let mut out = BitVec::zeros(96);
+            let mut out = BitVec::zeros(d as usize);
             for v in 0..200u32 {
-                let bits = m.privatize(v % 96, &mut a).unwrap();
-                m.privatize_into(v % 96, &mut b, &mut out).unwrap();
-                assert_eq!(bits, out, "kind {:?} v={v}", m.kind());
+                let bits = m.privatize(v % d, &mut a).unwrap();
+                m.privatize_into(v % d, &mut b, &mut out).unwrap();
+                assert_eq!(bits, out, "kind {:?} d={d} v={v}", m.kind());
             }
             assert_eq!(
                 a.random::<u64>(),
@@ -340,6 +369,28 @@ mod tests {
                 "RNG states diverged for kind {:?}",
                 m.kind()
             );
+        }
+    }
+
+    #[test]
+    fn fill_plane_switches_sampler_at_wordwise_min_q() {
+        // Contract v4's crossover: planes with q ≥ 1/64 are drawn
+        // word-parallel, sparser ones by geometric skipping.
+        let m = UnaryEncoding::optimized(eps(3.0), 65).unwrap();
+        let min_q = UnaryEncoding::WORDWISE_MIN_Q;
+        for (q, wordwise) in [(m.q(), true), (min_q, true), (min_q * 0.999, false)] {
+            let mut a = StdRng::seed_from_u64(5);
+            let mut b = StdRng::seed_from_u64(5);
+            let (mut plane, mut raw) = (BitVec::zeros(65), BitVec::zeros(65));
+            for _ in 0..50 {
+                m.fill_plane(q, &mut plane, &mut a);
+                if wordwise {
+                    raw.fill_bernoulli_wordwise(q, &mut b);
+                } else {
+                    raw.fill_bernoulli(q, &mut b);
+                }
+                assert_eq!(plane, raw, "q={q}");
+            }
         }
     }
 

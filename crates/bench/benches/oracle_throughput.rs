@@ -31,6 +31,11 @@
 //! `q ≈ 2⁻⁴ … 2⁻⁹`, for a 65-bit plane (a PTS-CP report at `d = 64`) and a
 //! 1024-bit one. `UnaryEncoding::WORDWISE_MIN_Q` is read off this sweep.
 //!
+//! A `pem_vp_round_fold` slice times one validity-perturbation PEM round
+//! fold (`PemVpRoundStage`, ε₂ = 2, 4096-item fragments) in ns per user
+//! at the 257-, 201- and 41-bit report widths the PTS+Global+VP top-k
+//! miner runs — rounds the repo benchmark's layer replay never reaches.
+//!
 //! Prints a table, saves `results/oracle_throughput.csv`, and emits the
 //! machine-readable baseline `results/BENCH_oracle_throughput.json` that
 //! the CI uploads so later PRs can track the perf trajectory.
@@ -50,9 +55,10 @@ use mcim_core::{
     CorrelatedPerturbation, CpAggregator, Domains, Framework, LabelItem, ValidityInput,
     ValidityPerturbation, VpAggregator,
 };
-use mcim_oracles::exec::Exec;
+use mcim_oracles::exec::{Exec, Stage};
 use mcim_oracles::stream::SliceSource;
 use mcim_oracles::{parallel, Aggregator, BitVec, Eps, Oracle, Report, UnaryEncoding};
+use mcim_topk::PemVpRoundStage;
 use rand::rngs::StdRng;
 
 const D: u32 = 1024;
@@ -74,6 +80,41 @@ const SWEEP_BITS: usize = 1 << 24;
 /// Trials per sweep point; a ~10 ms trial is short enough for the best of
 /// many to dodge a shared machine's noise.
 const SWEEP_TRIALS: usize = 15;
+
+/// Report widths (candidates + the validity flag) of the PEM round folds.
+const PEM_ROUND_BITS: [usize; 3] = [257, 201, 41];
+/// Item domain of the PEM round folds (11-bit codes).
+const PEM_DOMAIN: u32 = 2048;
+/// Fragments of [`parallel::SHARD_SIZE`] users folded per PEM trial.
+const PEM_FRAGMENTS: u64 = 64;
+
+/// Best-of-[`SWEEP_TRIALS`] cost of folding a validity PEM round whose
+/// reports carry `bits` bits, in ns per user.
+///
+/// The `bits − 1` candidates are spread evenly over the prefixes of the
+/// shortest length with at least twice as many values, so about half the
+/// users hold a candidate; every tenth user is invalid outright.
+fn pem_round_ns_per_user(bits: usize) -> f64 {
+    let n_cands = bits as u32 - 1;
+    let prefix_len = (2 * n_cands).next_power_of_two().trailing_zeros();
+    let space = 1u32 << prefix_len;
+    let candidates = (0..n_cands).map(|i| i * space / n_cands).collect();
+    let stage =
+        PemVpRoundStage::new(Eps::new(2.0).unwrap(), PEM_DOMAIN, prefix_len, candidates).unwrap();
+    let fragment: Vec<Option<u32>> = (0..parallel::SHARD_SIZE as u32)
+        .map(|u| (u % 10 != 0).then_some(u.wrapping_mul(2_654_435_761) % PEM_DOMAIN))
+        .collect();
+    let (ms, flagged) = time(SWEEP_TRIALS, || {
+        let mut acc = stage.template();
+        for shard in 0..PEM_FRAGMENTS {
+            let mut rng = parallel::shard_rng(9, shard);
+            stage.fold(&mut rng, 0, &fragment, &mut acc).unwrap();
+        }
+        acc.0.raw_flag_count()
+    });
+    std::hint::black_box(flagged);
+    ms * 1e6 / (PEM_FRAGMENTS as f64 * parallel::SHARD_SIZE as f64)
+}
 
 /// One point of the crossover sweep, in ns per 64 output bits.
 struct Crossover {
@@ -463,6 +504,20 @@ fn main() {
         UnaryEncoding::WORDWISE_MIN_Q.log2()
     );
 
+    // ---------------------------------------------- PEM round folds ----
+    let pem_rounds: Vec<(usize, f64)> = PEM_ROUND_BITS
+        .iter()
+        .map(|&bits| (bits, pem_round_ns_per_user(bits)))
+        .collect();
+    let mut pem_table = Table::new("pem_vp_round_fold", &["scenario", "ns_per_user"]);
+    for &(bits, ns) in &pem_rounds {
+        pem_table.push(vec![
+            format!("pem_vp_round_fold_{bits}"),
+            format!("{ns:.1}"),
+        ]);
+    }
+    pem_table.print_and_save().expect("saving CSV");
+
     // ------------------------------------------------------- results ----
     let mut table = Table::new("oracle_throughput", &["scenario", "ms", "reports_per_sec"]);
     for s in &scenarios {
@@ -579,6 +634,19 @@ fn main() {
             json,
             "    {{ \"len\": {}, \"q_log2\": -{}, \"wordwise\": {:.2}, \"geometric\": {:.2} }}{comma}",
             c.len, c.log2_q, c.wordwise, c.geometric
+        );
+    }
+    let _ = writeln!(json, "  ] }},");
+    let _ = writeln!(
+        json,
+        "  \"pem_vp_round_fold\": {{ \"unit\": \"ns per user\", \"eps\": 2, \"domain\": {PEM_DOMAIN}, \"fragment\": {}, \"points\": [",
+        parallel::SHARD_SIZE
+    );
+    for (i, &(bits, ns)) in pem_rounds.iter().enumerate() {
+        let comma = if i + 1 < pem_rounds.len() { "," } else { "" };
+        let _ = writeln!(
+            json,
+            "    {{ \"name\": \"pem_vp_round_fold_{bits}\", \"bits\": {bits}, \"ns_per_user\": {ns:.1} }}{comma}"
         );
     }
     let _ = writeln!(json, "  ] }},");

@@ -225,31 +225,39 @@ impl VpAggregator {
 
     /// Absorbs a block of reports through the word-parallel column-sum
     /// runtime: unflagged reports are summed bit-sliced, flagged ones only
-    /// bump the flag counter. Counts equal sequential [`VpAggregator::absorb`].
+    /// bump the flag counter. Counts equal sequential [`VpAggregator::absorb`],
+    /// including the reports before a wrong-length one, which stops the
+    /// block with [`Error::ReportMismatch`].
     pub fn absorb_all<'a, I>(&mut self, reports: I) -> Result<()>
     where
         I: IntoIterator<Item = &'a BitVec>,
     {
-        let width = self.d as usize + 1;
-        let mut cc = ColumnCounter::new(width);
-        let mut outcome = Ok(());
-        let mut flagged = 0u64;
-        for report in reports {
-            if report.len() != width {
-                outcome = Err(Error::ReportMismatch {
-                    expected: "VP report of length d+1",
-                });
-                break;
-            }
-            if self.flag_set(report) {
-                flagged += 1;
-            } else {
-                cc.add(report.words());
-            }
-        }
-        self.n += cc.rows() + flagged;
-        self.flag_count += flagged;
-        cc.drain_into(&mut self.counts); // d-column prefix: flag column dropped
+        let mut block = VpBlock::new(self.d);
+        let outcome = reports.into_iter().try_for_each(|r| block.push(r));
+        block.drain_into(self);
+        outcome
+    }
+
+    /// Absorbs `n` reports built in place: `next(i, report)` writes report
+    /// `i` into one reused `d+1`-bit scratch vector, which is then summed
+    /// like [`VpAggregator::absorb_all`] — no report is allocated or kept.
+    ///
+    /// `n`, the flag count and the item counts equal `n` sequential
+    /// [`VpAggregator::absorb`] calls on the same reports. The first error
+    /// — from `next`, or a report whose length is not `d+1` — stops the
+    /// loop; every report before it stays absorbed, as in the per-report
+    /// loop.
+    pub fn absorb_each<F>(&mut self, n: usize, mut next: F) -> Result<()>
+    where
+        F: FnMut(usize, &mut BitVec) -> Result<()>,
+    {
+        let mut block = VpBlock::new(self.d);
+        let mut report = BitVec::zeros(self.d as usize + 1);
+        let outcome = (0..n).try_for_each(|i| {
+            next(i, &mut report)?;
+            block.push(&report)
+        });
+        block.drain_into(self);
         outcome
     }
 
@@ -366,6 +374,49 @@ impl VpAggregator {
                 (c as f64 - (1.0 - q) * valid * q - m * q * (1.0 - p)) / ((1.0 - q) * (p - q))
             })
             .collect()
+    }
+}
+
+/// The in-flight block of [`VpAggregator::absorb_all`] and
+/// [`VpAggregator::absorb_each`]: unflagged reports are added to a
+/// bit-sliced [`ColumnCounter`] over all `d+1` columns, flagged ones only
+/// bump a tally.
+struct VpBlock {
+    cc: ColumnCounter,
+    flagged: u64,
+}
+
+impl VpBlock {
+    fn new(d: u32) -> Self {
+        VpBlock {
+            cc: ColumnCounter::new(d as usize + 1),
+            flagged: 0,
+        }
+    }
+
+    /// Adds one report after checking its length is `d+1`.
+    #[inline]
+    fn push(&mut self, report: &BitVec) -> Result<()> {
+        let width = self.cc.len();
+        if report.len() != width {
+            return Err(Error::ReportMismatch {
+                expected: "VP report of length d+1",
+            });
+        }
+        if report.bit(width - 1) {
+            self.flagged += 1;
+        } else {
+            self.cc.add(report.words());
+        }
+        Ok(())
+    }
+
+    /// Folds the block into `agg`: the `d` item columns go to its counts
+    /// (the flag column is dropped), every pushed report to its total.
+    fn drain_into(mut self, agg: &mut VpAggregator) {
+        agg.n += self.cc.rows() + self.flagged;
+        agg.flag_count += self.flagged;
+        self.cc.drain_into(&mut agg.counts);
     }
 }
 

@@ -79,6 +79,73 @@ proptest! {
         prop_assert_eq!(a.next_u64(), b.next_u64());
     }
 
+    /// `absorb_each` is `n` sequential `absorb` calls on the same reports,
+    /// across bit-sliced flushes and a mix of flagged and unflagged
+    /// reports. A wrong-length report or an error from `next` stops both
+    /// with the same error class, keeping every report before it.
+    #[test]
+    fn vp_absorb_each_matches_per_report_absorb(
+        d in 1u32..300,
+        n in 0usize..700,
+        q in 0.02f64..0.98,
+        fault in 0u8..3,
+        at_frac in 0.0f64..1.0,
+        seed in any::<u64>(),
+    ) {
+        use mcim_oracles::Error;
+        let vp = ValidityPerturbation::new(Eps::new(1.0).unwrap(), d).unwrap();
+        let width = d as usize + 1;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let reports: Vec<BitVec> = (0..n)
+            .map(|_| {
+                let mut r = BitVec::zeros(width);
+                r.fill_bernoulli(q, &mut rng);
+                r
+            })
+            .collect();
+        // 0: no fault; 1: report `at` has the wrong length; 2: `next` fails at `at`.
+        let at = (at_frac * n as f64) as usize;
+        let wrong = BitVec::zeros(width + 1);
+        let report_at = |i: usize| if fault == 1 && i == at { &wrong } else { &reports[i] };
+
+        let mut seq = VpAggregator::new(&vp);
+        let mut each = VpAggregator::new(&vp);
+        // Both start from the same non-empty state.
+        seq.absorb(&BitVec::one_hot(width, 0)).unwrap();
+        each.absorb(&BitVec::one_hot(width, 0)).unwrap();
+
+        let mut expected = Ok(());
+        for i in 0..n {
+            if fault == 2 && i == at {
+                expected = Err(Error::EmptyDomain);
+                break;
+            }
+            if let Err(e) = seq.absorb(report_at(i)) {
+                expected = Err(e);
+                break;
+            }
+        }
+        let got = each.absorb_each(n, |i, report| {
+            if fault == 2 && i == at {
+                return Err(Error::EmptyDomain);
+            }
+            report.clone_from(report_at(i));
+            Ok(())
+        });
+
+        match (&got, &expected) {
+            (Ok(()), Ok(())) => {}
+            (Err(Error::EmptyDomain), Err(Error::EmptyDomain)) => prop_assert_eq!(fault, 2),
+            (Err(Error::ReportMismatch { .. }), Err(Error::ReportMismatch { .. })) => {
+                prop_assert_eq!(fault, 1)
+            }
+            _ => prop_assert!(false, "absorb_each gave {:?}, absorb gave {:?}", got, expected),
+        }
+        prop_assert_eq!(each.report_count(), seq.report_count());
+        prop_assert_eq!(each.raw_flag_count(), seq.raw_flag_count());
+        prop_assert_eq!(each.raw_counts(), seq.raw_counts());
+    }
+
     /// Theorem 5's invalid noise is below Theorem 4's for every
     /// configuration (the paper's §V-A claim).
     #[test]

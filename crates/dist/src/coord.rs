@@ -333,8 +333,10 @@ struct Replay<'a, St> {
 /// The plan's `chunk_size` controls how many items are pulled (and
 /// encoded) per network round; `threads` only affects stages that run
 /// in-process (spec-less stages and replayed shards). Neither changes
-/// any output. Failure handling is described in the
-/// [module docs](self); per-fold accounting is available from
+/// any output. A lost or refusing worker's shards are replayed on a
+/// survivor (or in-process) from the rewound source, bit-identically;
+/// [`DistConfig`] sets the timeouts that turn a hung worker into a lost
+/// one. Per-fold accounting is available from
 /// [`Executor::last_fold_report`] and [`Coordinator::session_report`].
 pub struct Coordinator {
     plan: Exec,

@@ -6,7 +6,7 @@
 //! both sides, so a corrupt or hostile peer can neither make the other
 //! side allocate unboundedly nor stall it mid-message: truncated,
 //! oversized and malformed frames all surface as
-//! [`Error::Transport`](mcim_oracles::Error::Transport) before any bytes
+//! [`Error::Transport`] before any bytes
 //! reach an aggregator.
 //!
 //! ## Conversation shape

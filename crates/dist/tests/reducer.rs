@@ -469,6 +469,82 @@ fn other_contract_jobs_and_specs_are_refused() {
     cluster.join();
 }
 
+/// A PEM round spec whose prefix is longer than its domain's code used to
+/// decode and then panic the worker on the first valid item. Both round
+/// kinds are now refused at decode: the worker drains the job, replies
+/// `Err`, and serves the next, well-formed job of the same kind.
+#[test]
+fn pem_rounds_with_overlong_prefixes_are_refused() {
+    use mcim_dist::proto::{read_frame, write_frame};
+    use mcim_dist::{Frame, ShardAssignment, PROTOCOL_VERSION};
+    use mcim_oracles::exec::RNG_CONTRACT;
+    use mcim_oracles::wire::Wire;
+
+    // ε = 2, domain 2048 (11-bit codes), candidates [0, 1].
+    let payload = |prefix_len: u32| {
+        let mut buf = Vec::new();
+        2.0f64.put(&mut buf);
+        2048u32.put(&mut buf);
+        prefix_len.put(&mut buf);
+        vec![0u32, 1].put(&mut buf);
+        buf
+    };
+    let mut items = Vec::new();
+    vec![Some(5u32), None, Some(2047)].put(&mut items);
+
+    let kinds = ["pem/vp-round", "pem/oracle-round"];
+    let mut script = Vec::new();
+    write_frame(
+        &mut script,
+        &Frame::Hello {
+            version: PROTOCOL_VERSION,
+        },
+    )
+    .unwrap();
+    for kind in kinds {
+        for prefix_len in [40, 11] {
+            for frame in [
+                Frame::Job {
+                    stage_seed: 1,
+                    contract: RNG_CONTRACT,
+                    kind: kind.into(),
+                    payload: payload(prefix_len),
+                    shards: ShardAssignment::Range { first: 0, end: 1 },
+                },
+                Frame::Chunk {
+                    first_abs: 0,
+                    items: items.clone(),
+                },
+                Frame::Flush,
+            ] {
+                write_frame(&mut script, &frame).unwrap();
+            }
+        }
+    }
+    write_frame(&mut script, &Frame::Shutdown).unwrap();
+
+    let mut replies = Vec::new();
+    builtin_worker()
+        .serve_io(&script[..], &mut replies)
+        .unwrap();
+    let mut replies = &replies[..];
+    assert!(matches!(
+        read_frame(&mut replies).unwrap(),
+        Some(Frame::Hello { .. })
+    ));
+    for kind in kinds {
+        match read_frame(&mut replies).unwrap() {
+            Some(Frame::Err { message }) => assert!(message.contains("prefix_len"), "{message}"),
+            other => panic!("{kind}: expected an Err reply, got {other:?}"),
+        }
+        match read_frame(&mut replies).unwrap() {
+            Some(Frame::Partial { .. }) => {}
+            other => panic!("{kind}: expected a Partial reply, got {other:?}"),
+        }
+    }
+    assert_eq!(read_frame(&mut replies).unwrap(), None);
+}
+
 /// Zero workers is an immediate configuration error.
 #[test]
 fn empty_worker_set_is_rejected() {

@@ -9,7 +9,7 @@
 //! of 64 independent per-column counters, so adding one report costs a
 //! handful of XOR/AND ops per word regardless of how many bits are set.
 //!
-//! Counters are [`PLANES`] bits wide; after [`ColumnCounter::MAX_BLOCK`]
+//! Counters are `PLANES` (8) bits wide; after [`ColumnCounter::MAX_BLOCK`]
 //! rows the planes are transposed ("flushed") into the wide `u64` totals.
 //! The amortized flush cost is ~2 ops per word-row, so the per-report cost
 //! is `O(len/64)` word operations — for OUE at `d = 1024`, ε = 1 this

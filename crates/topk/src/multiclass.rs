@@ -976,14 +976,12 @@ fn vp_aggregate_batch(
     let shards = parallel::map_shards(inputs, threads, |shard, chunk| {
         let mut rng = parallel::shard_rng(base_seed, shard);
         let mut shard_comm = CommStats::default();
-        let mut reports = Vec::with_capacity(chunk.len());
-        for &input in chunk {
-            let report = vp.privatize(input, &mut rng)?;
-            shard_comm.record(report.len());
-            reports.push(report);
-        }
         let mut local = VpAggregator::new(vp);
-        local.absorb_all(&reports)?;
+        local.absorb_each(chunk.len(), |i, report| {
+            vp.privatize_into(chunk[i], &mut rng, report)?;
+            shard_comm.record(report.len());
+            Ok(())
+        })?;
         Ok::<_, Error>((local, shard_comm))
     });
     for shard in shards {

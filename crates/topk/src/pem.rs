@@ -25,19 +25,39 @@ use mcim_oracles::exec::{Exec, Executor, Stage, StageDecode};
 use mcim_oracles::hash::SplitMix64;
 use mcim_oracles::stream::{drain_source, required_len, ReportSource, SliceSource, Take};
 use mcim_oracles::wire::{StageSpec, Wire, WireReader};
-use mcim_oracles::{Aggregator, BitVec, Eps, Error, Oracle, Result};
+use mcim_oracles::{Aggregator, Eps, Error, Oracle, Result};
 
 use crate::encoding::PrefixCode;
 
-/// Candidate-prefix → candidate-index lookup backed by a sorted vec with
-/// binary search. This file is wire-sensitive (it carries `StageDecode`
-/// impls), so even lookup-only tables stay off `HashMap` — hashed
-/// containers are banned here outright (`mcim-lint`'s hashmap-in-wire
-/// rule) rather than audited use-by-use for iteration-order leaks.
+/// Bucket-number width of [`CandIndex`]: its start table indexes at most
+/// the top `BUCKET_BITS` bits of a prefix, so it holds ≤ 4097 entries
+/// (16 KiB) at any prefix width.
+const BUCKET_BITS: u32 = 12;
+
+/// Candidate-prefix → candidate-index lookup in constant time for the
+/// prefix widths PEM rounds run.
+///
+/// The `(prefix, index)` pairs are sorted, and a bucket-start table over
+/// the top ≤ [`BUCKET_BITS`] bits of the prefix (`shift = bits(max) − 12`,
+/// saturating) splits them into runs. A lookup reads two starts, then
+/// searches its run. Whenever the prefix space has ≤ 4096 values the
+/// shift is 0 and each run holds at most one candidate; wider prefixes
+/// share buckets, and the run is binary-searched, so even a clustered
+/// candidate set from outside bytes costs `O(log n)` per lookup.
+/// Duplicate prefixes resolve to their lowest candidate index.
+///
+/// This file is wire-sensitive (it carries `StageDecode` impls), so even
+/// lookup-only tables stay off `HashMap` — hashed containers are banned
+/// here outright (`mcim-lint`'s hashmap-in-wire rule) rather than audited
+/// use-by-use for iteration-order leaks.
 #[derive(Debug, Clone)]
 struct CandIndex {
-    /// `(prefix, candidate index)` pairs, sorted by prefix.
+    /// `(prefix, candidate index)` pairs, sorted.
     by_prefix: Vec<(u32, u32)>,
+    /// `by_prefix[starts[b]..starts[b + 1]]` are the pairs whose
+    /// `prefix >> shift == b`.
+    starts: Vec<u32>,
+    shift: u32,
 }
 
 impl CandIndex {
@@ -48,15 +68,45 @@ impl CandIndex {
             .map(|(i, &p)| (p, i as u32))
             .collect();
         by_prefix.sort_unstable();
-        CandIndex { by_prefix }
+        let max = by_prefix.last().map_or(0, |&(p, _)| p);
+        let shift = (u32::BITS - max.leading_zeros()).saturating_sub(BUCKET_BITS);
+        let mut starts = vec![0u32; (max >> shift) as usize + 2];
+        for &(p, _) in &by_prefix {
+            starts[(p >> shift) as usize + 1] += 1;
+        }
+        for b in 1..starts.len() {
+            starts[b] += starts[b - 1];
+        }
+        CandIndex {
+            by_prefix,
+            starts,
+            shift,
+        }
     }
 
+    #[inline]
     fn get(&self, prefix: u32) -> Option<u32> {
-        self.by_prefix
-            .binary_search_by_key(&prefix, |&(p, _)| p)
-            .ok()
-            .map(|i| self.by_prefix[i].1)
+        let b = (prefix >> self.shift) as usize;
+        let (&lo, &hi) = (self.starts.get(b)?, self.starts.get(b + 1)?);
+        let run = &self.by_prefix[lo as usize..hi as usize];
+        match run.get(run.partition_point(|&(p, _)| p < prefix)) {
+            Some(&(p, idx)) if p == prefix => Some(idx),
+            _ => None,
+        }
     }
+}
+
+/// Refuses round parameters a fold could not classify with: an empty
+/// domain, or a prefix longer than the domain's code (which would panic in
+/// [`PrefixCode::prefix`] on the first valid item).
+fn check_round(domain: u32, prefix_len: u32) -> Result<()> {
+    if domain == 0 || prefix_len > PrefixCode::for_domain(domain).bits() {
+        return Err(Error::InvalidParameter {
+            name: "prefix_len",
+            constraint: "a non-empty domain and prefix_len <= its code length",
+        });
+    }
+    Ok(())
 }
 
 /// One PEM round's bulk privatize+aggregate step over the
@@ -78,7 +128,12 @@ impl PemVpRoundStage {
     /// Builds the stage, constructing the VP mechanism for the candidate
     /// count (deterministic — a rebuilt mechanism is interchangeable with
     /// a cached one).
+    ///
+    /// # Errors
+    /// [`Error::InvalidParameter`] when `domain` is 0 or `prefix_len`
+    /// exceeds the domain's code length.
     pub fn new(eps: Eps, domain: u32, prefix_len: u32, candidates: Vec<u32>) -> Result<Self> {
+        check_round(domain, prefix_len)?;
         let vp = ValidityPerturbation::new(eps, candidates.len() as u32)?;
         Ok(Self::with_mech(eps, domain, prefix_len, candidates, vp))
     }
@@ -128,14 +183,12 @@ impl Stage for PemVpRoundStage {
         items: &[Option<u32>],
         (agg, comm): &mut Self::Acc,
     ) -> Result<()> {
-        let mut report = BitVec::zeros(self.vp.report_bits());
-        for &item in items {
+        agg.absorb_each(items.len(), |i, report| {
             self.vp
-                .privatize_into(self.classify(item), rng, &mut report)?;
+                .privatize_into(self.classify(items[i]), rng, report)?;
             comm.record(report.len());
-            agg.absorb(&report)?;
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     fn merge(&self, into: &mut Self::Acc, from: &Self::Acc) -> Result<()> {
@@ -189,7 +242,12 @@ pub struct PemOracleRoundStage {
 impl PemOracleRoundStage {
     /// Builds the stage, constructing the adaptive oracle for the
     /// candidate count.
+    ///
+    /// # Errors
+    /// [`Error::InvalidParameter`] when `domain` is 0 or `prefix_len`
+    /// exceeds the domain's code length.
     pub fn new(eps: Eps, domain: u32, prefix_len: u32, candidates: Vec<u32>) -> Result<Self> {
+        check_round(domain, prefix_len)?;
         let oracle = Oracle::adaptive(eps, candidates.len() as u32)?;
         Ok(Self::with_mech(eps, domain, prefix_len, candidates, oracle))
     }
@@ -480,7 +538,11 @@ impl PemEngine {
     /// [`PemOracleRoundStage`]), so any backend processes the user group
     /// in fixed absolute shards with the deterministic per-shard RNG
     /// stream `shard_rng(stage_seed, shard)` (state carried across chunk
-    /// boundaries) through the word-parallel column-sum aggregators. The
+    /// boundaries). Candidates are looked up in constant time
+    /// (`CandIndex`); the validity round privatizes each user into one
+    /// reused report and sums the fragment through the bit-sliced column
+    /// counter ([`VpAggregator::absorb_each`]), while the vanilla round
+    /// absorbs each adaptive-oracle report as it is drawn. The
     /// surviving candidate set is a pure function of
     /// `(engine state, eps, items, stage_seed)` — bit-identical for every
     /// conforming executor, thread count, chunk size and worker count.
@@ -631,7 +693,7 @@ pub struct Pem {
     config: PemConfig,
 }
 
-/// Outcome of a [`Pem::mine`] run.
+/// Outcome of a [`Pem::execute`] run.
 #[derive(Debug, Clone)]
 pub struct PemOutcome {
     /// Mined items, descending estimated frequency.
@@ -719,7 +781,7 @@ impl Pem {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn eps(v: f64) -> Eps {
         Eps::new(v).unwrap()
@@ -748,6 +810,150 @@ mod tests {
             items.swap(i, j);
         }
         items
+    }
+
+    /// Linear-scan reference for [`CandIndex::get`]: the lowest candidate
+    /// index holding `prefix`.
+    fn scan_lookup(candidates: &[u32], prefix: u32) -> Option<u32> {
+        candidates
+            .iter()
+            .position(|&c| c == prefix)
+            .map(|i| i as u32)
+    }
+
+    #[test]
+    fn cand_index_matches_linear_scan() {
+        let mut rng = StdRng::seed_from_u64(77);
+        for width in 1..=31u32 {
+            let space = 1u64 << width;
+            for _ in 0..6 {
+                let n = rng.random_range(1..=300usize.min(space as usize * 2));
+                // Unsorted, possibly duplicated prefixes, sometimes clustered
+                // low so wide prefixes share a bucket.
+                let top = if rng.random_bool(0.5) {
+                    space
+                } else {
+                    space.min(64)
+                };
+                let mut candidates: Vec<u32> =
+                    (0..n).map(|_| rng.random_range(0..top) as u32).collect();
+                if rng.random_bool(0.5) {
+                    candidates.push((space - 1) as u32);
+                }
+                if rng.random_bool(0.5) {
+                    let dup = candidates[rng.random_range(0..candidates.len())];
+                    candidates.push(dup);
+                }
+                let index = CandIndex::new(&candidates);
+                assert!(index.starts.len() <= 4097, "width {width}");
+                let max = *candidates.iter().max().unwrap();
+                let mut probes: Vec<u32> = candidates.clone();
+                probes.extend((0..200).map(|_| rng.random_range(0..space) as u32));
+                probes.extend([0, max, max.saturating_add(1), u32::MAX]);
+                if max > 0 {
+                    probes.push(max - 1);
+                }
+                for prefix in probes {
+                    assert_eq!(
+                        index.get(prefix),
+                        scan_lookup(&candidates, prefix),
+                        "width {width}, prefix {prefix}, candidates {candidates:?}"
+                    );
+                }
+            }
+        }
+        // Prefix widths up to 12 bits keep one candidate per bucket.
+        let index = CandIndex::new(&(0..4096).rev().collect::<Vec<u32>>());
+        assert_eq!(index.shift, 0);
+        assert!(index.starts.windows(2).all(|w| w[1] - w[0] <= 1));
+        assert_eq!(index.get(4095), Some(0));
+        assert_eq!(index.get(4096), None);
+    }
+
+    /// The round fold as it was before the bit-sliced absorb: one `absorb`
+    /// per report, candidates found by binary search.
+    fn reference_vp_fold(
+        stage: &PemVpRoundStage,
+        rng: &mut StdRng,
+        items: &[Option<u32>],
+    ) -> (VpAggregator, CommStats) {
+        let mut sorted: Vec<(u32, u32)> = stage
+            .candidates
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| (p, i as u32))
+            .collect();
+        sorted.sort_unstable();
+        let (mut agg, mut comm) = stage.template();
+        for &item in items {
+            let input = item
+                .and_then(|it| {
+                    let prefix = stage.code.prefix(it, stage.prefix_len);
+                    sorted.binary_search_by_key(&prefix, |&(p, _)| p).ok()
+                })
+                .map_or(ValidityInput::Invalid, |i| {
+                    ValidityInput::Valid(sorted[i].1)
+                });
+            let report = stage.vp.privatize(input, rng).unwrap();
+            comm.record(report.len());
+            agg.absorb(&report).unwrap();
+        }
+        (agg, comm)
+    }
+
+    #[test]
+    fn vp_round_fold_matches_per_report_reference() {
+        let domain = 2048u32; // ℓ = 11
+        let mut rng = StdRng::seed_from_u64(5);
+        // (candidates, prefix length): 257-, 201-, 65-, 41- and 2-bit reports.
+        for (n_cands, prefix_len) in [(256usize, 9u32), (200, 8), (64, 11), (40, 6), (1, 3)] {
+            let mut pool: Vec<u32> = (0..1u32 << prefix_len).collect();
+            for i in (1..pool.len()).rev() {
+                pool.swap(i, rng.random_range(0..=i));
+            }
+            pool.truncate(n_cands);
+            let stage = PemVpRoundStage::new(eps(2.0), domain, prefix_len, pool).unwrap();
+            let items: Vec<Option<u32>> = (0..5000)
+                .map(|_| rng.random_bool(0.9).then(|| rng.random_range(0..domain)))
+                .collect();
+            let seed = rng.random::<u64>();
+            let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            let mut acc = stage.template();
+            stage.fold(&mut a, 0, &items, &mut acc).unwrap();
+            let (agg, comm) = reference_vp_fold(&stage, &mut b, &items);
+            let bits = n_cands + 1;
+            assert_eq!(acc.0.raw_counts(), agg.raw_counts(), "{bits}-bit round");
+            assert_eq!(acc.0.raw_flag_count(), agg.raw_flag_count(), "{bits}-bit");
+            assert_eq!(acc.0.report_count(), agg.report_count(), "{bits}-bit");
+            assert_eq!(acc.1, comm, "{bits}-bit");
+            assert_eq!(
+                a.next_u64(),
+                b.next_u64(),
+                "{bits}-bit: RNG streams diverged"
+            );
+        }
+    }
+
+    #[test]
+    fn rounds_refuse_prefixes_longer_than_the_code() {
+        // Domain 2048 has 11-bit codes: prefix length 40 used to decode and
+        // then panic on the first valid item.
+        let payload = |prefix_len: u32| {
+            let mut buf = Vec::new();
+            2.0f64.put(&mut buf);
+            2048u32.put(&mut buf);
+            prefix_len.put(&mut buf);
+            vec![0u32, 1].put(&mut buf);
+            buf
+        };
+        let bad = payload(40);
+        assert!(PemVpRoundStage::decode(&mut WireReader::new(&bad)).is_err());
+        assert!(PemOracleRoundStage::decode(&mut WireReader::new(&bad)).is_err());
+        let good = payload(11);
+        assert!(PemVpRoundStage::decode(&mut WireReader::new(&good)).is_ok());
+        assert!(PemOracleRoundStage::decode(&mut WireReader::new(&good)).is_ok());
+        assert!(PemVpRoundStage::new(eps(2.0), 0, 0, vec![0]).is_err());
+        assert!(PemOracleRoundStage::new(eps(2.0), 0, 0, vec![0]).is_err());
     }
 
     #[test]

@@ -26,7 +26,7 @@ fn empirical_variance(
 ) -> Vec<f64> {
     let eps = Eps::new(1.0).unwrap();
     let per_trial: Vec<Vec<f64>> = run_trials(trials, |trial| {
-        let plan = Exec::sequential().seed(0xF165 ^ trial);
+        let plan = Exec::seeded(0xF165 ^ trial).threads(1);
         let result = framework
             .execute(eps, ds.domains, &plan, SliceSource::new(&ds.pairs))
             .expect("framework run");

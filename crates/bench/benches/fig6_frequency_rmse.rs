@@ -21,7 +21,7 @@ fn pooled_rmse(framework: Framework, eps: Eps, ds: &GroupedDataset, seed: u64) -
     let mut cells = 0usize;
     for (g, group) in ds.groups.iter().enumerate() {
         let truth = group.ground_truth();
-        let plan = Exec::sequential().seed(seed.wrapping_add(g as u64));
+        let plan = Exec::seeded(seed.wrapping_add(g as u64)).threads(1);
         let result = framework
             .execute(eps, group.domains, &plan, SliceSource::new(&group.pairs))
             .expect("framework run");

@@ -45,7 +45,7 @@ fn main() {
     let mut per_class_scores = vec![vec![0.0f64; 5]; methods.len()];
     for (mi, method) in methods.iter().enumerate() {
         let trial_scores = run_trials(env.trials, |trial| {
-            let plan = Exec::sequential().seed(0xF168 ^ (trial * 31));
+            let plan = Exec::seeded(0xF168 ^ (trial * 31)).threads(1);
             let result = execute(
                 *method,
                 config,

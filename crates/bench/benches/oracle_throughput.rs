@@ -9,14 +9,19 @@
 //! * `colsum` — the word-parallel bit-sliced column sums, single-threaded
 //!   and sharded across `MCIM_THREADS` workers.
 //!
-//! An `exec_modes` slice additionally races the three `Exec` plan modes
-//! (sequential / batch / stream) of one full frequency pipeline at
-//! `d = 1024`, `n = 1M` (`MCIM_BENCH_EXEC_N` overrides), so the dispatch
-//! layer's overhead is tracked in `BENCH_oracle_throughput.json`: batch
-//! and stream must stay within noise of each other, and on multi-core
-//! machines both must keep their multiple over sequential (the JSON's
-//! `cores` field records the machine's real parallelism — on one core
-//! the three modes are expected to tie).
+//! An `exec_plan` slice additionally races three `Exec` plans of one full
+//! frequency pipeline at `d = 1024`, `n = 1M` (`MCIM_BENCH_EXEC_N`
+//! overrides), so the dispatch layer's overhead is tracked in
+//! `BENCH_oracle_throughput.json`: one thread, many threads over one
+//! whole-source chunk, and many threads over default chunks. The last two
+//! must stay within noise of each other, and on multi-core machines both
+//! must keep their multiple over one thread (the JSON's `cores` field
+//! records the machine's real parallelism — on one core the three plans
+//! are expected to tie).
+//!
+//! A `pipeline` slice times the four frameworks' frequency pipelines
+//! (client privatization + server aggregation + calibration) end to end
+//! on one thread at `n = 20k`, `c = 4`, `d = 256`, ε = 2.
 //!
 //! A `dist_reduce` slice then races the same pipeline on the
 //! multi-process distributed reducer with 1, 2 and 4 locally spawned
@@ -80,6 +85,11 @@ const SWEEP_BITS: usize = 1 << 24;
 /// Trials per sweep point; a ~10 ms trial is short enough for the best of
 /// many to dodge a shared machine's noise.
 const SWEEP_TRIALS: usize = 15;
+
+/// Users of the per-framework `pipeline` scenarios.
+const PIPELINE_N: usize = 20_000;
+/// Trials of the `pipeline` scenarios; each takes milliseconds.
+const PIPELINE_TRIALS: usize = 10;
 
 /// Report widths (candidates + the validity flag) of the PEM round folds.
 const PEM_ROUND_BITS: [usize; 3] = [257, 201, 41];
@@ -353,8 +363,9 @@ fn main() {
 
     // ------------------------------------------------- exec dispatch ----
     // The `Exec` plan layer must cost nothing measurable over driving the
-    // sharded machinery directly: race the three plan modes of one full
-    // frequency pipeline (PTS: GRR label + OUE item per user) end to end.
+    // sharded machinery directly: race three plans of one full frequency
+    // pipeline (PTS: GRR label + OUE item per user) end to end. The JSON
+    // keys keep the names of the execution modes these plans replaced.
     let exec_n: usize = std::env::var("MCIM_BENCH_EXEC_N")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -370,18 +381,24 @@ fn main() {
             .unwrap();
         result.comm.total_report_bits ^ result.table.get(0, 0).to_bits()
     };
+    // One worker thread, default chunks.
+    let one_thread = Exec::seeded(6).threads(1);
+    // All threads over a single chunk holding the whole source.
+    let whole_source = Exec::seeded(6).threads(threads).chunk_size(exec_n);
+    // All threads, default chunks.
+    let chunked = Exec::seeded(6).threads(threads);
     scenarios.push(scenario("exec_plan_sequential", exec_n, trials, || {
-        run_plan(&Exec::sequential().seed(6))
+        run_plan(&one_thread)
     }));
     scenarios.push(scenario("exec_plan_batch_tn", exec_n, trials, || {
-        run_plan(&Exec::batch().seed(6).threads(threads))
+        run_plan(&whole_source)
     }));
     scenarios.push(scenario("exec_plan_stream_tn", exec_n, trials, || {
-        run_plan(&Exec::stream().seed(6).threads(threads))
+        run_plan(&chunked)
     }));
 
     // ---------------------------------------------------- metrics tax ----
-    // The same batch pipeline with the global `mcim_obs` registry
+    // The same whole-source pipeline with the global `mcim_obs` registry
     // recording. Disabled (every scenario above), each instrumentation
     // site folds to one relaxed atomic load, so the plain scenarios
     // already price the off path; enabled it must stay within noise.
@@ -399,7 +416,7 @@ fn main() {
         let (mut off, mut on) = (0.0, 0.0);
         for enabled in [on_first, !on_first] {
             mcim_obs::set_enabled(enabled);
-            let (ms, checksum) = time(1, || run_plan(&Exec::batch().seed(6).threads(threads)));
+            let (ms, checksum) = time(1, || run_plan(&whole_source));
             std::hint::black_box(checksum);
             if enabled {
                 on = ms;
@@ -416,6 +433,35 @@ fn main() {
     mcim_obs::reset();
     let metrics_overhead = median(&mut ratios);
     let (off_median_ms, on_median_ms) = (median(&mut off_ms), median(&mut on_ms));
+
+    // ------------------------------------------------------ pipeline ----
+    let pipeline_domains = Domains::new(4, 256).unwrap();
+    let pipeline_pairs: Vec<LabelItem> = (0..PIPELINE_N as u32)
+        .map(|u| LabelItem::new(u % 4, (u * 31) % 256))
+        .collect();
+    let pipeline_plan = Exec::seeded(9).threads(1);
+    let pipelines: Vec<Scenario> = Framework::fig6_set()
+        .into_iter()
+        .zip([
+            "pipeline_hec",
+            "pipeline_ptj",
+            "pipeline_pts",
+            "pipeline_pts_cp",
+        ])
+        .map(|(fw, name)| {
+            scenario(name, PIPELINE_N, PIPELINE_TRIALS, || {
+                let result = fw
+                    .execute(
+                        Eps::new(2.0).unwrap(),
+                        pipeline_domains,
+                        &pipeline_plan,
+                        SliceSource::new(&pipeline_pairs),
+                    )
+                    .unwrap();
+                result.comm.total_report_bits ^ result.table.get(0, 0).to_bits()
+            })
+        })
+        .collect();
 
     // ------------------------------------------------- dist reduce ----
     // The distributed reducer racing the in-process executor on the same
@@ -528,6 +574,15 @@ fn main() {
         ]);
     }
     table.print_and_save().expect("saving CSV");
+    let mut pipeline_table = Table::new("pipeline", &["scenario", "ms", "reports_per_sec"]);
+    for s in &pipelines {
+        pipeline_table.push(vec![
+            s.name.to_string(),
+            format!("{:.2}", s.ms),
+            format!("{:.0}", s.reports_per_sec),
+        ]);
+    }
+    pipeline_table.print_and_save().expect("saving CSV");
 
     let ms_of = |name: &str| {
         scenarios
@@ -647,6 +702,19 @@ fn main() {
         let _ = writeln!(
             json,
             "    {{ \"name\": \"pem_vp_round_fold_{bits}\", \"bits\": {bits}, \"ns_per_user\": {ns:.1} }}{comma}"
+        );
+    }
+    let _ = writeln!(json, "  ] }},");
+    let _ = writeln!(
+        json,
+        "  \"pipeline\": {{ \"n\": {PIPELINE_N}, \"c\": 4, \"d\": 256, \"eps\": 2, \"threads\": 1, \"trials\": {PIPELINE_TRIALS}, \"scenarios\": ["
+    );
+    for (i, s) in pipelines.iter().enumerate() {
+        let comma = if i + 1 < pipelines.len() { "," } else { "" };
+        let _ = writeln!(
+            json,
+            "    {{ \"name\": \"{}\", \"ms\": {:.3}, \"reports_per_sec\": {:.0} }}{comma}",
+            s.name, s.ms, s.reports_per_sec
         );
     }
     let _ = writeln!(json, "  ] }},");

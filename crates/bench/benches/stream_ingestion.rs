@@ -29,7 +29,7 @@ use mcim_bench::{results_dir, Table};
 use mcim_core::{Domains, Framework};
 use mcim_datasets::{SyntheticPairSource, SyntheticSourceConfig};
 use mcim_oracles::exec::Exec;
-use mcim_oracles::stream::{ReportSource, StreamConfig};
+use mcim_oracles::stream::ReportSource;
 use mcim_oracles::{parallel, Aggregator, Eps, Oracle, Report, Result};
 
 const D: u32 = 1024;
@@ -104,7 +104,7 @@ fn main() {
         .unwrap_or(16 * parallel::SHARD_SIZE);
     let threads = parallel::configured_threads();
     let eps = Eps::new(1.0).unwrap();
-    let config = StreamConfig::new(threads).with_chunk_items(chunk);
+    let plan = Exec::seeded(3).threads(threads).chunk_size(chunk);
     let rss_baseline = peak_rss_mib();
     println!(
         "== stream_ingestion | n={n} d={D} chunk={chunk} threads={threads} baseline_rss={rss_baseline:.0}MiB =="
@@ -138,7 +138,7 @@ fn main() {
         remaining: n,
     };
     let start = Instant::now();
-    agg.absorb_stream(&mut source, config).unwrap();
+    agg.absorb_stream(&mut source, &plan).unwrap();
     record("oue_absorb_stream", n, start);
     assert_eq!(agg.report_count(), n);
     std::hint::black_box(agg.raw_counts().iter().sum::<u64>());
@@ -153,7 +153,6 @@ fn main() {
         zipf_s: 1.5,
         seed: 2,
     });
-    let plan = Exec::stream().seed(3).threads(threads).chunk_size(chunk);
     let start = Instant::now();
     let result = Framework::PtsCp { label_frac: 0.5 }
         .execute(eps, domains, &plan, &mut pairs)

@@ -64,7 +64,7 @@ fn main() {
         ),
     ];
     for (method, asymptotic) in rows {
-        let plan = Exec::sequential().seed(0x7AB2);
+        let plan = Exec::seeded(0x7AB2).threads(1);
         let start = Instant::now();
         let result = execute(
             method,
@@ -93,7 +93,7 @@ fn main() {
     let eps = Eps::new(1.0).unwrap();
     let sample: Vec<mcim_core::LabelItem> = ds.pairs.iter().take(2_000).copied().collect();
     for fw in mcim_core::Framework::fig6_set() {
-        let plan = Exec::sequential().seed(1);
+        let plan = Exec::seeded(1).threads(1);
         let result = fw
             .execute(eps, ds.domains, &plan, SliceSource::new(&sample))
             .expect("run");

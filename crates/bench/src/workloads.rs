@@ -80,7 +80,7 @@ pub fn evaluate_topk(
     seed_base: u64,
 ) -> TopKScores {
     let per_trial = run_trials(trials, |trial| {
-        let plan = Exec::sequential().seed(seed_base ^ (trial.wrapping_mul(0x9E37)));
+        let plan = Exec::seeded(seed_base ^ (trial.wrapping_mul(0x9E37))).threads(1);
         let result = execute(
             method,
             config,

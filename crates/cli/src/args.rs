@@ -121,21 +121,17 @@ impl Args {
     /// from `--seed`, `--threads` and `--chunk-size` — the single place
     /// the CLI's execution options are interpreted.
     ///
-    /// Without `--chunk-size` the plan is a batch plan (the input is
-    /// materialized anyway); with it, a stream plan whose chunk is clamped
-    /// to one shard (chunks smaller than a shard cannot parallelize).
+    /// `--chunk-size` is clamped up to one shard (chunks smaller than a
+    /// shard cannot parallelize); without it the default chunk applies.
     /// `--threads` wins over the `MCIM_THREADS` environment variable,
     /// which wins over the machine's parallelism; results never depend on
     /// the choice. Print the resolved plan with `--verbose`.
     pub fn exec_plan(&self) -> Result<Exec, ArgError> {
         let mut plan = Exec::seeded(self.num_or("seed", 0u64)?);
-        plan = if self.optional("chunk-size").is_some() {
+        if self.optional("chunk-size").is_some() {
             let chunk: usize = self.required_num("chunk-size")?;
-            plan.mode(mcim_oracles::exec::ExecMode::Stream)
-                .chunk_size(chunk.max(parallel::SHARD_SIZE))
-        } else {
-            plan.mode(mcim_oracles::exec::ExecMode::Batch)
-        };
+            plan = plan.chunk_size(chunk.max(parallel::SHARD_SIZE));
+        }
         if self.optional("threads").is_some() {
             plan = plan.threads(self.required_num::<usize>("threads")?.max(1));
         }
@@ -202,24 +198,23 @@ mod tests {
 
     #[test]
     fn exec_plan_reflects_options() {
-        use mcim_oracles::exec::ExecMode;
         use mcim_oracles::parallel::SHARD_SIZE;
+        use mcim_oracles::stream::DEFAULT_CHUNK_ITEMS;
 
-        let batch = parse(&["freq", "--seed", "9", "--threads", "3"])
+        let plain = parse(&["freq", "--seed", "9", "--threads", "3"])
             .unwrap()
             .exec_plan()
             .unwrap();
-        assert_eq!(batch.resolved_mode(), ExecMode::Batch);
-        assert_eq!(batch.base_seed(), 9);
-        assert_eq!(batch.resolved_threads(), 3);
+        assert_eq!(plain.base_seed(), 9);
+        assert_eq!(plain.resolved_threads(), 3);
+        assert_eq!(plain.resolved_chunk_items(), DEFAULT_CHUNK_ITEMS);
 
-        let stream = parse(&["freq", "--chunk-size", "10"])
+        let chunked = parse(&["freq", "--chunk-size", "10"])
             .unwrap()
             .exec_plan()
             .unwrap();
-        assert_eq!(stream.resolved_mode(), ExecMode::Stream);
         assert_eq!(
-            stream.resolved_chunk_items(),
+            chunked.resolved_chunk_items(),
             SHARD_SIZE,
             "sub-shard chunks clamp up"
         );

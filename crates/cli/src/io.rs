@@ -1,53 +1,118 @@
-//! CSV reading/writing for label-item pairs and result tables.
+//! Pair-file ingestion and CSV output of result tables.
 //!
-//! Input format: one `label,item` pair per line (base-10, 0-indexed), with
-//! an optional `label,item` header. Domains are inferred as `max + 1`
-//! unless overridden on the command line.
+//! Input: one `label,item` pair per line (base-10, 0-indexed, optional
+//! `label,item` header), or one `{"label": c, "item": i}` object per line
+//! when the path ends in `.ndjson`/`.jsonl`. Domains are inferred as
+//! `max + 1` unless overridden on the command line.
 
 use std::fs;
 use std::path::Path;
 
 use mcim_core::{Domains, FrequencyTable, LabelItem};
+use mcim_datasets::{CsvPairSource, NdjsonPairSource};
+use mcim_oracles::stream::{ReportSource, DEFAULT_CHUNK_ITEMS};
 
-/// A loaded dataset with inferred or declared domains.
-pub struct LoadedData {
-    /// One pair per user.
-    pub pairs: Vec<LabelItem>,
-    /// Class/item domains.
-    pub domains: Domains,
+/// The file source for `path`, by extension: `.ndjson`/`.jsonl` →
+/// NDJSON, anything else CSV. The grammars live in `mcim-datasets`.
+fn open_pair_file(path: &Path) -> mcim_oracles::Result<Box<dyn ReportSource<Item = LabelItem>>> {
+    let ndjson = path
+        .extension()
+        .and_then(|e| e.to_str())
+        .is_some_and(|e| e.eq_ignore_ascii_case("ndjson") || e.eq_ignore_ascii_case("jsonl"));
+    Ok(if ndjson {
+        Box::new(NdjsonPairSource::open(path)?)
+    } else {
+        Box::new(CsvPairSource::open(path)?)
+    })
 }
 
-/// Reads a `label,item` CSV. `classes`/`items` of 0 mean "infer from data".
-///
-/// The grammar (header skip, field split, numeric validation, line-numbered
-/// errors) lives in [`mcim_datasets::CsvPairSource`] — the same parser the
-/// streaming mode pulls from, so batch and `--chunk-size` runs can never
-/// read the same file differently.
-pub fn read_pairs(
-    path: &Path,
-    classes: u32,
-    items: u32,
-) -> Result<LoadedData, Box<dyn std::error::Error>> {
-    use mcim_oracles::stream::ReportSource as _;
+/// A pair file as a stream source: validates every pair against the
+/// domains (out-of-domain items must fail fast, not feed the miners) and
+/// counts the pairs it yields, so the summary line can report the user
+/// count (`comm.users` counts *reports*, and PTS users submit a label
+/// report and an item report each).
+pub struct CountedPairSource {
+    inner: Box<dyn ReportSource<Item = LabelItem>>,
+    domains: Domains,
+    yielded: u64,
+}
 
-    let mut source = mcim_datasets::CsvPairSource::open(path)?;
-    let mut pairs: Vec<LabelItem> = Vec::new();
-    while source.fill(&mut pairs, 64 * 1024)? > 0 {}
-    if pairs.is_empty() {
-        return Err("input contains no pairs".into());
+impl CountedPairSource {
+    /// The declared or inferred domains.
+    pub fn domains(&self) -> Domains {
+        self.domains
     }
-    let (mut max_label, mut max_item) = (0u32, 0u32);
-    for p in &pairs {
-        max_label = max_label.max(p.label);
-        max_item = max_item.max(p.item);
+
+    /// Pairs yielded so far (net of rewinds).
+    pub fn yielded(&self) -> u64 {
+        self.yielded
     }
-    let classes = if classes == 0 { max_label + 1 } else { classes };
-    let items = if items == 0 { max_item + 1 } else { items };
-    let domains = Domains::new(classes, items)?;
-    for &p in &pairs {
-        domains.check(p)?;
+}
+
+impl ReportSource for CountedPairSource {
+    type Item = LabelItem;
+
+    fn fill(&mut self, buf: &mut Vec<LabelItem>, max: usize) -> mcim_oracles::Result<usize> {
+        let start = buf.len();
+        let got = self.inner.fill(buf, max)?;
+        for pair in &buf[start..] {
+            self.domains.check(*pair)?;
+        }
+        self.yielded += got as u64;
+        Ok(got)
     }
-    Ok(LoadedData { pairs, domains })
+
+    fn rewind(&mut self, n: u64) -> mcim_oracles::Result<bool> {
+        // Forwarded so `--dist` runs stay recoverable on worker loss (the
+        // file sources replay from the start of the file). The replayed
+        // pairs re-validate in `fill`; the count stays in step.
+        let ok = self.inner.rewind(n)?;
+        if ok {
+            self.yielded = self.yielded.saturating_sub(n);
+        }
+        Ok(ok)
+    }
+}
+
+/// Opens a pair file. `classes`/`items` of 0 mean "infer from data": one
+/// streaming pre-pass finds the largest label and item, then the source
+/// rewinds to the start. Either way the pairs themselves are never held
+/// in memory here.
+pub fn open_pairs(
+    path: &Path,
+    mut classes: u32,
+    mut items: u32,
+) -> Result<CountedPairSource, Box<dyn std::error::Error>> {
+    let mut inner = open_pair_file(path)?;
+    if classes == 0 || items == 0 {
+        let (mut max_label, mut max_item, mut n) = (0u32, 0u32, 0u64);
+        let mut buf = Vec::with_capacity(DEFAULT_CHUNK_ITEMS);
+        while inner.fill(&mut buf, DEFAULT_CHUNK_ITEMS)? > 0 {
+            for p in &buf {
+                max_label = max_label.max(p.label);
+                max_item = max_item.max(p.item);
+            }
+            n += buf.len() as u64;
+            buf.clear();
+        }
+        if n == 0 {
+            return Err("input contains no pairs".into());
+        }
+        if !inner.rewind(n)? {
+            return Err(format!("{}: cannot rewind after the pre-pass", path.display()).into());
+        }
+        if classes == 0 {
+            classes = max_label.saturating_add(1);
+        }
+        if items == 0 {
+            items = max_item.saturating_add(1);
+        }
+    }
+    Ok(CountedPairSource {
+        inner,
+        domains: Domains::new(classes, items)?,
+        yielded: 0,
+    })
 }
 
 /// Writes `content` to `path`, creating parent directories and naming the
@@ -101,6 +166,7 @@ pub fn write_pairs_csv(path: &Path, pairs: &[LabelItem]) -> Result<(), Box<dyn s
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcim_oracles::stream::drain_source;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("mcim-cli-tests");
@@ -113,32 +179,37 @@ mod tests {
         let path = tmp("round_trip.csv");
         let pairs = vec![LabelItem::new(0, 3), LabelItem::new(2, 7)];
         write_pairs_csv(&path, &pairs).unwrap();
-        let loaded = read_pairs(&path, 0, 0).unwrap();
-        assert_eq!(loaded.pairs, pairs);
-        assert_eq!(loaded.domains.classes(), 3, "inferred as max+1");
-        assert_eq!(loaded.domains.items(), 8);
+        let mut loaded = open_pairs(&path, 0, 0).unwrap();
+        assert_eq!(loaded.domains().classes(), 3, "inferred as max+1");
+        assert_eq!(loaded.domains().items(), 8);
+        assert_eq!(
+            drain_source(&mut loaded).unwrap(),
+            pairs,
+            "the pre-pass rewinds"
+        );
+        assert_eq!(loaded.yielded(), 2);
     }
 
     #[test]
     fn explicit_domains_override_inference() {
         let path = tmp("explicit.csv");
         write_pairs_csv(&path, &[LabelItem::new(0, 0)]).unwrap();
-        let loaded = read_pairs(&path, 5, 100).unwrap();
-        assert_eq!(loaded.domains.classes(), 5);
-        assert_eq!(loaded.domains.items(), 100);
+        let loaded = open_pairs(&path, 5, 100).unwrap();
+        assert_eq!(loaded.domains().classes(), 5);
+        assert_eq!(loaded.domains().items(), 100);
     }
 
     #[test]
     fn rejects_garbage() {
         let path = tmp("garbage.csv");
         fs::write(&path, "label,item\n1,2,3\n").unwrap();
-        assert!(read_pairs(&path, 0, 0).is_err(), "extra field");
+        assert!(open_pairs(&path, 0, 0).is_err(), "extra field");
         fs::write(&path, "label,item\nx,2\n").unwrap();
-        assert!(read_pairs(&path, 0, 0).is_err(), "non-numeric");
+        assert!(open_pairs(&path, 0, 0).is_err(), "non-numeric");
         fs::write(&path, "").unwrap();
-        assert!(read_pairs(&path, 0, 0).is_err(), "empty");
+        assert!(open_pairs(&path, 0, 0).is_err(), "empty");
         assert!(
-            read_pairs(&tmp("missing.csv"), 0, 0).is_err(),
+            open_pairs(&tmp("missing.csv"), 0, 0).is_err(),
             "missing file"
         );
     }
@@ -169,7 +240,8 @@ mod tests {
     fn domain_violation_with_explicit_domains() {
         let path = tmp("violation.csv");
         fs::write(&path, "5,1\n").unwrap();
-        assert!(read_pairs(&path, 2, 10).is_err(), "label 5 outside c=2");
+        let mut source = open_pairs(&path, 2, 10).unwrap();
+        assert!(drain_source(&mut source).is_err(), "label 5 outside c=2");
     }
 
     #[test]

@@ -17,8 +17,6 @@ use std::process::ExitCode;
 
 use args::{ArgError, Args};
 use mcim_core::Framework;
-use mcim_oracles::exec::ExecMode;
-use mcim_oracles::stream::SliceSource;
 use mcim_topk::{TopKConfig, TopKMethod};
 
 const HELP: &str = "\
@@ -38,15 +36,10 @@ COMMON OPTIONS:
   --threads <n>   worker threads for freq/topk (default: MCIM_THREADS env,
                   then the machine's parallelism; results are identical for
                   every thread count under a fixed --seed)
-  --chunk-size <n> stream the input in n-pair chunks; requires explicit
-                  --classes and --items. `.ndjson`/`.jsonl` inputs are
-                  parsed as {\"label\": c, \"item\": i} lines, anything
-                  else as CSV. freq memory stays bounded by the chunk;
-                  topk still holds the 8-byte pairs (multi-round mining
-                  revisits them) but never the privatized reports.
-                  Values below 4096 (one shard — chunks smaller than a
-                  shard cannot parallelize) are raised to 4096.
-                  Results are bit-identical to the non-streaming run.
+  --chunk-size <n> pairs pulled (and held) per ingestion chunk (default
+                  65536). Values below 4096 (one shard — chunks smaller
+                  than a shard cannot parallelize) are raised to 4096.
+                  Results are bit-identical for every chunk size.
   --dist <a,b,..> run the bulk stages on the distributed reducer: a
                   comma-separated list of `mcim worker` addresses. Results
                   are bit-identical to the local run under the same --seed,
@@ -70,15 +63,18 @@ COMMON OPTIONS:
                   envelope when the path ends in `.json`. Metrics never
                   change results — estimates are bit-identical with the
                   snapshot on or off (freq/topk only)
-  --verbose       print the resolved execution plan (mode/seed/threads/
-                  chunk/contract) before running, then the telemetry
+  --verbose       print the resolved execution plan (seed/threads/chunk/
+                  contract) before running, then the telemetry
                   snapshot table (stage/fold timings plus the distributed
                   reducer's I/O and fold-report counters) after
   --output <file> write results as CSV (default: print a summary)
 
-These options assemble one execution plan (see `Exec` in the library):
-freq/topk run `Framework::execute` / `mcim_topk::execute` with a batch
-plan, or a stream plan when --chunk-size is given.
+These options assemble one execution plan (see `Exec` in the library).
+freq/topk stream the input file: `.ndjson`/`.jsonl` inputs are parsed as
+{\"label\": c, \"item\": i} lines, anything else as CSV. When --classes or
+--items is missing, one pre-pass over the file infers it. freq memory
+stays bounded by the chunk; topk still holds the 8-byte pairs (multi-round
+mining revisits them) but never the privatized reports.
 
 freq OPTIONS:
   --framework <hec|ptj|pts|pts-cp>   (default pts-cp)
@@ -286,96 +282,16 @@ fn cmd_worker(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// Streaming-mode plumbing shared by `freq` and `topk`: explicit domains
-/// (inference would need a full pass) and a file source picked by
-/// extension (`.ndjson`/`.jsonl` → NDJSON, otherwise CSV).
-fn stream_setup(
+/// Opens `input` with the `--classes`/`--items` domains (0 = infer).
+fn open_input(
     args: &Args,
     input: &str,
-) -> Result<(mcim_core::Domains, PairSource), Box<dyn std::error::Error>> {
-    let classes: u32 = args.num_or("classes", 0)?;
-    let items: u32 = args.num_or("items", 0)?;
-    if classes == 0 || items == 0 {
-        return Err(ArgError(
-            "streaming mode (--chunk-size) cannot infer domains; pass --classes and --items".into(),
-        )
-        .into());
-    }
-    let domains = mcim_core::Domains::new(classes, items)?;
-    let path = Path::new(input);
-    let ndjson = path
-        .extension()
-        .and_then(|e| e.to_str())
-        .is_some_and(|e| e.eq_ignore_ascii_case("ndjson") || e.eq_ignore_ascii_case("jsonl"));
-    let source = if ndjson {
-        PairSource::Ndjson(mcim_datasets::NdjsonPairSource::open(path)?)
-    } else {
-        PairSource::Csv(mcim_datasets::CsvPairSource::open(path)?)
-    };
-    Ok((domains, source))
-}
-
-/// Either file-backed pair source behind one type, so the streaming
-/// commands stay monomorphic.
-enum PairSource {
-    Csv(mcim_datasets::CsvPairSource),
-    Ndjson(mcim_datasets::NdjsonPairSource),
-}
-
-impl PairSource {
-    fn counted(self, domains: mcim_core::Domains) -> CountedPairSource {
-        CountedPairSource {
-            inner: self,
-            domains,
-            yielded: 0,
-        }
-    }
-}
-
-/// Validates every pair against the declared domains (the batch path's
-/// `read_pairs` does the same check up front — streaming must fail fast
-/// too, not feed out-of-domain items into the miners) and counts the
-/// pairs it yields, so the summary line can report the user count
-/// (`comm.users` counts *reports*, and PTS users submit a label report
-/// and an item report each).
-struct CountedPairSource {
-    inner: PairSource,
-    domains: mcim_core::Domains,
-    yielded: u64,
-}
-
-impl mcim_oracles::stream::ReportSource for CountedPairSource {
-    type Item = mcim_core::LabelItem;
-    fn fill(
-        &mut self,
-        buf: &mut Vec<mcim_core::LabelItem>,
-        max: usize,
-    ) -> mcim_oracles::Result<usize> {
-        let start = buf.len();
-        let got = match &mut self.inner {
-            PairSource::Csv(s) => s.fill(buf, max)?,
-            PairSource::Ndjson(s) => s.fill(buf, max)?,
-        };
-        for pair in &buf[start..] {
-            self.domains.check(*pair)?;
-        }
-        self.yielded += got as u64;
-        Ok(got)
-    }
-
-    fn rewind(&mut self, n: u64) -> mcim_oracles::Result<bool> {
-        // Forwarded so streamed `--dist` runs stay recoverable on worker
-        // loss (the file sources replay from the start of the file). The
-        // replayed pairs re-validate in `fill`; the count stays in step.
-        let ok = match &mut self.inner {
-            PairSource::Csv(s) => s.rewind(n)?,
-            PairSource::Ndjson(s) => s.rewind(n)?,
-        };
-        if ok {
-            self.yielded = self.yielded.saturating_sub(n);
-        }
-        Ok(ok)
-    }
+) -> Result<io::CountedPairSource, Box<dyn std::error::Error>> {
+    io::open_pairs(
+        Path::new(input),
+        args.num_or("classes", 0)?,
+        args.num_or("items", 0)?,
+    )
 }
 
 fn cmd_freq(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
@@ -414,35 +330,17 @@ fn cmd_freq(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             eprintln!("dist: {} workers", backend.workers());
         }
     }
-    let (result, n, domains) = match plan.resolved_mode() {
-        ExecMode::Stream => {
-            let (domains, source) = stream_setup(args, input)?;
-            let mut source = source.counted(domains);
-            let result = match &dist {
-                Some(backend) => framework.execute_on(backend, eps, domains, &mut source)?,
-                None => framework.execute(eps, domains, &plan, &mut source)?,
-            };
-            (result, source.yielded, domains)
-        }
-        _ => {
-            let data = io::read_pairs(
-                Path::new(input),
-                args.num_or("classes", 0u32)?,
-                args.num_or("items", 0u32)?,
-            )?;
-            let source = SliceSource::new(&data.pairs);
-            let result = match &dist {
-                Some(backend) => framework.execute_on(backend, eps, data.domains, source)?,
-                None => framework.execute(eps, data.domains, &plan, source)?,
-            };
-            let n = data.pairs.len() as u64;
-            (result, n, data.domains)
-        }
+    let mut source = open_input(args, input)?;
+    let domains = source.domains();
+    let result = match &dist {
+        Some(backend) => framework.execute_on(backend, eps, domains, &mut source)?,
+        None => framework.execute(eps, domains, &plan, &mut source)?,
     };
+    let n = source.yielded();
     // Shut the backend down before snapshotting so its final I/O deltas
-    // (including the Shutdown frames) land in the exported metrics. The
-    // old bespoke `dist: <session_report>` verbose line lives on as the
-    // `mcim_dist_*` rows of the snapshot table.
+    // (including the Shutdown frames) land in the exported metrics; the
+    // `mcim_dist_*` rows of the snapshot table carry the session's fold
+    // accounting.
     drop(dist);
     eprintln!(
         "{}: N = {n}, c = {}, d = {}, {}, threads = {} — {:.0} uplink bits/user",
@@ -512,37 +410,14 @@ fn cmd_topk(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             eprintln!("dist: {} workers", backend.workers());
         }
     }
-    let (result, n, domains) = match plan.resolved_mode() {
-        ExecMode::Stream => {
-            let (domains, source) = stream_setup(args, input)?;
-            let mut source = source.counted(domains);
-            let result = match &dist {
-                Some(backend) => {
-                    mcim_topk::execute_on(method, config, domains, backend, &mut source)?
-                }
-                None => mcim_topk::execute(method, config, domains, &plan, &mut source)?,
-            };
-            (result, source.yielded, domains)
-        }
-        _ => {
-            let data = io::read_pairs(
-                Path::new(input),
-                args.num_or("classes", 0u32)?,
-                args.num_or("items", 0u32)?,
-            )?;
-            let source = SliceSource::new(&data.pairs);
-            let result = match &dist {
-                Some(backend) => {
-                    mcim_topk::execute_on(method, config, data.domains, backend, source)?
-                }
-                None => mcim_topk::execute(method, config, data.domains, &plan, source)?,
-            };
-            let n = data.pairs.len() as u64;
-            (result, n, data.domains)
-        }
+    let mut source = open_input(args, input)?;
+    let domains = source.domains();
+    let result = match &dist {
+        Some(backend) => mcim_topk::execute_on(method, config, domains, backend, &mut source)?,
+        None => mcim_topk::execute(method, config, domains, &plan, &mut source)?,
     };
-    // See cmd_freq: the backend flushes its final I/O deltas on drop, and
-    // the snapshot table replaces the bespoke session-report line.
+    let n = source.yielded();
+    // See cmd_freq: the backend flushes its final I/O deltas on drop.
     drop(dist);
     eprintln!(
         "{}: N = {n}, c = {}, d = {}, {}, k = {k}, threads = {} — {:.0} uplink bits/user",
@@ -781,39 +656,56 @@ mod tests {
             &pairs,
         ])
         .unwrap();
-        let out = tmp("stream_topk.csv");
-        run_cli(&[
-            "topk",
-            "--input",
-            &pairs,
-            "--eps",
-            "4.0",
-            "--k",
-            "3",
-            "--chunk-size",
-            "2048",
-            "--classes",
-            "3",
-            "--items",
-            "128",
-            "--output",
-            &out,
-        ])
-        .unwrap();
-        assert!(std::fs::read_to_string(&out)
-            .unwrap()
-            .starts_with("class,rank,item"));
-        // Streaming cannot infer domains.
-        assert!(run_cli(&[
-            "freq",
-            "--input",
-            &pairs,
-            "--eps",
-            "2.0",
-            "--chunk-size",
-            "1000",
-        ])
-        .is_err());
+        // Without --classes/--items a chunked run infers the domains in a
+        // pre-pass, exactly like the unchunked run.
+        let run_topk = |extra: &[&str], out: &str| {
+            let mut cmd = vec![
+                "topk", "--input", &pairs, "--eps", "4.0", "--k", "3", "--seed", "2", "--output",
+                out,
+            ];
+            cmd.extend_from_slice(extra);
+            run_cli(&cmd).unwrap();
+            std::fs::read_to_string(out).unwrap()
+        };
+        let unchunked = run_topk(&[], &tmp("stream_topk_plain.csv"));
+        assert!(unchunked.starts_with("class,rank,item"));
+        let inferred = run_topk(&["--chunk-size", "2048"], &tmp("stream_topk_inferred.csv"));
+        assert_eq!(inferred, unchunked, "chunked run inferred other domains");
+        let explicit = run_topk(
+            &["--chunk-size", "2048", "--classes", "3", "--items", "128"],
+            &tmp("stream_topk_explicit.csv"),
+        );
+        assert_eq!(explicit, unchunked);
+    }
+
+    /// NDJSON input is recognised by extension whether or not
+    /// `--chunk-size` is given, and parses to the same pairs as CSV.
+    #[test]
+    fn ndjson_input_matches_csv_without_chunk_size() {
+        let csv = tmp("ndjson_twin.csv");
+        let ndjson = tmp("ndjson_twin.ndjson");
+        let (mut csv_body, mut ndjson_body) = (String::from("label,item\n"), String::new());
+        for u in 0..5000u32 {
+            let (label, item) = (u % 3, (u * 7) % 40);
+            csv_body.push_str(&format!("{label},{item}\n"));
+            ndjson_body.push_str(&format!("{{\"label\": {label}, \"item\": {item}}}\n"));
+        }
+        std::fs::write(&csv, csv_body).unwrap();
+        std::fs::write(&ndjson, ndjson_body).unwrap();
+        for cmd in [
+            vec!["freq", "--eps", "2.0", "--seed", "4"],
+            vec!["topk", "--eps", "4.0", "--k", "3", "--seed", "4"],
+        ] {
+            let run_on = |input: &str, out: &str| {
+                let mut full = cmd.clone();
+                full.extend_from_slice(&["--input", input, "--output", out]);
+                run_cli(&full).unwrap();
+                std::fs::read_to_string(out).unwrap()
+            };
+            let from_csv = run_on(&csv, &tmp(&format!("ndjson_twin_{}_csv.out", cmd[0])));
+            let from_ndjson = run_on(&ndjson, &tmp(&format!("ndjson_twin_{}_nd.out", cmd[0])));
+            assert_eq!(from_csv, from_ndjson, "{}", cmd[0]);
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@
 
 use rand::Rng;
 
-use mcim_oracles::{parallel, stream, BitVec, ColumnCounter, Eps, Error, Grr, Result};
+use mcim_oracles::{parallel, stream, BitVec, ColumnCounter, Eps, Error, Exec, Grr, Result};
 
 use crate::validity::{ValidityInput, ValidityPerturbation};
 use crate::{Domains, FrequencyTable, LabelItem};
@@ -307,14 +307,14 @@ impl CpAggregator {
     /// [`CpAggregator::absorb_batch`] without the materialized slice.
     /// Counts are bit-identical to the batch path for every chunk size and
     /// thread count.
-    pub fn absorb_stream<S>(&mut self, source: &mut S, config: stream::StreamConfig) -> Result<()>
+    pub fn absorb_stream<S>(&mut self, source: &mut S, plan: &Exec) -> Result<()>
     where
         S: stream::ReportSource<Item = CpReport>,
     {
         let template = self.fresh();
         let merged = stream::absorb_stream_with(
             source,
-            config,
+            plan,
             &template,
             |agg: &mut CpAggregator, chunk| agg.absorb_all(chunk),
             |a, b| a.merge(b),

@@ -12,7 +12,7 @@
 
 use rand::Rng;
 
-use mcim_oracles::{parallel, stream, Aggregator, Eps, Error, Oracle, Report, Result};
+use mcim_oracles::{parallel, stream, Aggregator, Eps, Error, Exec, Oracle, Report, Result};
 
 use crate::{Domains, FrequencyTable, LabelItem};
 
@@ -180,14 +180,14 @@ impl HecAggregator {
     /// [`HecAggregator::absorb_batch`] without the materialized slice.
     /// Counts are bit-identical to the batch path for every chunk size and
     /// thread count.
-    pub fn absorb_stream<S>(&mut self, source: &mut S, config: stream::StreamConfig) -> Result<()>
+    pub fn absorb_stream<S>(&mut self, source: &mut S, plan: &Exec) -> Result<()>
     where
         S: stream::ReportSource<Item = HecReport>,
     {
         let template = self.fresh();
         let merged = stream::absorb_stream_with(
             source,
-            config,
+            plan,
             &template,
             |agg: &mut HecAggregator, chunk| agg.absorb_all(chunk),
             |a, b| a.merge(b),

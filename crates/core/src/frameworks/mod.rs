@@ -15,7 +15,7 @@
 //! generic [`execute`](Framework::execute) entry point that processes a
 //! whole dataset (or stream) under an [`Exec`] plan and returns the
 //! estimated [`FrequencyTable`] with communication statistics. Under
-//! the RNG contract every [`Exec`] mode folds through the same sharded
+//! the RNG contract every [`Exec`] plan folds through the same sharded
 //! stages, so `execute` is a thin wrapper over
 //! [`execute_on`](Framework::execute_on) with the plan's in-process
 //! executor; the legacy `run`/`run_batch`/`run_stream` triplet (and the
@@ -131,14 +131,11 @@ impl Framework {
         ]
     }
 
-    /// Runs the framework end-to-end under an [`Exec`] plan — the single
-    /// entry point for every execution mode.
+    /// Runs the framework end-to-end under an [`Exec`] plan.
     ///
-    /// Under the RNG contract every mode (sequential, batch, stream, auto)
-    /// folds the same sharded stages through the plan's in-process
-    /// [`Executor`], so seed-equal plans are bit-identical across modes,
-    /// thread counts and chunk sizes; mode only picks the resource
-    /// envelope. Pass any [`ReportSource`] of label-item pairs: a
+    /// Every plan folds the same sharded stages through its in-process
+    /// [`Executor`], so seed-equal plans are bit-identical across thread
+    /// counts and chunk sizes, which only pick the resource envelope. Pass any [`ReportSource`] of label-item pairs: a
     /// `SliceSource` over an in-memory dataset, a CSV/NDJSON file source,
     /// or `&mut source` to keep ownership.
     pub fn execute<S>(
@@ -265,7 +262,7 @@ mod tests {
         let (domains, data) = dataset(n);
         let truth = FrequencyTable::ground_truth(domains, &data).unwrap();
         for (i, fw) in Framework::fig6_set().into_iter().enumerate() {
-            let plan = Exec::sequential().seed(101 + i as u64);
+            let plan = Exec::seeded(101 + i as u64).threads(1);
             let res = fw
                 .execute(eps(4.0), domains, &plan, SliceSource::new(&data))
                 .unwrap();
@@ -301,7 +298,7 @@ mod tests {
                 .execute(
                     eps(4.0),
                     domains,
-                    &Exec::batch().seed(9).threads(1),
+                    &Exec::seeded(9).threads(1),
                     SliceSource::new(&data),
                 )
                 .unwrap();
@@ -310,7 +307,7 @@ mod tests {
                     .execute(
                         eps(4.0),
                         domains,
-                        &Exec::batch().seed(9).threads(threads),
+                        &Exec::seeded(9).threads(threads),
                         SliceSource::new(&data),
                     )
                     .unwrap();
@@ -351,7 +348,7 @@ mod tests {
         // §V-C / Table II: PTJ pays O(c·d) bits per user, PTS pays O(d).
         let domains = Domains::new(5, 256).unwrap();
         let data: Vec<LabelItem> = (0..200).map(|u| LabelItem::new(u % 5, u % 256)).collect();
-        let plan = Exec::sequential().seed(7);
+        let plan = Exec::seeded(7).threads(1);
         let ptj = Framework::Ptj
             .execute(eps(1.0), domains, &plan, SliceSource::new(&data))
             .unwrap();

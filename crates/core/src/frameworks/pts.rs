@@ -13,8 +13,8 @@
 use rand::Rng;
 
 use mcim_oracles::{
-    calibrate::unbiased_count, parallel, stream, BitVec, ColumnCounter, Eps, Error, Grr, Result,
-    UnaryEncoding,
+    calibrate::unbiased_count, parallel, stream, BitVec, ColumnCounter, Eps, Error, Exec, Grr,
+    Result, UnaryEncoding,
 };
 
 use crate::{Domains, FrequencyTable, LabelItem};
@@ -235,14 +235,14 @@ impl PtsAggregator {
     /// [`PtsAggregator::absorb_batch`] without the materialized slice.
     /// Counts are bit-identical to the batch path for every chunk size and
     /// thread count.
-    pub fn absorb_stream<S>(&mut self, source: &mut S, config: stream::StreamConfig) -> Result<()>
+    pub fn absorb_stream<S>(&mut self, source: &mut S, plan: &Exec) -> Result<()>
     where
         S: stream::ReportSource<Item = PtsReport>,
     {
         let template = self.fresh();
         let merged = stream::absorb_stream_with(
             source,
-            config,
+            plan,
             &template,
             |agg: &mut PtsAggregator, chunk| agg.absorb_all(chunk),
             |a, b| a.merge(b),

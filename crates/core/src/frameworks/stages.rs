@@ -477,7 +477,7 @@ mod tests {
             r.finish().unwrap();
 
             let run = |s: &FwStage<M>| {
-                let exec = Exec::batch().seed(11).threads(2);
+                let exec = Exec::seeded(11).threads(2);
                 let part = exec
                     .in_process()
                     .fold(&mut SliceSource::new(data), 11, s)
@@ -526,8 +526,7 @@ mod tests {
 
             let stage = FwStage::new(arm);
             for chunk in [SHARD_SIZE, 1000, 333] {
-                let part = Exec::stream()
-                    .seed(5)
+                let part = Exec::seeded(5)
                     .threads(1)
                     .chunk_size(chunk)
                     .in_process()
@@ -551,7 +550,7 @@ mod tests {
         let domains = Domains::new(3, 16).unwrap();
         let eps = Eps::new(1.0).unwrap();
         let stage = FwStage::new(HecArm::new(eps, domains).unwrap());
-        let exec = Exec::batch().seed(3).threads(1);
+        let exec = Exec::seeded(3).threads(1);
         let part = exec
             .in_process()
             .fold(&mut SliceSource::new(&pairs(500)), 3, &stage)

@@ -20,7 +20,9 @@
 
 use rand::Rng;
 
-use mcim_oracles::{parallel, stream, BitVec, ColumnCounter, Eps, Error, Result, UnaryEncoding};
+use mcim_oracles::{
+    parallel, stream, BitVec, ColumnCounter, Eps, Error, Exec, Result, UnaryEncoding,
+};
 
 /// The validity perturbation mechanism over item domain `[0, d)`.
 ///
@@ -283,14 +285,14 @@ impl VpAggregator {
     /// [`VpAggregator::absorb_batch`] without the materialized slice.
     /// Counts are bit-identical to the batch path for every chunk size and
     /// thread count.
-    pub fn absorb_stream<S>(&mut self, source: &mut S, config: stream::StreamConfig) -> Result<()>
+    pub fn absorb_stream<S>(&mut self, source: &mut S, plan: &Exec) -> Result<()>
     where
         S: stream::ReportSource<Item = BitVec>,
     {
         let template = self.fresh();
         let merged = stream::absorb_stream_with(
             source,
-            config,
+            plan,
             &template,
             |agg: &mut VpAggregator, chunk| agg.absorb_all(chunk),
             |a, b| a.merge(b),

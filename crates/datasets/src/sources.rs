@@ -86,7 +86,7 @@ impl PairFile {
     /// Un-consumes the `n` most recent pairs by reopening the file and
     /// re-scanning (and discarding) everything before the target position.
     /// Exactness depends on the file not changing between passes — the
-    /// batch/stream equivalence contract already assumes that.
+    /// CLI's domain-inference pre-pass already assumes that.
     fn rewind(&mut self, n: u64) -> Result<bool> {
         let target = self.yielded.checked_sub(n).ok_or_else(|| Error::Source {
             message: format!(
@@ -289,8 +289,7 @@ fn parse_ndjson_line(path: &Path, lineno: u64, line: &str) -> Result<Option<Labe
 /// A `label,item` CSV file as a stream source. Lines are scanned in place
 /// in a buffered reader; memory is the reader's buffer plus one carry
 /// line. This is the **only** CSV pair grammar in the workspace — the
-/// CLI's batch loader drains this same source, so batch and streaming runs
-/// can never parse a file differently.
+/// CLI reads every CSV input through this same source.
 #[derive(Debug)]
 pub struct CsvPairSource {
     file: PairFile,

@@ -337,7 +337,8 @@ struct Replay<'a, St> {
 /// survivor (or in-process) from the rewound source, bit-identically;
 /// [`DistConfig`] sets the timeouts that turn a hung worker into a lost
 /// one. Per-fold accounting is available from
-/// [`Executor::last_fold_report`] and [`Coordinator::session_report`].
+/// [`Executor::last_fold_report`]; the `mcim_dist_*` metrics carry the
+/// session totals.
 pub struct Coordinator {
     plan: Exec,
     config: DistConfig,
@@ -348,7 +349,6 @@ pub struct Coordinator {
     shut_down: AtomicBool,
     connect_retries: u32,
     last_report: Mutex<Option<FoldReport>>,
-    session: Mutex<FoldReport>,
     spawned: Mutex<Option<SpawnedWorkers>>,
 }
 
@@ -388,7 +388,6 @@ impl Coordinator {
             shut_down: AtomicBool::new(false),
             connect_retries: retries,
             last_report: Mutex::new(None),
-            session: Mutex::new(FoldReport::default()),
             spawned: Mutex::new(None),
         })
     }
@@ -430,24 +429,11 @@ impl Coordinator {
         self.conns().len()
     }
 
-    /// Session-cumulative failure accounting across every fold so far
-    /// (see [`FoldReport::absorb`] for the aggregation rules).
-    pub fn session_report(&self) -> FoldReport {
-        self.session
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-
     fn finish_report(&self, conns: &mut [WorkerConn], report: FoldReport) {
         for conn in conns.iter_mut() {
             conn.flush_obs();
         }
         record_report(&report);
-        self.session
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .absorb(&report);
         *self
             .last_report
             .lock()
@@ -705,8 +691,8 @@ impl Coordinator {
 /// Absorbs one fold's [`FoldReport`] into the metrics registry: the
 /// per-fold event counts become `mcim_dist_*` counters, the state-like
 /// fields (worker counts, session-wide connect retries) become gauges.
-/// No wire traffic, no behavioral change — the snapshot simply carries
-/// the same numbers `session_report` aggregates.
+/// No wire traffic, no behavioral change — the counters are the session
+/// totals of every fold's report.
 fn record_report(report: &FoldReport) {
     if !mcim_obs::enabled() {
         return;

@@ -48,8 +48,8 @@
 //! them all are); a non-rewindable source fails the fold with
 //! [`Unrecoverable`](mcim_oracles::Error::Unrecoverable) instead of
 //! returning partial data. Per-fold failure accounting is reported through
-//! [`Executor::last_fold_report`](mcim_oracles::exec::Executor::last_fold_report)
-//! and [`Coordinator::session_report`].
+//! [`Executor::last_fold_report`](mcim_oracles::exec::Executor::last_fold_report);
+//! the `mcim_dist_*` metrics carry the session totals.
 //!
 //! ## Lint-enforced determinism
 //!

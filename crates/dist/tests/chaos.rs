@@ -25,6 +25,9 @@ use mcim_oracles::stream::SliceSource;
 use mcim_oracles::Eps;
 use mcim_topk::{Pem, PemConfig};
 
+mod session;
+use session::Session;
+
 /// Workers on loopback TCP, each serving exactly one connection through a
 /// scripted fault plan on its own thread. An empty plan is a healthy
 /// worker.
@@ -145,11 +148,11 @@ fn worker_killed_mid_chunk_is_bit_identical() {
         domains,
     );
     assert_tables_identical(&failed, &reference, "mid-chunk kill vs in-process");
-    assert_eq!(report.workers_lost, 1, "{report}");
-    assert_eq!(report.reroutes, 1, "{report}");
-    assert_eq!(report.rerouted_shards, 3, "{report}");
-    assert!(!report.local_fallback, "{report}");
-    assert!(report.degraded(), "{report}");
+    assert_eq!(report.workers_lost, 1, "{report:?}");
+    assert_eq!(report.reroutes, 1, "{report:?}");
+    assert_eq!(report.rerouted_shards, 3, "{report:?}");
+    assert!(!report.local_fallback, "{report:?}");
+    assert!(report.degraded(), "{report:?}");
 
     // And against an unfailed single-worker distributed run: the survivor
     // plus re-route must equal the topology that never failed.
@@ -161,7 +164,7 @@ fn worker_killed_mid_chunk_is_bit_identical() {
         domains,
     );
     assert_tables_identical(&unfailed, &reference, "unfailed 1-worker vs in-process");
-    assert!(!clean_report.degraded(), "{clean_report}");
+    assert!(!clean_report.degraded(), "{clean_report:?}");
     assert_tables_identical(&failed, &unfailed, "mid-chunk kill vs unfailed 1-worker");
 }
 
@@ -181,8 +184,8 @@ fn worker_killed_before_job_is_bit_identical() {
         domains,
     );
     assert_tables_identical(&result, &reference, "pre-job kill");
-    assert_eq!(report.workers_lost, 1, "{report}");
-    assert_eq!(report.rerouted_shards, 3, "{report}");
+    assert_eq!(report.workers_lost, 1, "{report:?}");
+    assert_eq!(report.rerouted_shards, 3, "{report:?}");
 }
 
 /// A worker that folds everything but dies after reading Flush — its
@@ -205,8 +208,8 @@ fn worker_killed_after_flush_is_bit_identical() {
         domains,
     );
     assert_tables_identical(&result, &reference, "post-flush kill");
-    assert_eq!(report.workers_lost, 1, "{report}");
-    assert_eq!(report.rerouted_shards, 3, "{report}");
+    assert_eq!(report.workers_lost, 1, "{report:?}");
+    assert_eq!(report.rerouted_shards, 3, "{report:?}");
 }
 
 /// A Partial cut off mid-frame (9 bytes: the length prefix plus a sliver
@@ -229,8 +232,8 @@ fn truncated_partial_frame_is_bit_identical() {
         domains,
     );
     assert_tables_identical(&result, &reference, "truncated partial");
-    assert_eq!(report.workers_lost, 1, "{report}");
-    assert_eq!(report.rerouted_shards, 3, "{report}");
+    assert_eq!(report.workers_lost, 1, "{report:?}");
+    assert_eq!(report.rerouted_shards, 3, "{report:?}");
 }
 
 /// A worker that stops consuming input and just holds the socket open: a
@@ -262,8 +265,8 @@ fn stalled_worker_times_out_and_is_rerouted() {
         domains,
     );
     assert_tables_identical(&result, &reference, "stalled worker");
-    assert_eq!(report.workers_lost, 1, "{report}");
-    assert_eq!(report.rerouted_shards, 3, "{report}");
+    assert_eq!(report.workers_lost, 1, "{report:?}");
+    assert_eq!(report.rerouted_shards, 3, "{report:?}");
 }
 
 /// A slow-but-alive worker (delayed reply, no deadline configured) is not
@@ -285,7 +288,7 @@ fn slow_worker_without_deadline_is_not_a_failure() {
         domains,
     );
     assert_tables_identical(&result, &reference, "slow worker");
-    assert!(!report.degraded(), "{report}");
+    assert!(!report.degraded(), "{report:?}");
 }
 
 /// Every worker dies: the fold falls back to replaying every lost shard
@@ -301,31 +304,32 @@ fn losing_every_worker_falls_back_to_local_and_stays_usable() {
     ]);
     let coordinator =
         Coordinator::connect_with(&plan, &cluster.addrs, DistConfig::default()).expect("connect");
+    let session = Session::new(&coordinator);
     let eps = Eps::new(2.0).expect("eps");
     let result = Framework::PtsCp { label_frac: 0.5 }
-        .execute_on(&coordinator, eps, domains, SliceSource::new(&data))
+        .execute_on(&session, eps, domains, SliceSource::new(&data))
         .expect("total loss must still fold");
     assert_tables_identical(&result, &reference, "all workers dead");
     let report = coordinator.last_fold_report().expect("report");
-    assert_eq!(report.workers_lost, 2, "{report}");
-    assert!(report.local_fallback, "{report}");
+    assert_eq!(report.workers_lost, 2, "{report:?}");
+    assert!(report.local_fallback, "{report:?}");
     assert_eq!(
         report.local_shards, 6,
-        "every shard replayed locally: {report}"
+        "every shard replayed locally: {report:?}"
     );
     assert_eq!(coordinator.workers(), 0, "attrition emptied the pool");
 
     // The coordinator was never shut down; later folds keep working.
     let again = Framework::PtsCp { label_frac: 0.5 }
-        .execute_on(&coordinator, eps, domains, SliceSource::new(&data))
+        .execute_on(&session, eps, domains, SliceSource::new(&data))
         .expect("worker-less coordinator degrades to in-process");
     assert_tables_identical(&again, &reference, "fold after total attrition");
     let report = coordinator.last_fold_report().expect("report");
-    assert!(report.local_fallback, "{report}");
+    assert!(report.local_fallback, "{report:?}");
 
-    let session = coordinator.session_report();
-    assert_eq!(session.workers_lost, 2, "{session}");
-    assert!(session.local_fallback, "{session}");
+    let total = session.report();
+    assert_eq!(total.workers_lost, 2, "{total:?}");
+    assert!(total.local_fallback, "{total:?}");
 
     drop(coordinator);
     cluster.join();
@@ -361,15 +365,16 @@ fn pem_mine_survives_worker_loss_mid_round() {
     ]);
     let coordinator =
         Coordinator::connect_with(&plan, &cluster.addrs, DistConfig::default()).expect("connect");
+    let session = Session::new(&coordinator);
     let mined = pem
-        .execute_on(&coordinator, eps, 9, SliceSource::new(&items))
+        .execute_on(&session, eps, 9, SliceSource::new(&items))
         .expect("mine through the loss");
     assert_eq!(mined.top, reference.top);
     assert_eq!(mined.comm, reference.comm);
 
-    let session = coordinator.session_report();
-    assert_eq!(session.workers_lost, 1, "{session}");
-    assert!(session.rerouted_shards > 0, "{session}");
+    let total = session.report();
+    assert_eq!(total.workers_lost, 1, "{total:?}");
+    assert!(total.rerouted_shards > 0, "{total:?}");
     assert_eq!(coordinator.workers(), 1, "the survivor serves the rest");
 
     drop(coordinator);

@@ -16,6 +16,9 @@ use mcim_oracles::{Eps, Error, Result};
 use mcim_topk::{Pem, PemConfig, PemEngine};
 use rand::RngCore;
 
+mod session;
+use session::Session;
+
 /// Workers on loopback TCP, each serving connections on its own thread
 /// until its listener is dropped with the harness.
 struct TestWorkers {
@@ -252,11 +255,11 @@ fn unknown_stage_kind_is_refused_not_hung() {
         .unwrap();
     assert_eq!(total, 5000, "local replay folds every refused shard");
     let report = coordinator.last_fold_report().unwrap();
-    assert!(report.degraded(), "{report}");
-    assert_eq!(report.worker_errors, 2, "{report}");
-    assert!(report.local_fallback, "{report}");
-    assert_eq!(report.local_shards, 2, "{report}");
-    assert_eq!(report.workers_lost, 0, "refusal is not death: {report}");
+    assert!(report.degraded(), "{report:?}");
+    assert_eq!(report.worker_errors, 2, "{report:?}");
+    assert!(report.local_fallback, "{report:?}");
+    assert_eq!(report.local_shards, 2, "{report:?}");
+    assert_eq!(report.workers_lost, 0, "refusal is not death: {report:?}");
 
     // Same connections, valid job: still works.
     let domains = Domains::new(2, 16).unwrap();
@@ -328,9 +331,10 @@ fn worker_stage_errors_propagate() {
     let cluster = TestWorkers::start(2, 1);
     let plan = Exec::seeded(4);
     let coordinator = Coordinator::connect(&plan, &cluster.addrs).unwrap();
+    let session = Session::new(&coordinator);
     let err = Framework::Ptj
         .execute_on(
-            &coordinator,
+            &session,
             Eps::new(1.0).unwrap(),
             domains,
             SliceSource::new(&data),
@@ -341,8 +345,8 @@ fn worker_stage_errors_propagate() {
     // rerouted worker, and finally the in-process replay (whence the
     // typed error instead of a worker's stringified one).
     assert!(!matches!(err, Error::Source { .. }), "{err}");
-    let report = coordinator.session_report();
-    assert!(report.worker_errors >= 2, "{report}");
+    let report = session.report();
+    assert!(report.worker_errors >= 2, "{report:?}");
 
     // Every connection was drained (one reply per worker), so a valid
     // retry on the same coordinator produces correct results.
@@ -579,9 +583,9 @@ fn more_workers_than_shards_is_fine() {
         }
     }
     let report = coordinator.last_fold_report().unwrap();
-    assert_eq!(report.workers, 4, "{report}");
-    assert_eq!(report.workers_used, 1, "one shard, one job: {report}");
-    assert!(!report.degraded(), "{report}");
+    assert_eq!(report.workers, 4, "{report:?}");
+    assert_eq!(report.workers_used, 1, "one shard, one job: {report:?}");
+    assert!(!report.degraded(), "{report:?}");
     drop(coordinator);
     cluster.join();
 }

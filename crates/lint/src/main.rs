@@ -1,7 +1,7 @@
 //! `mcim-lint` — the workspace invariant checker.
 //!
-//! The system's headline guarantee is bit-identical results across the
-//! sequential/batch/stream/distributed backends. That rests on invariants
+//! The system's headline guarantee is bit-identical results across every
+//! in-process plan and the distributed backend. That rests on invariants
 //! no compiler checks: no ambient entropy in pipeline code, no
 //! order-nondeterministic hash iteration feeding wire encoding, no
 //! panicking escape hatches in library crates a long-lived server would

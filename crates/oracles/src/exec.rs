@@ -6,10 +6,9 @@
 //! signature. This module collapses that surface into three pieces:
 //!
 //! * [`Exec`] — a declarative **execution plan**: the RNG seed, the worker
-//!   budget, the ingestion chunk size and a
-//!   [mode](ExecMode) (auto / sequential / batch / stream). Every pipeline
-//!   takes one generic `execute`-style entry point that accepts an `Exec`
-//!   plus a [`ReportSource`], instead of a method per mode.
+//!   budget and the ingestion chunk size. Every pipeline takes one generic
+//!   `execute`-style entry point that accepts an `Exec` plus a
+//!   [`ReportSource`], instead of a method per mode.
 //! * [`Stage`] — one bulk privatize+aggregate step expressed as an object
 //!   instead of ad-hoc closures: a fold function over shard fragments, a
 //!   merge of disjoint-range partials, and (for stages that can cross a
@@ -23,24 +22,18 @@
 //!   processes and merging their serialized partials — without touching
 //!   any pipeline caller.
 //!
-//! ## Mode semantics
+//! ## One code path
 //!
-//! | mode | machinery | output |
-//! |---|---|---|
-//! | `Sequential` | sharded deterministic runtime pinned to 1 worker | bit-identical to every other mode |
-//! | `Batch` | sharded deterministic runtime, input materialized | bit-identical to every other mode |
-//! | `Stream` | sharded deterministic runtime, bounded chunks | bit-identical to every other mode |
-//! | `Auto` | resolves to `Stream` | bit-identical to every other mode |
-//!
-//! Under the [RNG contract](RNG_CONTRACT) **every mode is one code path**:
-//! the chunked executor over absolute [`parallel::SHARD_SIZE`] shards,
-//! each shard privatized with its deterministic
-//! [`parallel::shard_rng`]`(stage_seed, shard)` stream. Mode only chooses
-//! the resource envelope — `Sequential` pins one worker, `Batch` pulls the
-//! whole source into a single chunk, `Stream` holds
-//! `O(chunk + threads × shard)` — so seed-equal plans produce bit-identical
-//! results in all four modes (including the distributed backend, which
-//! replays the same shard streams on worker processes).
+//! Under the [RNG contract](RNG_CONTRACT) there is exactly one way to run
+//! a stage: the chunked executor over absolute [`parallel::SHARD_SIZE`]
+//! shards, each shard privatized with its deterministic
+//! [`parallel::shard_rng`]`(stage_seed, shard)` stream. The plan's two
+//! other knobs only choose the resource envelope — `threads(1)` pins one
+//! worker, a chunk as large as the source materializes it, the default
+//! holds `O(chunk + threads × shard)` — so seed-equal plans produce
+//! bit-identical results for every thread count and chunk size (and on
+//! the distributed backend, which replays the same shard streams on
+//! worker processes).
 //!
 //! ```
 //! use mcim_oracles::exec::Exec;
@@ -57,46 +50,9 @@ use std::marker::PhantomData;
 use rand::rngs::StdRng;
 
 use crate::parallel;
-use crate::stream::{fold_stream, ReportSource, StreamConfig, DEFAULT_CHUNK_ITEMS};
+use crate::stream::{fold_stream, ReportSource, DEFAULT_CHUNK_ITEMS};
 use crate::wire::{StageSpec, Wire, WireReader, WireState};
 use crate::Result;
-
-/// How an [`Exec`] plan drives a pipeline. See the [module docs](self) for
-/// the semantics table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Pick automatically; resolves to [`ExecMode::Stream`] (bounded
-    /// memory, bit-identical to `Batch`).
-    #[default]
-    Auto,
-    /// The sharded runtime pinned to a single worker thread — smallest
-    /// footprint, bit-identical to every other mode.
-    Sequential,
-    /// Sharded deterministic runtime over a fully materialized input.
-    Batch,
-    /// Sharded deterministic runtime over bounded chunks.
-    Stream,
-}
-
-impl ExecMode {
-    /// The concrete mode `Auto` resolves to.
-    pub fn resolved(self) -> ExecMode {
-        match self {
-            ExecMode::Auto => ExecMode::Stream,
-            other => other,
-        }
-    }
-
-    /// Lower-case name used in plan displays and CLI output.
-    pub fn name(self) -> &'static str {
-        match self {
-            ExecMode::Auto => "auto",
-            ExecMode::Sequential => "sequential",
-            ExecMode::Batch => "batch",
-            ExecMode::Stream => "stream",
-        }
-    }
-}
 
 /// The RNG contract this build implements: the version naming exactly
 /// which seeded RNG draws every privatization path makes.
@@ -106,7 +62,7 @@ impl ExecMode {
 /// (see the `stream` module docs for the specification). It is what the
 /// workspace's bit-identity nets actually test. Bumping it is how seeded
 /// outputs are allowed to change: once, versioned, across every execution
-/// mode together. Every [`StageSpec`] is stamped with it, and executors
+/// backend together. Every [`StageSpec`] is stamped with it, and executors
 /// and dist workers refuse a spec or job stamped with any other value
 /// ([`check_contract`]).
 pub const RNG_CONTRACT: u32 = 4;
@@ -127,37 +83,25 @@ pub fn check_contract(version: u32) -> Result<()> {
     }
 }
 
-/// A declarative execution plan: seed, worker budget, chunk size and mode.
+/// A declarative execution plan: seed, worker budget and chunk size.
 ///
 /// Built with a fluent builder; unset knobs resolve lazily (`threads` to
 /// [`parallel::configured_threads`], `chunk_size` to
 /// [`DEFAULT_CHUNK_ITEMS`]) so a plan constructed once can be reused on
-/// machines with different core counts. Outputs of the sharded modes never
-/// depend on `threads` or `chunk_size` — both knobs are purely about
-/// latency and memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// machines with different core counts. Outputs never depend on
+/// `threads` or `chunk_size` — both knobs are purely about latency and
+/// memory.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Exec {
-    mode: ExecMode,
     seed: u64,
     threads: Option<usize>,
     chunk_items: Option<usize>,
 }
 
-impl Default for Exec {
-    fn default() -> Self {
-        Exec::new()
-    }
-}
-
 impl Exec {
-    /// An [`ExecMode::Auto`] plan with seed 0 and lazily resolved knobs.
+    /// A plan with seed 0 and lazily resolved knobs.
     pub fn new() -> Self {
-        Exec {
-            mode: ExecMode::Auto,
-            seed: 0,
-            threads: None,
-            chunk_items: None,
-        }
+        Exec::default()
     }
 
     /// [`Exec::new`] with a base seed — the most common construction.
@@ -165,29 +109,7 @@ impl Exec {
         Exec::new().seed(seed)
     }
 
-    /// A [`ExecMode::Sequential`] plan: the sharded runtime pinned to one
-    /// worker, bit-identical to every other mode.
-    pub fn sequential() -> Self {
-        Exec::new().mode(ExecMode::Sequential)
-    }
-
-    /// A [`ExecMode::Batch`] plan (sharded runtime, materialized input).
-    pub fn batch() -> Self {
-        Exec::new().mode(ExecMode::Batch)
-    }
-
-    /// A [`ExecMode::Stream`] plan (sharded runtime, bounded chunks).
-    pub fn stream() -> Self {
-        Exec::new().mode(ExecMode::Stream)
-    }
-
-    /// Sets the execution mode.
-    pub fn mode(mut self, mode: ExecMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Sets the base RNG seed (default 0). Every mode derives one
+    /// Sets the base RNG seed (default 0). Every fold derives one
     /// deterministic stream per absolute shard from it
     /// ([`parallel::shard_rng`]).
     pub fn seed(mut self, seed: u64) -> Self {
@@ -195,37 +117,19 @@ impl Exec {
         self
     }
 
-    /// Caps the worker threads of the sharded modes (default: the
-    /// `MCIM_THREADS` environment variable, then the machine's available
-    /// parallelism — [`parallel::configured_threads`]). Never changes
-    /// outputs.
+    /// Caps the worker threads (default: the `MCIM_THREADS` environment
+    /// variable, then the machine's available parallelism —
+    /// [`parallel::configured_threads`]). Never changes outputs.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
         self
     }
 
-    /// Sets the items pulled (and held) per ingestion chunk in
-    /// [`ExecMode::Stream`] and [`ExecMode::Sequential`] (default
-    /// [`DEFAULT_CHUNK_ITEMS`]). Ignored by `Batch` (whole input). Never
-    /// changes outputs.
+    /// Sets the items pulled (and held) per ingestion chunk (default
+    /// [`DEFAULT_CHUNK_ITEMS`]). Never changes outputs.
     pub fn chunk_size(mut self, chunk_items: usize) -> Self {
         self.chunk_items = Some(chunk_items.max(1));
         self
-    }
-
-    /// The declared mode.
-    pub fn declared_mode(&self) -> ExecMode {
-        self.mode
-    }
-
-    /// The concrete mode this plan runs in (`Auto` → `Stream`).
-    pub fn resolved_mode(&self) -> ExecMode {
-        self.mode.resolved()
-    }
-
-    /// Whether this plan is pinned to one worker.
-    pub fn is_sequential(&self) -> bool {
-        self.resolved_mode() == ExecMode::Sequential
     }
 
     /// The base RNG seed.
@@ -233,23 +137,14 @@ impl Exec {
         self.seed
     }
 
-    /// The worker-thread cap this plan resolves to on this machine
-    /// (always 1 for sequential plans).
+    /// The worker-thread cap this plan resolves to on this machine.
     pub fn resolved_threads(&self) -> usize {
-        if self.is_sequential() {
-            return 1;
-        }
         self.threads.unwrap_or_else(parallel::configured_threads)
     }
 
     /// The ingestion chunk size this plan resolves to.
     pub fn resolved_chunk_items(&self) -> usize {
-        self.chunk_items.unwrap_or(DEFAULT_CHUNK_ITEMS).max(1)
-    }
-
-    /// The equivalent [`StreamConfig`] of the sharded modes.
-    pub fn stream_config(&self) -> StreamConfig {
-        StreamConfig::new(self.resolved_threads()).with_chunk_items(self.resolved_chunk_items())
+        self.chunk_items.unwrap_or(DEFAULT_CHUNK_ITEMS)
     }
 
     /// The in-process [`Executor`] for this plan.
@@ -260,27 +155,14 @@ impl Exec {
 
 impl fmt::Display for Exec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "mode={}",
-            match self.mode {
-                ExecMode::Auto => "stream(auto)".to_string(),
-                other => other.name().to_string(),
-            }
-        )?;
-        write!(f, " seed={}", self.seed)?;
+        write!(f, "seed={}", self.seed)?;
         match self.threads {
             Some(t) => write!(f, " threads={t}")?,
             None => write!(f, " threads={}(auto)", self.resolved_threads())?,
         }
-        if matches!(
-            self.resolved_mode(),
-            ExecMode::Stream | ExecMode::Sequential
-        ) {
-            match self.chunk_items {
-                Some(c) => write!(f, " chunk={c}")?,
-                None => write!(f, " chunk={}(default)", self.resolved_chunk_items())?,
-            }
+        match self.chunk_items {
+            Some(c) => write!(f, " chunk={c}")?,
+            None => write!(f, " chunk={}(default)", self.resolved_chunk_items())?,
         }
         write!(f, " contract=v{RNG_CONTRACT}")
     }
@@ -482,45 +364,6 @@ impl FoldReport {
     pub fn degraded(&self) -> bool {
         self.workers_lost > 0 || self.worker_errors > 0 || self.local_fallback
     }
-
-    /// Folds another per-fold report into this one, producing the
-    /// session-cumulative view: failure counters add up, while
-    /// `workers`, `workers_used` and `connect_retries` track the most
-    /// recent fold (they describe state, not events).
-    pub fn absorb(&mut self, other: &FoldReport) {
-        self.workers = other.workers;
-        self.workers_used = other.workers_used;
-        self.connect_retries = other.connect_retries;
-        self.workers_lost += other.workers_lost;
-        self.worker_errors += other.worker_errors;
-        self.reroutes += other.reroutes;
-        self.rerouted_shards += other.rerouted_shards;
-        self.local_shards += other.local_shards;
-        self.local_fallback |= other.local_fallback;
-    }
-}
-
-impl fmt::Display for FoldReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "workers={} used={} lost={} errors={} reroutes={} rerouted_shards={} local_shards={}",
-            self.workers,
-            self.workers_used,
-            self.workers_lost,
-            self.worker_errors,
-            self.reroutes,
-            self.rerouted_shards,
-            self.local_shards,
-        )?;
-        if self.local_fallback {
-            write!(f, " local_fallback")?;
-        }
-        if self.connect_retries > 0 {
-            write!(f, " connect_retries={}", self.connect_retries)?;
-        }
-        Ok(())
-    }
 }
 
 /// The in-process [`Executor`]: scoped worker threads over this process's
@@ -553,17 +396,6 @@ impl Executor for InProcess {
         if let Some(spec) = &spec {
             check_contract(spec.contract)?;
         }
-        let mut config = self.plan.stream_config();
-        if self.plan.resolved_mode() == ExecMode::Batch {
-            // Batch mode materializes: one chunk spanning the whole
-            // (sized) source. Chunking never changes the result, only the
-            // memory.
-            config.chunk_items = source
-                .size_hint()
-                .and_then(|n| usize::try_from(n).ok())
-                .unwrap_or(DEFAULT_CHUNK_ITEMS)
-                .max(1);
-        }
         // Per-stage wall time, labeled by the stage's registry kind
         // (ad-hoc `FnStage` folds have no spec and share one label).
         let span = mcim_obs::span_with(|| {
@@ -572,7 +404,7 @@ impl Executor for InProcess {
         });
         let acc = fold_stream(
             source,
-            config,
+            &self.plan,
             stage_seed,
             &stage.template(),
             |rng, abs, items, acc| stage.fold(rng, abs, items, acc),
@@ -593,15 +425,8 @@ mod tests {
     fn builder_and_resolution() {
         let plan = Exec::seeded(9).threads(3).chunk_size(100);
         assert_eq!(plan.base_seed(), 9);
-        assert_eq!(plan.declared_mode(), ExecMode::Auto);
-        assert_eq!(plan.resolved_mode(), ExecMode::Stream);
         assert_eq!(plan.resolved_threads(), 3);
         assert_eq!(plan.resolved_chunk_items(), 100);
-        assert!(!plan.is_sequential());
-
-        let seq = Exec::sequential().seed(1).threads(8);
-        assert!(seq.is_sequential());
-        assert_eq!(seq.resolved_threads(), 1, "sequential is single-threaded");
 
         // Zero clamps.
         let clamped = Exec::new().threads(0).chunk_size(0);
@@ -609,8 +434,6 @@ mod tests {
         assert_eq!(clamped.resolved_chunk_items(), 1);
 
         assert_eq!(Exec::default(), Exec::new());
-        assert_eq!(ExecMode::Auto.resolved(), ExecMode::Stream);
-        assert_eq!(ExecMode::Batch.resolved(), ExecMode::Batch);
     }
 
     /// Unset knobs resolve lazily: `threads` honors the `MCIM_THREADS`
@@ -639,15 +462,7 @@ mod tests {
     #[test]
     fn display_names_the_resolved_plan() {
         let shown = Exec::seeded(5).threads(2).chunk_size(64).to_string();
-        assert!(shown.contains("mode=stream(auto)"), "{shown}");
-        assert!(shown.contains("seed=5"), "{shown}");
-        assert!(shown.contains("threads=2"), "{shown}");
-        assert!(shown.contains("chunk=64"), "{shown}");
-        assert!(shown.contains("contract=v4"), "{shown}");
-        let batch = Exec::batch().to_string();
-        assert!(batch.contains("mode=batch"), "{batch}");
-        assert!(!batch.contains("chunk="), "batch hides the chunk: {batch}");
-        assert!(batch.contains("contract=v4"), "{batch}");
+        assert_eq!(shown, "seed=5 threads=2 chunk=64 contract=v4");
     }
 
     /// Unset knobs display their lazily resolved values tagged as such, so
@@ -663,12 +478,8 @@ mod tests {
             auto.contains(&format!("chunk={DEFAULT_CHUNK_ITEMS}(default)")),
             "{auto}"
         );
-        let seq = Exec::sequential().to_string();
-        assert!(seq.contains("mode=sequential"), "{seq}");
-        assert!(seq.contains("threads=1(auto)"), "sequential pins 1: {seq}");
-        assert!(seq.contains("chunk="), "sequential chunk-streams: {seq}");
-        assert!(seq.contains("contract=v4"), "{seq}");
-        let explicit = Exec::stream().threads(7).to_string();
+        assert!(auto.contains("contract=v4"), "{auto}");
+        let explicit = Exec::new().threads(7).to_string();
         assert!(explicit.contains("threads=7"), "{explicit}");
         assert!(!explicit.contains("threads=7(auto)"), "{explicit}");
     }
@@ -741,9 +552,9 @@ mod tests {
         )
     }
 
-    /// The shard contract: sequential, batch and stream plans fold
-    /// bit-identically, for every chunk size, and a sized batch fold
-    /// materializes whole.
+    /// The shard contract: plans fold bit-identically for every thread
+    /// count and chunk size — below a shard, above one, and the whole
+    /// source in one chunk.
     #[test]
     fn in_process_fold_is_mode_and_chunk_invariant() {
         let items: Vec<u32> = (0..3 * parallel::SHARD_SIZE as u32 + 500).collect();
@@ -753,15 +564,12 @@ mod tests {
                 .fold(&mut SliceSource::new(&items), 77, &stage)
                 .unwrap()
         };
-        let reference = fold(Exec::batch().threads(1));
+        let reference = fold(Exec::new().threads(1).chunk_size(items.len()));
         for plan in [
-            Exec::batch().threads(4),
-            Exec::sequential(),
-            Exec::sequential().chunk_size(parallel::SHARD_SIZE + 1),
-            Exec::stream().threads(1),
-            Exec::stream()
-                .threads(4)
-                .chunk_size(parallel::SHARD_SIZE - 1),
+            Exec::new().threads(4).chunk_size(items.len()),
+            Exec::new().threads(1),
+            Exec::new().threads(1).chunk_size(parallel::SHARD_SIZE + 1),
+            Exec::new().threads(4).chunk_size(parallel::SHARD_SIZE - 1),
             Exec::new().threads(2).chunk_size(999),
         ] {
             assert_eq!(fold(plan), reference, "{plan}");
@@ -777,7 +585,7 @@ mod tests {
 
     #[test]
     fn in_process_reports_no_fold_accounting() {
-        assert_eq!(Exec::batch().in_process().last_fold_report(), None);
+        assert_eq!(Exec::new().in_process().last_fold_report(), None);
     }
 
     #[test]
@@ -797,25 +605,10 @@ mod tests {
             ..FoldReport::default()
         };
         assert!(recovered.degraded());
-        let shown = recovered.to_string();
-        assert!(shown.contains("lost=1"), "{shown}");
-        assert!(shown.contains("rerouted_shards=5"), "{shown}");
-        assert!(!shown.contains("local_fallback"), "{shown}");
-
-        let mut session = FoldReport::default();
-        session.absorb(&recovered);
-        session.absorb(&FoldReport {
-            workers: 3,
-            workers_used: 3,
-            local_shards: 2,
+        let fallback = FoldReport {
             local_fallback: true,
             ..FoldReport::default()
-        });
-        assert_eq!(session.workers, 3, "state fields track the latest fold");
-        assert_eq!(session.workers_lost, 1, "event counters accumulate");
-        assert_eq!(session.rerouted_shards, 5);
-        assert_eq!(session.local_shards, 2);
-        assert!(session.local_fallback);
-        assert!(session.to_string().contains("local_fallback"));
+        };
+        assert!(fallback.degraded());
     }
 }

@@ -69,7 +69,6 @@ mod grr;
 mod numeric;
 mod olh;
 mod oracle;
-mod sketch;
 mod ue;
 
 pub mod calibrate;
@@ -84,12 +83,11 @@ pub use bitvec::{BitVec, WORDWISE_STEPS};
 pub use budget::Eps;
 pub use colsum::ColumnCounter;
 pub use error::Error;
-pub use exec::{Exec, ExecMode, Executor, FoldReport, InProcess};
+pub use exec::{Exec, Executor, FoldReport, InProcess};
 pub use grr::Grr;
 pub use numeric::{Piecewise, StochasticRounding};
 pub use olh::{Olh, OlhReport};
 pub use oracle::{Aggregator, Oracle, Report};
-pub use sketch::{CmsAggregator, CmsReport, CountMeanSketch};
 pub use ue::UnaryEncoding;
 
 /// Convenience result alias used across the workspace.

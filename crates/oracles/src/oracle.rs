@@ -11,7 +11,9 @@ use rand::Rng;
 
 use crate::calibrate::unbiased_count;
 use crate::colsum::ColumnCounter;
-use crate::{parallel, stream, BitVec, Eps, Error, Grr, Olh, OlhReport, Result, UnaryEncoding};
+use crate::{
+    parallel, stream, BitVec, Eps, Error, Exec, Grr, Olh, OlhReport, Result, UnaryEncoding,
+};
 
 /// A frequency oracle: one of the concrete LDP mechanisms.
 #[derive(Debug, Clone)]
@@ -313,14 +315,14 @@ impl Aggregator {
     /// length, and the final counts are bit-identical to `absorb_batch`
     /// over the same reports for every chunk size and thread count
     /// (absorption is a counter sum — associative and commutative).
-    pub fn absorb_stream<S>(&mut self, source: &mut S, config: stream::StreamConfig) -> Result<()>
+    pub fn absorb_stream<S>(&mut self, source: &mut S, plan: &Exec) -> Result<()>
     where
         S: stream::ReportSource<Item = Report>,
     {
         let template = Aggregator::new(&self.oracle);
         let merged = stream::absorb_stream_with(
             source,
-            config,
+            plan,
             &template,
             |agg: &mut Aggregator, chunk| agg.absorb_all(chunk),
             |a, b| a.merge(b),

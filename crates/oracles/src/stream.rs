@@ -28,7 +28,7 @@
 //! and associative (true for counter sums and [`super::parallel`]-style
 //! accumulators).
 //!
-//! ## RNG contract v4: one sampler stream for every mode
+//! ## RNG contract v4: one sampler stream for every plan
 //!
 //! The workspace's seeded outputs are governed by a versioned **RNG
 //! contract** ([`crate::exec::RNG_CONTRACT`]); this section is the v4
@@ -45,7 +45,7 @@
 //!    `UnaryEncoding::WORDWISE_MIN_Q` = 1/64, and otherwise (`q ≥ 1/64`)
 //!    the word-parallel [`crate::BitVec::fill_bernoulli_wordwise`]. The
 //!    branch depends only on mechanism parameters, never on the execution
-//!    mode, so `privatize`, `privatize_into` and `perturb_bits` consume
+//!    plan, so `privatize`, `privatize_into` and `perturb_bits` consume
 //!    the RNG stream identically wherever they run.
 //! 3. **The word-parallel draw order.** For each 64-bit output word, in
 //!    word order: exactly [`crate::WORDWISE_STEPS`]` = 8` draws,
@@ -55,11 +55,11 @@
 //!    tie while `q`'s expansion continues. A lane is set iff `U < q`.
 //!    Lanes tied after the 8 draws when `q`'s expansion has already ended
 //!    are clear and draw nothing. On average that is 8.25 draws per word.
-//! 4. **Consequence.** Sequential, batch, stream and distributed execution
-//!    are one code path differing only in resource envelope, and their
-//!    outputs are bit-identical per `(stage_seed, threads, chunk,
-//!    workers)` — the committed determinism / `Exec`-equivalence / chaos
-//!    nets pin exactly this.
+//! 4. **Consequence.** In-process and distributed execution are one code
+//!    path differing only in resource envelope, and their outputs are
+//!    bit-identical for every `(threads, chunk, workers)` under one
+//!    `stage_seed` — the committed determinism / `Exec`-equivalence /
+//!    chaos nets pin exactly this.
 //!
 //! History: v1 privatized the sequential path through a per-report
 //! geometric sampler while `privatize_batch` went word-parallel — two
@@ -69,11 +69,12 @@
 //! fix-up. v4 moves the geometric/word-parallel crossover from 1/16 to
 //! the measured 1/64; only planes with `q` in `[1/64, 1/16)` — e.g.
 //! PTS-CP's validity plane at ε = 6 — draw differently. Each bump changed
-//! seeded estimates once, across all modes together; earlier contracts
+//! seeded estimates once, across all plans together; earlier contracts
 //! are refused, not emulated.
 
 use rand::rngs::StdRng;
 
+use crate::exec::Exec;
 use crate::parallel::{shard_rng, SHARD_SIZE};
 use crate::{Error, Result};
 
@@ -152,8 +153,8 @@ impl<S: ReportSource + ?Sized> ReportSource for &mut S {
 }
 
 /// Drains `source` to exhaustion into a fresh `Vec` — the materialization
-/// step of sequential-mode execution and of pipelines that must revisit
-/// their input (multi-round top-k mining).
+/// step of pipelines that must revisit their input (multi-round top-k
+/// mining) or need its length before they start.
 pub fn drain_source<S: ReportSource>(source: &mut S) -> Result<Vec<S::Item>> {
     // size_hint is advisory; clamp the upfront allocation so a
     // misreporting source cannot reserve unbounded memory before the
@@ -273,47 +274,25 @@ impl<S: ReportSource> ReportSource for Take<'_, S> {
     }
 }
 
-/// Execution parameters for the streaming executor.
-#[derive(Debug, Clone, Copy)]
-pub struct StreamConfig {
-    /// Items pulled (and held in memory) per chunk. Clamped to ≥ 1.
-    pub chunk_items: usize,
-    /// Worker thread cap for full shards within a chunk. Clamped to ≥ 1.
-    pub threads: usize,
-}
-
-impl StreamConfig {
-    /// Default chunk size ([`DEFAULT_CHUNK_ITEMS`]) with `threads` workers.
-    pub fn new(threads: usize) -> Self {
-        StreamConfig {
-            chunk_items: DEFAULT_CHUNK_ITEMS,
-            threads,
-        }
-    }
-
-    /// Overrides the chunk size.
-    pub fn with_chunk_items(mut self, chunk_items: usize) -> Self {
-        self.chunk_items = chunk_items;
-        self
-    }
-}
-
-/// Drains `source` in bounded chunks, folding every item into an
-/// accumulator with shard-deterministic RNG streams.
+/// Drains `source` in chunks of `plan`'s resolved chunk size, folding
+/// every item into an accumulator with shard-deterministic RNG streams.
 ///
 /// `f(rng, abs_index, items, acc)` processes one shard *fragment*: a run
 /// of consecutive items that all belong to the same absolute shard,
 /// starting at stream position `abs_index`. The RNG is positioned exactly
 /// where a batch run would have it: fresh [`shard_rng`]`(base_seed, s)` at
 /// a shard's first item, carried state mid-shard. Fragments of distinct
-/// shards run on up to `threads` workers, each folding into its own clone
+/// shards run on up to the plan's resolved thread count of workers, each
+/// folding into its own clone
 /// of `template`; partials are combined with `merge`.
 ///
-/// Memory: one `chunk_items` input buffer plus `threads` accumulator
-/// clones — independent of the stream length.
+/// Memory: one chunk-sized input buffer plus one accumulator clone per
+/// worker — independent of the stream length. The plan's seed is unused:
+/// `base_seed` is explicit because multi-stage pipelines derive one seed
+/// per stage.
 pub fn fold_stream<S, A, F, M>(
     source: &mut S,
-    config: StreamConfig,
+    plan: &Exec,
     base_seed: u64,
     template: &A,
     f: F,
@@ -326,8 +305,8 @@ where
     F: Fn(&mut StdRng, u64, &[S::Item], &mut A) -> Result<()> + Sync,
     M: Fn(&mut A, &A) -> Result<()>,
 {
-    let chunk_items = config.chunk_items.max(1);
-    let threads = config.threads.max(1);
+    let chunk_items = plan.resolved_chunk_items();
+    let threads = plan.resolved_threads();
     let mut acc = template.clone();
     let mut buf: Vec<S::Item> = Vec::with_capacity(chunk_items);
     let mut abs: u64 = 0;
@@ -438,7 +417,7 @@ where
 /// backbone of every aggregator's `absorb_stream`.
 pub fn absorb_stream_with<S, A, F, M>(
     source: &mut S,
-    config: StreamConfig,
+    plan: &Exec,
     template: &A,
     absorb: F,
     merge: M,
@@ -452,7 +431,7 @@ where
 {
     fold_stream(
         source,
-        config,
+        plan,
         0, // RNG stream unused by pure absorption
         template,
         |_rng, _abs, items, acc| absorb(acc, items),
@@ -516,10 +495,7 @@ mod tests {
         let mut source = SliceSource::new(items);
         fold_stream(
             &mut source,
-            StreamConfig {
-                chunk_items: chunk,
-                threads,
-            },
+            &Exec::new().threads(threads).chunk_size(chunk),
             base_seed,
             &(0u64, 0u64),
             |rng, _abs, items, acc| {
@@ -566,10 +542,7 @@ mod tests {
         };
         let got = fold_stream(
             &mut source,
-            StreamConfig {
-                chunk_items: 1000,
-                threads: 2,
-            },
+            &Exec::new().threads(2).chunk_size(1000),
             7,
             &(0u64, 0u64),
             |rng, _abs, items, acc| {
@@ -597,10 +570,7 @@ mod tests {
             let mut source = SliceSource::new(&items);
             let spans = fold_stream(
                 &mut source,
-                StreamConfig {
-                    chunk_items: chunk,
-                    threads: 1,
-                },
+                &Exec::new().threads(1).chunk_size(chunk),
                 0,
                 &Vec::<(u64, u64)>::new(),
                 |_rng, abs, items, acc| {
@@ -654,7 +624,7 @@ mod tests {
         let mut source = SliceSource::new(&items);
         let out = fold_stream(
             &mut source,
-            StreamConfig::new(4),
+            &Exec::new().threads(4),
             1,
             &123u64,
             |_, _, _, _| Ok(()),

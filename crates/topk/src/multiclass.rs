@@ -235,7 +235,7 @@ pub struct TopKResult {
 /// Stage `i` takes the `i`-th seed of a [`SplitMix64`] stream over the
 /// plan seed and fans out over fixed-size shards with derived per-shard
 /// RNGs, so the mined result is bit-identical for every thread count,
-/// chunk size and worker count. Sequential plans are this same runtime
+/// chunk size and worker count. A one-thread plan is this same runtime
 /// pinned to one worker (the RNG contract; see `mcim_oracles::stream`).
 struct Pace<'r, E: Executor> {
     /// Per-stage seed stream.
@@ -310,16 +310,16 @@ impl<E: Executor> Pace<'_, E> {
 /// Runs `method` under an [`Exec`] plan and returns per-class top-k items
 /// — the single entry point of the multi-class layer.
 ///
-/// Every mode fans each bulk privatize+aggregate stage out over
+/// Every plan fans each bulk privatize+aggregate stage out over
 /// fixed-size shards with RNG streams derived from the plan seed
 /// (the RNG contract), so the mined result is a pure function of
 /// `(method, config, domains, pairs, seed)` — bit-identical across
-/// sequential, batch, stream and distributed execution for every thread
-/// count and chunk size (the `MCIM_THREADS` CI matrix locks this in).
+/// in-process and distributed execution for every thread count and chunk
+/// size (the `MCIM_THREADS` CI matrix locks this in).
 ///
 /// Multi-round mining routes users into per-class groups that later
 /// rounds revisit, so the 8-byte pairs themselves are drained into memory
-/// (≈ 40 MB at the paper's 5M users) in every mode — but every privatized
+/// (≈ 40 MB at the paper's 5M users) under every plan — but every privatized
 /// report still lives only inside the sharded runtime's
 /// `O(threads × shard)` buffers, never as an `O(n)` slice, and the
 /// pull-based ingestion means the pairs can come straight off disk or a
@@ -343,8 +343,7 @@ where
 /// processes).
 ///
 /// Stage `i` of the pipeline takes the `i`-th seed of a [`SplitMix64`]
-/// stream over the executor's plan seed, exactly like [`execute`] with a
-/// sharded plan — the mined result is bit-identical for every conforming
+/// stream over the executor's plan seed, exactly like [`execute`] — the mined result is bit-identical for every conforming
 /// executor, thread count, chunk size and worker count. The PEM rounds run
 /// on the executor; the label-routing and bucket-shuffling stages fan out
 /// on local threads (output-per-input maps have no mergeable partials to
@@ -1118,7 +1117,7 @@ mod tests {
         let (domains, data) = skewed_dataset(120_000, 64);
         let config = TopKConfig::new(3, eps(8.0));
         for (i, method) in TopKMethod::fig7_set().into_iter().enumerate() {
-            let plan = Exec::sequential().seed(7 + i as u64);
+            let plan = Exec::seeded(7 + i as u64).threads(1);
             let result = execute(method, config, domains, &plan, SliceSource::new(&data)).unwrap();
             assert_eq!(result.per_class.len(), 3, "{}", method.name());
             for (c, items) in result.per_class.iter().enumerate() {
@@ -1152,7 +1151,7 @@ mod tests {
             },
             config,
             domains,
-            &Exec::sequential().seed(11),
+            &Exec::seeded(11).threads(1),
             SliceSource::new(&data),
         )
         .unwrap();
@@ -1179,7 +1178,7 @@ mod tests {
             TopKMethod::PtjShuffled { validity: true },
             config,
             domains,
-            &Exec::sequential().seed(13),
+            &Exec::seeded(13).threads(1),
             SliceSource::new(&data),
         )
         .unwrap();
@@ -1202,7 +1201,7 @@ mod tests {
                     method,
                     config,
                     domains,
-                    &Exec::batch().seed(13).threads(threads),
+                    &Exec::seeded(13).threads(threads),
                     SliceSource::new(&data),
                 )
             };
@@ -1241,7 +1240,7 @@ mod tests {
             },
             config,
             domains,
-            &Exec::batch().seed(23).threads(2),
+            &Exec::seeded(23).threads(2),
             SliceSource::new(&data),
         )
         .unwrap();
@@ -1257,7 +1256,7 @@ mod tests {
     #[test]
     fn rejects_degenerate_inputs() {
         let domains = Domains::new(2, 16).unwrap();
-        let plan = Exec::sequential().seed(0);
+        let plan = Exec::seeded(0).threads(1);
         let data = vec![LabelItem::new(0, 0)];
         assert!(execute(
             TopKMethod::Hec,
@@ -1288,7 +1287,7 @@ mod tests {
         }
         let config = TopKConfig::new(5, eps(4.0));
         for (i, method) in TopKMethod::fig7_set().into_iter().enumerate() {
-            let plan = Exec::sequential().seed(21 + i as u64);
+            let plan = Exec::seeded(21 + i as u64).threads(1);
             let result = execute(method, config, domains, &plan, SliceSource::new(&data)).unwrap();
             assert_eq!(result.per_class.len(), 3, "{}", method.name());
         }
@@ -1317,7 +1316,7 @@ mod tests {
             },
             config,
             domains,
-            &Exec::sequential().seed(31),
+            &Exec::seeded(31).threads(1),
             SliceSource::new(&data),
         )
         .unwrap();
@@ -1325,7 +1324,7 @@ mod tests {
             TopKMethod::PtjShuffled { validity: true },
             config,
             domains,
-            &Exec::sequential().seed(32),
+            &Exec::seeded(32).threads(1),
             SliceSource::new(&data),
         )
         .unwrap();

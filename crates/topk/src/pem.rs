@@ -506,16 +506,14 @@ impl PemEngine {
         self.prefix_len
     }
 
-    /// Runs one round under an [`Exec`] plan — the single entry point for
-    /// every execution mode. `source` yields each participating user's
+    /// Runs one round under an [`Exec`] plan. `source` yields each participating user's
     /// item (`None` = the user is invalid for this mining task, e.g. her
     /// label does not match the class being mined). Returns uplink
     /// statistics.
     ///
-    /// Under the RNG contract every mode folds the round's serializable
-    /// stage through the plan's in-process executor
-    /// ([`PemEngine::execute_round_on`]), so seed-equal plans are
-    /// bit-identical across modes, thread counts and chunk sizes.
+    /// The round's serializable stage folds through the plan's in-process
+    /// executor ([`PemEngine::execute_round_on`]), so seed-equal plans are
+    /// bit-identical across thread counts and chunk sizes.
     ///
     /// The plan seed is **this round's** seed: a multi-round driver must
     /// pass a distinct seed per round — reusing one plan verbatim replays
@@ -709,24 +707,21 @@ impl Pem {
         Ok(Pem { d, config })
     }
 
-    /// Mines the top-k under an [`Exec`] plan — the single entry point for
-    /// every execution mode. `None` items are invalid users.
+    /// Mines the top-k under an [`Exec`] plan. `None` items are invalid
+    /// users.
     ///
-    /// Every mode splits the source into one `⌈n/rounds⌉`-user group per
-    /// round (pulled straight off the source via [`Take`] — stream mode
-    /// never materializes a round group beyond one chunk) and runs round
-    /// `r` through [`PemEngine::execute_round_on`] with the `r`-th seed of
-    /// the [`SplitMix64`] stream over the plan seed; under the RNG contract
-    /// the modes are bit-identical to each other for every thread count
-    /// and chunk size. The round split needs the population size up
-    /// front, so sharded modes require a **sized** source; sequential
-    /// plans keep their historical unsized-source support by draining the
-    /// source first (they materialize anyway).
+    /// The source is split into one `⌈n/rounds⌉`-user group per round
+    /// (pulled straight off the source via [`Take`], so a round group is
+    /// never materialized beyond one chunk) and round `r` runs through
+    /// [`PemEngine::execute_round_on`] with the `r`-th seed of the
+    /// [`SplitMix64`] stream over the plan seed — bit-identical for every
+    /// thread count and chunk size. The round split needs the population
+    /// size up front, so an unsized source is drained first.
     pub fn execute<S>(&self, eps: Eps, plan: &Exec, mut source: S) -> Result<PemOutcome>
     where
         S: ReportSource<Item = Option<u32>>,
     {
-        if plan.is_sequential() && source.size_hint().is_none() {
+        if source.size_hint().is_none() {
             let items = drain_source(&mut source)?;
             return self.execute_on(
                 &plan.in_process(),
@@ -744,7 +739,7 @@ impl Pem {
     ///
     /// Round `r` runs through [`PemEngine::execute_round_on`] with the
     /// `r`-th seed of the [`SplitMix64`] stream over `base_seed`, exactly
-    /// like [`Pem::execute`] with a sharded plan seeded `base_seed` —
+    /// like [`Pem::execute`] with a plan seeded `base_seed` —
     /// bit-identical for every conforming executor. `base_seed` is
     /// explicit because multi-stage callers (the multi-class top-k
     /// methods) derive one seed per mining stage.
@@ -977,7 +972,7 @@ mod tests {
         let out = pem
             .execute(
                 eps(6.0),
-                &Exec::sequential().seed(42),
+                &Exec::seeded(42).threads(1),
                 SliceSource::new(&items),
             )
             .unwrap();
@@ -1007,7 +1002,7 @@ mod tests {
         let out = pem
             .execute(
                 eps(6.0),
-                &Exec::sequential().seed(43),
+                &Exec::seeded(43).threads(1),
                 SliceSource::new(&items),
             )
             .unwrap();
@@ -1035,7 +1030,7 @@ mod tests {
             let seq = pem
                 .execute(
                     eps(6.0),
-                    &Exec::batch().seed(11).threads(1),
+                    &Exec::seeded(11).threads(1),
                     SliceSource::new(&items),
                 )
                 .unwrap();
@@ -1043,7 +1038,7 @@ mod tests {
                 let par = pem
                     .execute(
                         eps(6.0),
-                        &Exec::batch().seed(11).threads(threads),
+                        &Exec::seeded(11).threads(threads),
                         SliceSource::new(&items),
                     )
                     .unwrap();
@@ -1076,7 +1071,7 @@ mod tests {
             engine
                 .execute_round(
                     eps(2.0),
-                    &Exec::sequential().seed(round),
+                    &Exec::seeded(round).threads(1),
                     SliceSource::new(&inputs),
                 )
                 .unwrap();
@@ -1143,7 +1138,7 @@ mod tests {
         let out = pem
             .execute(
                 eps(8.0),
-                &Exec::sequential().seed(44),
+                &Exec::seeded(44).threads(1),
                 SliceSource::new(&items),
             )
             .unwrap();

@@ -43,7 +43,7 @@ fn both_noise_tests_mine_successfully() {
             method,
             config,
             domains,
-            &Exec::sequential().seed(7),
+            &Exec::seeded(7).threads(1),
             SliceSource::new(&data),
         )
         .unwrap();
@@ -83,7 +83,7 @@ fn tests_agree_at_few_balanced_classes() {
             method,
             config,
             domains,
-            &Exec::sequential().seed(99),
+            &Exec::seeded(99).threads(1),
             SliceSource::new(&data),
         )
         .unwrap()

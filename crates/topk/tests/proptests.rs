@@ -64,7 +64,7 @@ proptest! {
             engine
                 .execute_round(
                     Eps::new(2.0).unwrap(),
-                    &Exec::sequential().seed(round_seed),
+                    &Exec::seeded(round_seed).threads(1),
                     SliceSource::new(&inputs),
                 )
                 .unwrap();
@@ -103,7 +103,7 @@ proptest! {
         .into_iter()
         .enumerate()
         {
-            let plan = Exec::sequential().seed(seed.wrapping_add(i as u64));
+            let plan = Exec::seeded(seed.wrapping_add(i as u64)).threads(1);
             let result = execute(method, config, domains, &plan, SliceSource::new(&data)).unwrap();
             prop_assert_eq!(result.per_class.len(), c as usize);
             for items in &result.per_class {

@@ -19,7 +19,7 @@ fn mean_f1(
         method,
         config,
         ds.domains,
-        &Exec::sequential().seed(seed),
+        &Exec::seeded(seed).threads(1),
         SliceSource::new(&ds.pairs),
     )
     .unwrap();
@@ -143,7 +143,7 @@ fn tiny_classes_favor_pts_over_ptj() {
         },
         config,
         ds.domains,
-        &Exec::sequential().seed(11),
+        &Exec::seeded(11).threads(1),
         SliceSource::new(&ds.pairs),
     )
     .unwrap();
@@ -151,7 +151,7 @@ fn tiny_classes_favor_pts_over_ptj() {
         TopKMethod::PtjPem { validity: false },
         config,
         ds.domains,
-        &Exec::sequential().seed(12),
+        &Exec::seeded(12).threads(1),
         SliceSource::new(&ds.pairs),
     )
     .unwrap();
@@ -197,7 +197,7 @@ fn ptj_optimizations_do_not_hurt() {
             TopKMethod::PtjPem { validity: false },
             config,
             ds.domains,
-            &Exec::sequential().seed(100 + t),
+            &Exec::seeded(100 + t).threads(1),
             SliceSource::new(&ds.pairs),
         )
         .unwrap();
@@ -205,7 +205,7 @@ fn ptj_optimizations_do_not_hurt() {
             TopKMethod::PtjShuffled { validity: true },
             config,
             ds.domains,
-            &Exec::sequential().seed(110 + t),
+            &Exec::seeded(110 + t).threads(1),
             SliceSource::new(&ds.pairs),
         )
         .unwrap();
@@ -238,7 +238,7 @@ fn mining_is_seed_deterministic() {
             },
             config,
             ds.domains,
-            &Exec::sequential().seed(555),
+            &Exec::seeded(555).threads(1),
             SliceSource::new(&ds.pairs),
         )
         .unwrap()

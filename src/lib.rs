@@ -68,8 +68,8 @@ pub mod prelude {
     };
     pub use mcim_dist::Coordinator;
     pub use mcim_metrics::{f1_at_k, ncr_at_k, rmse};
-    pub use mcim_oracles::exec::{Exec, ExecMode, Executor, InProcess};
-    pub use mcim_oracles::stream::{ReportSource, SliceSource, StreamConfig};
+    pub use mcim_oracles::exec::{Exec, Executor, InProcess};
+    pub use mcim_oracles::stream::{ReportSource, SliceSource};
     pub use mcim_oracles::{
         exec, parallel, stream, Aggregator, ColumnCounter, Eps, Error, Oracle, Result,
     };

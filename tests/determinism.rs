@@ -32,7 +32,7 @@ fn pts_cp_tables_identical_for_identical_seeds() {
     let fw = Framework::PtsCp { label_frac: 0.5 };
 
     let run = |seed: u64| {
-        fw.execute(eps, domains, &Exec::sequential().seed(seed), slice(&data))
+        fw.execute(eps, domains, &Exec::seeded(seed).threads(1), slice(&data))
             .unwrap()
     };
     let a = run(12345);
@@ -71,7 +71,7 @@ fn topk_mining_identical_for_identical_seeds() {
             method,
             config,
             domains,
-            &Exec::sequential().seed(seed),
+            &Exec::seeded(seed).threads(1),
             slice(&data),
         )
         .unwrap()
@@ -96,19 +96,14 @@ fn batch_plan_thread_matrix_is_bit_identical_for_every_framework() {
     let threads = parallel::configured_threads();
     for fw in Framework::fig6_set() {
         let seq = fw
-            .execute(
-                eps,
-                domains,
-                &Exec::batch().seed(2024).threads(1),
-                slice(&data),
-            )
+            .execute(eps, domains, &Exec::seeded(2024).threads(1), slice(&data))
             .unwrap();
         for t in [2, threads] {
             let par = fw
                 .execute(
                     eps,
                     domains,
-                    &Exec::batch().seed(2024).threads(t),
+                    &Exec::seeded(2024).threads(t).chunk_size(data.len()),
                     slice(&data),
                 )
                 .unwrap();
@@ -188,7 +183,7 @@ fn topk_batch_plan_thread_matrix_is_bit_identical() {
             method,
             config,
             domains,
-            &Exec::batch().seed(77).threads(1),
+            &Exec::seeded(77).threads(1),
             slice(&data),
         )
         .unwrap();
@@ -197,7 +192,7 @@ fn topk_batch_plan_thread_matrix_is_bit_identical() {
                 method,
                 config,
                 domains,
-                &Exec::batch().seed(77).threads(t),
+                &Exec::seeded(77).threads(t).chunk_size(data.len()),
                 slice(&data),
             )
             .unwrap();

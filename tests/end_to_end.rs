@@ -19,7 +19,7 @@ fn frequency_pipeline_on_syn1() {
     .into_iter()
     .enumerate()
     {
-        let plan = Exec::sequential().seed(41 + i as u64);
+        let plan = Exec::seeded(41 + i as u64).threads(1);
         let result = fw
             .execute(eps, ds.domains, &plan, SliceSource::new(&ds.pairs))
             .unwrap();
@@ -37,7 +37,7 @@ fn frequency_estimates_are_consistent_with_class_totals() {
         .execute(
             Eps::new(3.0).unwrap(),
             ds.domains,
-            &Exec::sequential().seed(42),
+            &Exec::seeded(42).threads(1),
             SliceSource::new(&ds.pairs),
         )
         .unwrap();
@@ -65,7 +65,7 @@ fn topk_pipeline_through_facade() {
         TopKMethod::PtjShuffled { validity: true },
         TopKConfig::new(k, Eps::new(8.0).unwrap()),
         ds.domains,
-        &Exec::sequential().seed(43),
+        &Exec::seeded(43).threads(1),
         SliceSource::new(&ds.pairs),
     )
     .unwrap();
@@ -84,7 +84,11 @@ fn error_paths_surface_cleanly() {
     assert!(Domains::new(0, 5).is_err());
     let domains = Domains::new(2, 4).unwrap();
     let bad = vec![LabelItem::new(5, 0)];
-    for plan in [Exec::sequential(), Exec::batch(), Exec::stream()] {
+    for plan in [
+        Exec::new().threads(1),
+        Exec::new().chunk_size(1),
+        Exec::new(),
+    ] {
         let result = Framework::Ptj.execute(
             Eps::new(1.0).unwrap(),
             domains,
@@ -125,7 +129,7 @@ fn deterministic_given_seed_across_the_stack() {
             .unwrap()
             .table
     };
-    for plan in [Exec::sequential().seed(123), Exec::seeded(123).threads(2)] {
+    for plan in [Exec::seeded(123).threads(1), Exec::seeded(123).threads(2)] {
         assert_eq!(run(plan).values(), run(plan).values(), "{plan}");
     }
 }

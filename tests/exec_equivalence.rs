@@ -1,27 +1,31 @@
-//! The `Exec` equivalence matrix under the RNG contract: every in-process
-//! mode of every `execute` entry point must be **bit-identical** to every
-//! other mode for the same plan seed.
+//! The `Exec` equivalence matrix under the RNG contract: every plan of
+//! every `execute` entry point must be **bit-identical** to every other
+//! plan with the same seed.
 //!
-//! | plan | machinery |
-//! |---|---|
-//! | `Exec::sequential().seed(s)` | sharded runtime pinned to 1 worker |
-//! | `Exec::batch().seed(s).threads(t)` | sharded runtime, materialized input |
-//! | `Exec::stream().seed(s).threads(t).chunk_size(c)` | sharded runtime, bounded chunks |
-//! | `Exec::seeded(s)` (auto) | resolves to stream |
-//!
-//! Each sharded comparison runs at two `(threads, chunk_size)`
-//! combinations, one of which splits shards mid-way; the distributed
-//! worker matrix (`crates/dist/tests`, `crates/cli/tests`) extends the
-//! same identity across process boundaries.
+//! An [`Exec`] plan is seed + threads + chunk size. Each test compares a
+//! one-thread, default-chunk reference against [`plans`]: threads
+//! {1, 4} × chunk {one short of a shard, one past a shard, the whole
+//! source}, plus the unset (environment-resolved) thread count. The
+//! distributed worker matrix (`crates/dist/tests`, `crates/cli/tests`)
+//! extends the same identity across process boundaries.
 
 use multiclass_ldp::prelude::*;
 use multiclass_ldp::topk::{Pem, PemConfig, PemEngine};
 
 const SHARD: usize = parallel::SHARD_SIZE;
 
-/// The acceptance combos: sequential-ish and parallel, with chunk sizes
-/// on both sides of a shard boundary.
-const COMBOS: [(usize, usize); 2] = [(1, SHARD - 1), (4, SHARD + 1)];
+/// The matrix every test runs against its one-thread reference: chunk
+/// sizes on both sides of a shard boundary and the whole `n`-item source,
+/// at one and four threads, plus the default plan.
+fn plans(seed: u64, n: usize) -> Vec<Exec> {
+    let mut plans = vec![Exec::seeded(seed)];
+    for threads in [1, 4] {
+        for chunk in [SHARD - 1, SHARD + 1, n] {
+            plans.push(Exec::seeded(seed).threads(threads).chunk_size(chunk));
+        }
+    }
+    plans
+}
 
 fn sample_pairs(domains: Domains, n: usize) -> Vec<LabelItem> {
     (0..n)
@@ -58,76 +62,15 @@ fn framework_execute_is_mode_invariant() {
     let eps = Eps::new(2.0).unwrap();
     let seed = 0xE0_2024;
     for fw in Framework::fig6_set() {
-        // Reference: the batch plan at one thread.
-        let reference = fw
-            .execute(
-                eps,
-                domains,
-                &Exec::batch().seed(seed).threads(1),
-                SliceSource::new(&data),
+        let run = |plan: &Exec| {
+            EstimationResultPair(
+                fw.execute(eps, domains, plan, SliceSource::new(&data))
+                    .unwrap(),
             )
-            .unwrap();
-        let reference = EstimationResultPair(reference);
-        let exec_seq = fw
-            .execute(
-                eps,
-                domains,
-                &Exec::sequential().seed(seed),
-                SliceSource::new(&data),
-            )
-            .unwrap();
-        assert_tables_identical(
-            &reference,
-            &EstimationResultPair(exec_seq),
-            &format!("{} sequential vs batch", fw.name()),
-        );
-
-        for (threads, chunk) in COMBOS {
-            let exec_batch = fw
-                .execute(
-                    eps,
-                    domains,
-                    &Exec::batch().seed(seed).threads(threads),
-                    SliceSource::new(&data),
-                )
-                .unwrap();
-            let exec_stream = fw
-                .execute(
-                    eps,
-                    domains,
-                    &Exec::stream().seed(seed).threads(threads).chunk_size(chunk),
-                    SliceSource::new(&data),
-                )
-                .unwrap();
-            let exec_auto = fw
-                .execute(
-                    eps,
-                    domains,
-                    &Exec::seeded(seed).threads(threads).chunk_size(chunk),
-                    SliceSource::new(&data),
-                )
-                .unwrap();
-            let exec_seq_chunked = fw
-                .execute(
-                    eps,
-                    domains,
-                    &Exec::sequential().seed(seed).chunk_size(chunk),
-                    SliceSource::new(&data),
-                )
-                .unwrap();
-            let what = format!("{} t={threads} chunk={chunk}", fw.name());
-            for (label, result) in [
-                ("batch", exec_batch),
-                ("stream", exec_stream),
-                ("auto", exec_auto),
-                ("sequential+chunk", exec_seq_chunked),
-            ] {
-                assert_tables_identical(
-                    &reference,
-                    &EstimationResultPair(result),
-                    &format!("{what} [{label} vs reference]"),
-                );
-            }
+        };
+        let reference = run(&Exec::seeded(seed).threads(1));
+        for plan in plans(seed, data.len()) {
+            assert_tables_identical(&reference, &run(&plan), &format!("{} [{plan}]", fw.name()));
         }
     }
 }
@@ -152,49 +95,20 @@ fn pem_engine_execute_round_is_mode_invariant() {
         } else {
             PemConfig::new(4)
         };
-        let fresh = || PemEngine::new(d, config).unwrap();
-
-        // Reference: one sequential round.
-        let mut reference = fresh();
-        let reference_comm = reference
-            .execute_round(
-                eps,
-                &Exec::sequential().seed(seed),
-                SliceSource::new(&items),
-            )
-            .unwrap();
-
-        for (threads, chunk) in COMBOS {
-            let what = format!("validity={validity} t={threads} chunk={chunk}");
-            let (mut exec_b, mut exec_s, mut exec_a) = (fresh(), fresh(), fresh());
-            let comm_b = exec_b
-                .execute_round(
-                    eps,
-                    &Exec::batch().seed(seed).threads(threads),
-                    SliceSource::new(&items),
-                )
+        let run = |plan: &Exec| {
+            let mut engine = PemEngine::new(d, config).unwrap();
+            let comm = engine
+                .execute_round(eps, plan, SliceSource::new(&items))
                 .unwrap();
-            let comm_s = exec_s
-                .execute_round(
-                    eps,
-                    &Exec::stream().seed(seed).threads(threads).chunk_size(chunk),
-                    SliceSource::new(&items),
-                )
-                .unwrap();
-            let comm_a = exec_a
-                .execute_round(
-                    eps,
-                    &Exec::seeded(seed).threads(threads).chunk_size(chunk),
-                    SliceSource::new(&items),
-                )
-                .unwrap();
-            assert_eq!(reference_comm, comm_b, "{what} batch comm");
-            assert_eq!(reference_comm, comm_s, "{what} stream comm");
-            assert_eq!(reference_comm, comm_a, "{what} auto comm");
-            assert_eq!(reference.candidates(), exec_b.candidates(), "{what}");
-            assert_eq!(reference.candidates(), exec_s.candidates(), "{what}");
-            assert_eq!(reference.candidates(), exec_a.candidates(), "{what}");
-            assert_eq!(reference.prefix_len(), exec_b.prefix_len(), "{what}");
+            (comm, engine)
+        };
+        let (reference_comm, reference) = run(&Exec::seeded(seed).threads(1));
+        for plan in plans(seed, items.len()) {
+            let what = format!("validity={validity} [{plan}]");
+            let (comm, engine) = run(&plan);
+            assert_eq!(reference_comm, comm, "{what} comm");
+            assert_eq!(reference.candidates(), engine.candidates(), "{what}");
+            assert_eq!(reference.prefix_len(), engine.prefix_len(), "{what}");
         }
     }
 }
@@ -215,46 +129,13 @@ fn pem_execute_is_mode_invariant() {
         .collect();
     for config in [PemConfig::new(4), PemConfig::new(4).with_validity()] {
         let pem = Pem::new(d, config).unwrap();
-
-        let reference = pem
-            .execute(
-                eps,
-                &Exec::sequential().seed(seed),
-                SliceSource::new(&items),
-            )
-            .unwrap();
-
-        for (threads, chunk) in COMBOS {
-            let what = format!("validity={} t={threads} chunk={chunk}", config.validity);
-            let exec_batch = pem
-                .execute(
-                    eps,
-                    &Exec::batch().seed(seed).threads(threads),
-                    SliceSource::new(&items),
-                )
-                .unwrap();
-            let exec_stream = pem
-                .execute(
-                    eps,
-                    &Exec::stream().seed(seed).threads(threads).chunk_size(chunk),
-                    SliceSource::new(&items),
-                )
-                .unwrap();
-            let exec_auto = pem
-                .execute(
-                    eps,
-                    &Exec::seeded(seed).threads(threads).chunk_size(chunk),
-                    SliceSource::new(&items),
-                )
-                .unwrap();
-            for (label, out) in [
-                ("batch", &exec_batch),
-                ("stream", &exec_stream),
-                ("auto", &exec_auto),
-            ] {
-                assert_eq!(reference.top, out.top, "{what} [{label}]");
-                assert_eq!(reference.comm, out.comm, "{what} [{label}]");
-            }
+        let run = |plan: &Exec| pem.execute(eps, plan, SliceSource::new(&items)).unwrap();
+        let reference = run(&Exec::seeded(seed).threads(1));
+        for plan in plans(seed, items.len()) {
+            let what = format!("validity={} [{plan}]", config.validity);
+            let out = run(&plan);
+            assert_eq!(reference.top, out.top, "{what}");
+            assert_eq!(reference.comm, out.comm, "{what}");
         }
     }
 }
@@ -278,61 +159,26 @@ fn topk_execute_is_mode_invariant() {
             correlated: true,
         },
     ] {
-        let reference = execute(
-            method,
-            config,
-            domains,
-            &Exec::sequential().seed(seed),
-            SliceSource::new(&data),
-        )
-        .unwrap();
-
-        for (threads, chunk) in COMBOS {
-            let what = format!("{} t={threads} chunk={chunk}", method.name());
-            let exec_batch = execute(
-                method,
-                config,
-                domains,
-                &Exec::batch().seed(seed).threads(threads),
-                SliceSource::new(&data),
-            )
-            .unwrap();
-            let exec_stream = execute(
-                method,
-                config,
-                domains,
-                &Exec::stream().seed(seed).threads(threads).chunk_size(chunk),
-                SliceSource::new(&data),
-            )
-            .unwrap();
-            let exec_auto = execute(
-                method,
-                config,
-                domains,
-                &Exec::seeded(seed).threads(threads).chunk_size(chunk),
-                SliceSource::new(&data),
-            )
-            .unwrap();
-            for (label, out) in [
-                ("batch", &exec_batch),
-                ("stream", &exec_stream),
-                ("auto", &exec_auto),
-            ] {
-                assert_eq!(reference.per_class, out.per_class, "{what} [{label}]");
-                assert_eq!(reference.comm, out.comm, "{what} [{label}]");
-                assert!(
-                    (reference.broadcast_bits_per_user - out.broadcast_bits_per_user).abs() == 0.0,
-                    "{what} [{label}]"
-                );
-            }
+        let run =
+            |plan: &Exec| execute(method, config, domains, plan, SliceSource::new(&data)).unwrap();
+        let reference = run(&Exec::seeded(seed).threads(1));
+        for plan in plans(seed, data.len()) {
+            let what = format!("{} [{plan}]", method.name());
+            let out = run(&plan);
+            assert_eq!(reference.per_class, out.per_class, "{what}");
+            assert_eq!(reference.comm, out.comm, "{what}");
+            assert!(
+                (reference.broadcast_bits_per_user - out.broadcast_bits_per_user).abs() == 0.0,
+                "{what}"
+            );
         }
     }
 }
 
-/// Under the RNG contract sequential mode IS the sharded runtime pinned to
-/// one worker — the modes share one noise stream, so a sequential run and
-/// a multi-threaded batch run of the same seed must agree bit-for-bit
-/// (pre-v2, sequential kept a separate caller-RNG stream and this test
+/// A one-thread plan IS the sharded runtime pinned to one worker — every
+/// plan shares one noise stream, so a one-thread run and a two-thread
+/// whole-source run of the same seed must agree bit-for-bit (pre-v2, the
+/// one-thread path kept a separate caller-RNG stream and this test
 /// asserted the opposite).
 #[test]
 fn sequential_and_sharded_modes_share_one_stream() {
@@ -343,7 +189,7 @@ fn sequential_and_sharded_modes_share_one_stream() {
         .execute(
             eps,
             domains,
-            &Exec::sequential().seed(1),
+            &Exec::seeded(1).threads(1),
             SliceSource::new(&data),
         )
         .unwrap();
@@ -351,7 +197,7 @@ fn sequential_and_sharded_modes_share_one_stream() {
         .execute(
             eps,
             domains,
-            &Exec::batch().seed(1).threads(2),
+            &Exec::seeded(1).threads(2).chunk_size(data.len()),
             SliceSource::new(&data),
         )
         .unwrap();
@@ -360,7 +206,7 @@ fn sequential_and_sharded_modes_share_one_stream() {
         for i in 0..domains.items() {
             assert!(
                 seq.table.get(l, i) == batch.table.get(l, i),
-                "sequential and batch diverged at ({l},{i})"
+                "one-thread and whole-source runs diverged at ({l},{i})"
             );
         }
     }

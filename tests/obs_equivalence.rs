@@ -2,7 +2,8 @@
 //! invisible to every estimate, and the snapshots themselves must be
 //! deterministic.
 //!
-//! Two claims are pinned here, across all four `Exec` modes:
+//! Two claims are pinned here, across a matrix of `Exec` plans (threads
+//! {1, 4} × chunk {one short of a shard, one past, the whole source}):
 //!
 //! 1. **Bit-identity on/off.** A pipeline run with the global registry
 //!    recording is bit-identical to the same run with recording off —
@@ -39,17 +40,16 @@ fn sample_pairs(domains: Domains, n: usize) -> Vec<LabelItem> {
         .collect()
 }
 
-/// The four execution modes, each as a fully pinned plan.
-fn all_mode_plans(seed: u64) -> [(&'static str, Exec); 4] {
-    [
-        ("auto", Exec::seeded(seed).threads(4).chunk_size(SHARD + 1)),
-        ("sequential", Exec::sequential().seed(seed)),
-        ("batch", Exec::batch().seed(seed).threads(4)),
-        (
-            "stream",
-            Exec::stream().seed(seed).threads(4).chunk_size(SHARD - 1),
-        ),
-    ]
+/// Fully pinned plans: one and four threads, each with chunks on both
+/// sides of a shard boundary and one holding the whole `n`-item source.
+fn plans(seed: u64, n: usize) -> Vec<Exec> {
+    let mut plans = Vec::new();
+    for threads in [1, 4] {
+        for chunk in [SHARD - 1, SHARD + 1, n] {
+            plans.push(Exec::seeded(seed).threads(threads).chunk_size(chunk));
+        }
+    }
+    plans
 }
 
 /// Runs PTS-CP under `plan` with recording toggled as asked; returns the
@@ -87,14 +87,14 @@ fn metrics_on_and_off_are_bit_identical_in_every_mode() {
     let _guard = OBS_STATE.lock().unwrap_or_else(|p| p.into_inner());
     let domains = Domains::new(3, 32).unwrap();
     let data = sample_pairs(domains, SHARD + 700);
-    for (mode, plan) in all_mode_plans(0x0B5_2025) {
+    for plan in plans(0x0B5_2025, data.len()) {
         let (off, off_snap) = run(&plan, &data, domains, false);
         let (on, on_snap) = run(&plan, &data, domains, true);
-        assert_eq!(off, on, "{mode}: recording metrics changed the estimates");
-        assert!(off_snap.is_empty(), "{mode}: disabled run left a snapshot");
+        assert_eq!(off, on, "{plan}: recording metrics changed the estimates");
+        assert!(off_snap.is_empty(), "{plan}: disabled run left a snapshot");
         assert!(
             on_snap.counters.contains_key("mcim_folds_total"),
-            "{mode}: enabled run recorded nothing"
+            "{plan}: enabled run recorded nothing"
         );
     }
 }
@@ -104,7 +104,7 @@ fn identical_runs_snapshot_identically_modulo_timing() {
     let _guard = OBS_STATE.lock().unwrap_or_else(|p| p.into_inner());
     let domains = Domains::new(3, 32).unwrap();
     let data = sample_pairs(domains, SHARD + 700);
-    for (mode, plan) in all_mode_plans(0x0B5_2026) {
+    for plan in plans(0x0B5_2026, data.len()) {
         // Real clock vs a manual clock at rest: every timing field
         // differs, everything work-derived must not.
         obs::set_clock(&MONOTONIC);
@@ -115,18 +115,18 @@ fn identical_runs_snapshot_identically_modulo_timing() {
         assert_eq!(
             real.without_timing(),
             manual_a.without_timing(),
-            "{mode}: snapshots diverged beyond timing fields"
+            "{plan}: snapshots diverged beyond timing fields"
         );
         // Under the injected clock the whole snapshot is reproducible,
         // histogram sums and buckets included.
         assert_eq!(
             manual_a, manual_b,
-            "{mode}: identical runs under a manual clock diverged"
+            "{plan}: identical runs under a manual clock diverged"
         );
         // Sanity: the timing strip keeps counts but zeroes durations.
         for (key, h) in &manual_a.histograms {
-            assert!(h.count > 0, "{mode}: {key} observed nothing");
-            assert_eq!(h.sum, 0, "{mode}: manual clock at rest must sum to 0");
+            assert!(h.count > 0, "{plan}: {key} observed nothing");
+            assert_eq!(h.sum, 0, "{plan}: manual clock at rest must sum to 0");
         }
     }
     obs::set_clock(&MONOTONIC);
@@ -140,8 +140,8 @@ fn pem_round_counters_are_work_derived_and_mode_invariant() {
         .collect();
     let pem = Pem::new(128, PemConfig::new(4)).unwrap();
     obs::set_clock(&MANUAL);
-    let mut per_mode = Vec::new();
-    for (mode, plan) in all_mode_plans(0x0B5_2027) {
+    let mut per_plan = Vec::new();
+    for plan in plans(0x0B5_2027, items.len()) {
         obs::reset();
         obs::set_enabled(true);
         let result = pem
@@ -150,15 +150,15 @@ fn pem_round_counters_are_work_derived_and_mode_invariant() {
         obs::set_enabled(false);
         let snap = obs::snapshot();
         obs::reset();
-        per_mode.push((mode, result.top.clone(), snap.without_timing()));
+        per_plan.push((plan, result.top.clone(), snap.without_timing()));
     }
-    let (first_mode, first_top, first_snap) = &per_mode[0];
-    for (mode, top, snap) in &per_mode[1..] {
-        assert_eq!(top, first_top, "{mode} vs {first_mode}: results");
+    let (first_plan, first_top, first_snap) = &per_plan[0];
+    for (plan, top, snap) in &per_plan[1..] {
+        assert_eq!(top, first_top, "{plan} vs {first_plan}: results");
         assert_eq!(
             snap.counters.get("mcim_pem_rounds_total"),
             first_snap.counters.get("mcim_pem_rounds_total"),
-            "{mode} vs {first_mode}: PEM round counts"
+            "{plan} vs {first_plan}: PEM round counts"
         );
     }
     assert!(

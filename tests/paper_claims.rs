@@ -54,7 +54,7 @@ fn claim_variance_grows_with_class_size() {
             .execute(
                 eps,
                 ds.domains,
-                &Exec::sequential().seed(1000 + t),
+                &Exec::seeded(1000 + t).threads(1),
                 SliceSource::new(&ds.pairs),
             )
             .unwrap();
@@ -92,7 +92,7 @@ fn claim_global_candidates_rescue_tiny_classes() {
             },
             config,
             ds.domains,
-            &Exec::sequential().seed(2000 + t),
+            &Exec::seeded(2000 + t).threads(1),
             SliceSource::new(&ds.pairs),
         )
         .unwrap();
@@ -100,7 +100,7 @@ fn claim_global_candidates_rescue_tiny_classes() {
             TopKMethod::PtjPem { validity: false },
             config,
             ds.domains,
-            &Exec::sequential().seed(2100 + t),
+            &Exec::seeded(2100 + t).threads(1),
             SliceSource::new(&ds.pairs),
         )
         .unwrap();
@@ -122,7 +122,7 @@ fn claim_ptj_pays_c_times_uplink() {
     let domains = Domains::new(8, 512).unwrap();
     let data: Vec<LabelItem> = (0..500).map(|u| LabelItem::new(u % 8, u % 512)).collect();
     let eps = Eps::new(1.0).unwrap();
-    let plan = Exec::sequential().seed(3000);
+    let plan = Exec::seeded(3000).threads(1);
     let ptj = Framework::Ptj
         .execute(eps, domains, &plan, SliceSource::new(&data))
         .unwrap();
@@ -155,7 +155,7 @@ fn claim_noise_test_keeps_all_classes_functional() {
         },
         config,
         ds.domains,
-        &Exec::sequential().seed(4000),
+        &Exec::seeded(4000).threads(1),
         SliceSource::new(&ds.pairs),
     )
     .unwrap();

@@ -69,7 +69,7 @@ fn degenerate_domains_work_end_to_end() {
     let domains = Domains::new(1, 1).unwrap();
     let data = vec![LabelItem::new(0, 0); 1_000];
     for (i, fw) in Framework::fig6_set().into_iter().enumerate() {
-        let plan = Exec::sequential().seed(2 + i as u64);
+        let plan = Exec::seeded(2 + i as u64).threads(1);
         let result = fw
             .execute(
                 Eps::new(1.0).unwrap(),
@@ -96,7 +96,7 @@ fn single_user_dataset_does_not_panic() {
         .execute(
             Eps::new(1.0).unwrap(),
             domains,
-            &Exec::sequential().seed(3),
+            &Exec::seeded(3).threads(1),
             SliceSource::new(&data),
         )
         .is_err());
@@ -113,7 +113,7 @@ fn single_user_dataset_does_not_panic() {
             .execute(
                 Eps::new(1.0).unwrap(),
                 domains,
-                &Exec::sequential().seed(4 + i as u64),
+                &Exec::seeded(4 + i as u64).threads(1),
                 SliceSource::new(&data),
             )
             .unwrap();
@@ -135,7 +135,7 @@ fn k_larger_than_domain_is_served_gracefully() {
         .collect();
     let config = TopKConfig::new(20, Eps::new(4.0).unwrap()); // k = 20 > d = 8
     for (i, method) in TopKMethod::fig7_set().into_iter().enumerate() {
-        let plan = Exec::sequential().seed(40 + i as u64);
+        let plan = Exec::seeded(40 + i as u64).threads(1);
         let result = execute(method, config, domains, &plan, SliceSource::new(&data)).unwrap();
         for (c, items) in result.per_class.iter().enumerate() {
             assert!(
@@ -165,7 +165,7 @@ fn all_users_in_one_class_leaves_other_classes_quiet() {
         },
         config,
         domains,
-        &Exec::sequential().seed(5),
+        &Exec::seeded(5).threads(1),
         SliceSource::new(&data),
     )
     .unwrap();
@@ -192,7 +192,7 @@ fn extreme_budgets_behave() {
         .execute(
             Eps::new(0.01).unwrap(),
             domains,
-            &Exec::sequential().seed(6),
+            &Exec::seeded(6).threads(1),
             SliceSource::new(&data),
         )
         .unwrap();
@@ -202,7 +202,7 @@ fn extreme_budgets_behave() {
         .execute(
             Eps::new(20.0).unwrap(),
             domains,
-            &Exec::sequential().seed(7),
+            &Exec::seeded(7).threads(1),
             SliceSource::new(&data),
         )
         .unwrap();

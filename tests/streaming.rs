@@ -1,12 +1,13 @@
 //! Streaming-ingestion equivalence: every `*_stream` API must produce
-//! **bit-identical** results to its `*_batch` counterpart, for every chunk
-//! size (including ones that split shards) and every thread count. The CI
-//! thread matrix runs this file under `MCIM_THREADS=1` and `=4`.
+//! **bit-identical** results to its `*_batch` counterpart, and every plan
+//! to the one that holds the whole source in a single chunk, for every
+//! chunk size (including ones that split shards) and every thread count.
+//! The CI thread matrix runs this file under `MCIM_THREADS=1` and `=4`.
 
 use multiclass_ldp::core::frameworks::{
     Hec, HecAggregator, Ptj, PtjAggregator, Pts, PtsAggregator,
 };
-use multiclass_ldp::oracles::stream::{SliceSource, StreamConfig};
+use multiclass_ldp::oracles::stream::{ReportSource, SliceSource};
 use multiclass_ldp::prelude::*;
 use multiclass_ldp::topk::{Pem, PemConfig};
 
@@ -23,8 +24,8 @@ fn sample_data(domains: Domains, n: usize) -> Vec<LabelItem> {
         .collect()
 }
 
-fn config(chunk: usize, threads: usize) -> StreamConfig {
-    StreamConfig::new(threads).with_chunk_items(chunk)
+fn config(chunk: usize, threads: usize) -> Exec {
+    Exec::new().threads(threads).chunk_size(chunk)
 }
 
 /// Chunk sizes that hit every boundary case: single item, one short of a
@@ -50,7 +51,7 @@ fn aggregator_absorb_stream_matches_batch_for_every_oracle() {
             for threads in [1, 4] {
                 let mut streamed = Aggregator::new(&oracle);
                 streamed
-                    .absorb_stream(&mut SliceSource::new(&reports), config(chunk, threads))
+                    .absorb_stream(&mut SliceSource::new(&reports), &config(chunk, threads))
                     .unwrap();
                 assert_eq!(
                     streamed.raw_counts(),
@@ -85,7 +86,7 @@ fn vp_and_cp_absorb_stream_match_batch() {
     for threads in [1, 4] {
         let mut streamed = VpAggregator::new(&vp);
         streamed
-            .absorb_stream(&mut SliceSource::new(&reports), config(SHARD + 1, threads))
+            .absorb_stream(&mut SliceSource::new(&reports), &config(SHARD + 1, threads))
             .unwrap();
         assert_eq!(
             streamed.raw_counts(),
@@ -105,7 +106,7 @@ fn vp_and_cp_absorb_stream_match_batch() {
     for threads in [1, 4] {
         let mut streamed = CpAggregator::new(&cp);
         streamed
-            .absorb_stream(&mut SliceSource::new(&reports), config(SHARD - 1, threads))
+            .absorb_stream(&mut SliceSource::new(&reports), &config(SHARD - 1, threads))
             .unwrap();
         assert_eq!(streamed.report_count(), batch.report_count());
         for label in 0..domains.classes() {
@@ -143,7 +144,7 @@ fn pts_ptj_hec_absorb_stream_match_batch() {
     for threads in [1, 4] {
         let mut streamed = PtsAggregator::new(&pts);
         streamed
-            .absorb_stream(&mut SliceSource::new(&reports), config(SHARD + 1, threads))
+            .absorb_stream(&mut SliceSource::new(&reports), &config(SHARD + 1, threads))
             .unwrap();
         assert_eq!(streamed.estimate().get(1, 2), batch.estimate().get(1, 2));
         assert_eq!(streamed.report_count(), batch.report_count());
@@ -156,7 +157,7 @@ fn pts_ptj_hec_absorb_stream_match_batch() {
     for threads in [1, 4] {
         let mut streamed = PtjAggregator::new(&ptj);
         streamed
-            .absorb_stream(&mut SliceSource::new(&reports), config(SHARD - 1, threads))
+            .absorb_stream(&mut SliceSource::new(&reports), &config(SHARD - 1, threads))
             .unwrap();
         assert_eq!(streamed.estimate().get(2, 3), batch.estimate().get(2, 3));
         assert_eq!(streamed.report_count(), batch.report_count());
@@ -169,7 +170,7 @@ fn pts_ptj_hec_absorb_stream_match_batch() {
     for threads in [1, 4] {
         let mut streamed = HecAggregator::new(&hec);
         streamed
-            .absorb_stream(&mut SliceSource::new(&reports), config(SHARD + 1, threads))
+            .absorb_stream(&mut SliceSource::new(&reports), &config(SHARD + 1, threads))
             .unwrap();
         assert_eq!(
             streamed.estimate().unwrap().get(0, 1),
@@ -179,7 +180,7 @@ fn pts_ptj_hec_absorb_stream_match_batch() {
     }
 }
 
-/// The chunk-boundary property: a stream plan equals a batch plan
+/// The chunk-boundary property: every plan equals the whole-source plan
 /// bit-for-bit at chunk sizes 1, shard−1, shard, shard+1 and n, for every
 /// framework (RNG state must carry correctly across split shards).
 #[test]
@@ -194,13 +195,13 @@ fn stream_plans_match_batch_plans_at_every_chunk_boundary() {
             .execute(
                 eps,
                 domains,
-                &Exec::batch().seed(2025).threads(threads),
+                &Exec::seeded(2025).threads(threads).chunk_size(n),
                 SliceSource::new(&data),
             )
             .unwrap();
         for chunk in boundary_chunks(n) {
             for t in [1, threads] {
-                let plan = Exec::stream().seed(2025).threads(t).chunk_size(chunk);
+                let plan = Exec::seeded(2025).threads(t).chunk_size(chunk);
                 let streamed = fw
                     .execute(eps, domains, &plan, SliceSource::new(&data))
                     .unwrap();
@@ -243,13 +244,13 @@ fn pem_stream_plans_match_batch_plans() {
         let batch = pem
             .execute(
                 eps,
-                &Exec::batch().seed(55).threads(2),
+                &Exec::seeded(55).threads(2).chunk_size(n),
                 SliceSource::new(&items),
             )
             .unwrap();
         for chunk in [997, SHARD, n] {
             for threads in [1, 4] {
-                let plan = Exec::stream().seed(55).threads(threads).chunk_size(chunk);
+                let plan = Exec::seeded(55).threads(threads).chunk_size(chunk);
                 let streamed = pem.execute(eps, &plan, SliceSource::new(&items)).unwrap();
                 assert_eq!(
                     streamed.top, batch.top,
@@ -262,26 +263,59 @@ fn pem_stream_plans_match_batch_plans() {
     }
 }
 
+/// A source that hides its length, like a socket or a pipe would.
+struct Unsized<'a>(SliceSource<'a, Option<u32>>);
+
+impl ReportSource for Unsized<'_> {
+    type Item = Option<u32>;
+    fn fill(&mut self, buf: &mut Vec<Option<u32>>, max: usize) -> Result<usize> {
+        self.0.fill(buf, max)
+    }
+}
+
 #[test]
 fn pem_sharded_execute_requires_sized_source() {
-    struct Unsized;
-    impl multiclass_ldp::oracles::stream::ReportSource for Unsized {
-        type Item = Option<u32>;
-        fn fill(&mut self, _: &mut Vec<Option<u32>>, _: usize) -> Result<usize> {
-            Ok(0)
-        }
-    }
+    let items: Vec<Option<u32>> = (0..100).map(|u| Some(u % 64)).collect();
     let pem = Pem::new(64, PemConfig::new(2)).unwrap();
+    let plan = Exec::seeded(1);
+    // An explicit executor splits rounds up front and needs the size …
     let err = pem
-        .execute(Eps::new(1.0).unwrap(), &Exec::stream().seed(1), Unsized)
+        .execute_on(
+            &plan.in_process(),
+            Eps::new(1.0).unwrap(),
+            1,
+            Unsized(SliceSource::new(&items)),
+        )
         .unwrap_err();
     assert!(matches!(err, Error::InvalidParameter { .. }));
-    // Sequential plans drain the source instead and do not need a size.
-    assert!(
-        pem.execute(Eps::new(1.0).unwrap(), &Exec::sequential().seed(1), Unsized)
-            .is_ok(),
-        "sequential plans work on unsized sources"
-    );
+    // … while `execute` drains an unsized source first.
+    assert!(pem
+        .execute(
+            Eps::new(1.0).unwrap(),
+            &plan,
+            Unsized(SliceSource::new(&items))
+        )
+        .is_ok());
+}
+
+/// `Pem::execute` mines an unsized source bit-identically to the same
+/// items behind a sized `SliceSource`, at every thread count.
+#[test]
+fn pem_execute_drains_unsized_sources_under_every_plan() {
+    let items: Vec<Option<u32>> = (0..SHARD + 1500)
+        .map(|u| (u % 6 != 0).then_some(((u * 17) % 50) as u32))
+        .collect();
+    let eps = Eps::new(4.0).unwrap();
+    let pem = Pem::new(128, PemConfig::new(4).with_validity()).unwrap();
+    for threads in [1, 4] {
+        let plan = Exec::seeded(12).threads(threads);
+        let sized = pem.execute(eps, &plan, SliceSource::new(&items)).unwrap();
+        let drained = pem
+            .execute(eps, &plan, Unsized(SliceSource::new(&items)))
+            .unwrap();
+        assert_eq!(drained.top, sized.top, "threads={threads}");
+        assert_eq!(drained.comm, sized.comm, "threads={threads}");
+    }
 }
 
 #[test]
@@ -301,12 +335,12 @@ fn topk_stream_plans_match_batch_plans() {
             method,
             config_k,
             domains,
-            &Exec::batch().seed(31).threads(2),
+            &Exec::seeded(31).threads(2).chunk_size(data.len()),
             SliceSource::new(&data),
         )
         .unwrap();
         for threads in [1, 4] {
-            let plan = Exec::stream().seed(31).threads(threads).chunk_size(4096);
+            let plan = Exec::seeded(31).threads(threads).chunk_size(4096);
             let streamed =
                 execute(method, config_k, domains, &plan, SliceSource::new(&data)).unwrap();
             assert_eq!(

@@ -29,7 +29,7 @@
 //!   [`stream::ReportSource`]s, bit-identical to the batch APIs for every
 //!   chunk size and thread count,
 //! * [`exec`] — declarative [`Exec`] execution plans (seed / threads /
-//!   chunk / mode), serializable [`exec::Stage`] fold objects, and the
+//!   chunk), serializable [`exec::Stage`] fold objects, and the
 //!   [`Executor`] backend trait every pipeline's `execute` entry point
 //!   runs on ([`InProcess`] here; the multi-process `Coordinator` in
 //!   `mcim-dist`),

@@ -1,13 +1,13 @@
-//! Oracle privatize/aggregate throughput: the batch runtime versus the
-//! seed's per-report paths, at the acceptance workload `d = 1024`,
-//! `n = 100_000`, ε = 1.
+//! Oracle privatize/aggregate throughput: the word-parallel aggregation
+//! runtime versus the seed's per-report paths, at the acceptance workload
+//! `d = 1024`, `n = 100_000`, ε = 1.
 //!
 //! Three aggregation implementations are raced for OUE-style bit reports:
 //!
 //! * `per_bit` — the naive loop (`get(i)` over the whole domain),
 //! * `iter_ones` — the seed's per-set-bit counter increments,
-//! * `colsum` — the word-parallel bit-sliced column sums, single-threaded
-//!   and sharded across `MCIM_THREADS` workers.
+//! * `colsum` — the word-parallel bit-sliced column sums (`absorb_all`),
+//!   single-threaded; threaded absorption is the `exec_plan` slice's job.
 //!
 //! An `exec_plan` slice additionally races three `Exec` plans of one full
 //! frequency pipeline at `d = 1024`, `n = 1M` (`MCIM_BENCH_EXEC_N`
@@ -159,6 +159,19 @@ struct Scenario {
 
 /// Best-of-`trials` wall time of `f`, in milliseconds. `f` must return
 /// something data-dependent so the work cannot be optimized away.
+/// Privatizes every input from one RNG stream: the materialized reports
+/// the aggregation scenarios absorb.
+fn privatize_all<I: Copy, R>(
+    inputs: &[I],
+    privatize: impl Fn(I, &mut StdRng) -> mcim_oracles::Result<R>,
+) -> Vec<R> {
+    let mut rng = parallel::shard_rng(2, 0);
+    inputs
+        .iter()
+        .map(|&x| privatize(x, &mut rng).unwrap())
+        .collect()
+}
+
 fn time<T: std::fmt::Debug>(trials: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     let mut best = f64::INFINITY;
     let mut last = None;
@@ -223,14 +236,8 @@ fn main() {
         }
         acc
     }));
-    scenarios.push(scenario("oue_privatize_batch_t1", n, trials, || {
-        oue.privatize_batch(&values, 1, 1).unwrap().len() as u64
-    }));
-    scenarios.push(scenario("oue_privatize_batch_tn", n, trials, || {
-        oue.privatize_batch(&values, 1, threads).unwrap().len() as u64
-    }));
 
-    let reports = oue.privatize_batch(&values, 2, threads).unwrap();
+    let reports = privatize_all(&values, |v, rng| oue.privatize(v, rng));
     let bit_reports: Vec<&mcim_oracles::BitVec> = reports
         .iter()
         .map(|r| match r {
@@ -261,12 +268,7 @@ fn main() {
     }));
     scenarios.push(scenario("oue_aggregate_colsum_t1", n, trials, || {
         let mut agg = Aggregator::new(&oue);
-        agg.absorb_batch(&reports, 1).unwrap();
-        agg.raw_counts().iter().sum()
-    }));
-    scenarios.push(scenario("oue_aggregate_colsum_tn", n, trials, || {
-        let mut agg = Aggregator::new(&oue);
-        agg.absorb_batch(&reports, threads).unwrap();
+        agg.absorb_all(&reports).unwrap();
         agg.raw_counts().iter().sum()
     }));
 
@@ -281,7 +283,7 @@ fn main() {
             }
         })
         .collect();
-    let vp_reports = vp.privatize_batch(&vp_inputs, 3, threads).unwrap();
+    let vp_reports = privatize_all(&vp_inputs, |v, rng| vp.privatize(v, rng));
     scenarios.push(scenario("vp_aggregate_absorb", n, trials, || {
         let mut agg = VpAggregator::new(&vp);
         for r in &vp_reports {
@@ -289,9 +291,9 @@ fn main() {
         }
         agg.raw_counts().iter().sum()
     }));
-    scenarios.push(scenario("vp_aggregate_colsum_tn", n, trials, || {
+    scenarios.push(scenario("vp_aggregate_colsum_t1", n, trials, || {
         let mut agg = VpAggregator::new(&vp);
-        agg.absorb_batch(&vp_reports, threads).unwrap();
+        agg.absorb_all(&vp_reports).unwrap();
         agg.raw_counts().iter().sum()
     }));
 
@@ -301,7 +303,7 @@ fn main() {
     let cp_pairs: Vec<LabelItem> = (0..n as u32)
         .map(|u| LabelItem::new(u % 8, (u * 13) % D))
         .collect();
-    let cp_reports = cp.privatize_batch(&cp_pairs, 4, threads).unwrap();
+    let cp_reports = privatize_all(&cp_pairs, |p, rng| cp.privatize(p, rng));
     scenarios.push(scenario("cp_aggregate_absorb", n, trials, || {
         let mut agg = CpAggregator::new(&cp);
         for r in &cp_reports {
@@ -309,9 +311,9 @@ fn main() {
         }
         agg.report_count()
     }));
-    scenarios.push(scenario("cp_aggregate_colsum_tn", n, trials, || {
+    scenarios.push(scenario("cp_aggregate_colsum_t1", n, trials, || {
         let mut agg = CpAggregator::new(&cp);
-        agg.absorb_batch(&cp_reports, threads).unwrap();
+        agg.absorb_all(&cp_reports).unwrap();
         agg.report_count()
     }));
 
@@ -320,7 +322,7 @@ fn main() {
     let olh_n = (n / 10).max(1);
     let olh = Oracle::olh(Eps::new(2.0).unwrap(), D).unwrap();
     let olh_values: Vec<u32> = (0..olh_n as u32).map(|u| u % D).collect();
-    let olh_reports = olh.privatize_batch(&olh_values, 5, threads).unwrap();
+    let olh_reports = privatize_all(&olh_values, |v, rng| olh.privatize(v, rng));
     let olh_mech = match &olh {
         Oracle::Olh(m) => m.clone(),
         _ => unreachable!(),
@@ -339,9 +341,9 @@ fn main() {
         }
         counts.iter().sum()
     }));
-    scenarios.push(scenario("olh_aggregate_blocked_tn", olh_n, trials, || {
+    scenarios.push(scenario("olh_aggregate_blocked_t1", olh_n, trials, || {
         let mut agg = Aggregator::new(&olh);
-        agg.absorb_batch(&olh_reports, threads).unwrap();
+        agg.absorb_all(&olh_reports).unwrap();
         agg.raw_counts().iter().sum()
     }));
     // The candidate-set entry point (PEM-style aggregation over an explicit
@@ -601,24 +603,16 @@ fn main() {
             ms_of("oue_aggregate_iter_ones") / ms_of("oue_aggregate_colsum_t1"),
         ),
         (
-            "oue_colsum_tn_vs_per_bit",
-            ms_of("oue_aggregate_per_bit") / ms_of("oue_aggregate_colsum_tn"),
+            "vp_colsum_t1_vs_absorb",
+            ms_of("vp_aggregate_absorb") / ms_of("vp_aggregate_colsum_t1"),
         ),
         (
-            "vp_colsum_tn_vs_absorb",
-            ms_of("vp_aggregate_absorb") / ms_of("vp_aggregate_colsum_tn"),
+            "cp_colsum_t1_vs_absorb",
+            ms_of("cp_aggregate_absorb") / ms_of("cp_aggregate_colsum_t1"),
         ),
         (
-            "cp_colsum_tn_vs_absorb",
-            ms_of("cp_aggregate_absorb") / ms_of("cp_aggregate_colsum_tn"),
-        ),
-        (
-            "olh_blocked_tn_vs_per_pair",
-            ms_of("olh_aggregate_per_pair") / ms_of("olh_aggregate_blocked_tn"),
-        ),
-        (
-            "oue_privatize_batch_tn_vs_seq",
-            ms_of("oue_privatize_seq") / ms_of("oue_privatize_batch_tn"),
+            "olh_blocked_t1_vs_per_pair",
+            ms_of("olh_aggregate_per_pair") / ms_of("olh_aggregate_blocked_t1"),
         ),
         (
             "exec_plan_batch_tn_vs_sequential",

@@ -9,8 +9,8 @@
 //!    bounded-memory chunked runtime: memory stays `O(chunk)`.
 //! 2. `run_stream` — the PTS-CP pipeline end-to-end from a synthetic pair
 //!    generator (no input `Vec` at all).
-//! 3. `absorb_batch` — the PR-2 path at `min(n, 500k)` reports, fully
-//!    materialized, to show the per-report RSS cost streaming avoids.
+//! 3. `absorb_all` over `min(n, 500k)` reports privatized into one `Vec`
+//!    first, to show the per-report RSS cost streaming avoids.
 //!
 //! Prints a table, saves `results/stream_ingestion.csv` and the
 //! machine-readable `results/BENCH_stream_ingestion.json` the CI uploads.
@@ -54,8 +54,8 @@ fn peak_rss_mib() -> f64 {
     0.0
 }
 
-/// Privatizes OUE reports on the fly through the bulk sampler — the
-/// "reports arriving from the network" simulation. Memory cost: none
+/// Privatizes OUE reports on the fly, one fresh shard stream per pull —
+/// the "reports arriving from the network" simulation. Memory cost: none
 /// beyond the pull buffer.
 struct OueReportSource {
     oracle: Oracle,
@@ -71,10 +71,11 @@ impl ReportSource for OueReportSource {
         if take == 0 {
             return Ok(0);
         }
-        let values: Vec<u32> = (0..take)
-            .map(|i| (self.emitted + i as u64) as u32 % D)
-            .collect();
-        buf.extend(self.oracle.privatize_batch(&values, self.next_seed, 1)?);
+        let mut rng = parallel::shard_rng(self.next_seed, 0);
+        for i in 0..take as u64 {
+            let value = (self.emitted + i) as u32 % D;
+            buf.push(self.oracle.privatize(value, &mut rng)?);
+        }
         self.next_seed = self.next_seed.wrapping_add(1);
         self.emitted += take as u64;
         self.remaining -= take as u64;
@@ -163,11 +164,13 @@ fn main() {
     // Phase 3: the materialized batch path (the memory cost streaming
     // avoids) at a size that still fits CI.
     let n_batch = n.min(500_000);
-    let values: Vec<u32> = (0..n_batch).map(|u| u as u32 % D).collect();
     let start = Instant::now();
-    let reports = oracle.privatize_batch(&values, 4, threads).unwrap();
+    let mut rng = parallel::shard_rng(4, 0);
+    let reports: Vec<Report> = (0..n_batch)
+        .map(|u| oracle.privatize(u as u32 % D, &mut rng).unwrap())
+        .collect();
     let mut agg = Aggregator::new(&oracle);
-    agg.absorb_batch(&reports, threads).unwrap();
+    agg.absorb_all(&reports).unwrap();
     record("oue_materialized_batch", n_batch, start);
     std::hint::black_box(agg.raw_counts().iter().sum::<u64>());
     let report_bytes: usize = reports.iter().map(|r| r.size_bits() / 8 + 56).sum();

@@ -161,7 +161,8 @@ fn pem_mine_matrix() {
 }
 
 /// Multi-class top-k mining end to end (the full Algorithms 1 & 2
-/// pipeline and the plain PTS-PEM ablation).
+/// pipeline, the plain PTS-PEM ablation, and PTJ shuffling, whose bucket
+/// rounds fold the oracle stage over the identity candidate set).
 #[test]
 fn topk_matrix() {
     let domains = Domains::new(3, 64).unwrap();
@@ -172,6 +173,7 @@ fn topk_matrix() {
             validity: false,
             global: true,
         },
+        TopKMethod::PtjShuffled { validity: false },
         TopKMethod::PtsShuffled {
             validity: true,
             global: true,

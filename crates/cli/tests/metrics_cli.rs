@@ -3,7 +3,8 @@
 //! golden tests pin, `--verbose` must print the snapshot table (the one
 //! rendering path for stage timings and the distributed fold report),
 //! and none of it may perturb results. The CLI runs as a real
-//! subprocess so stderr/stdout are observed exactly as a user sees them.
+//! subprocess so stderr/stdout and exit codes are observed exactly as a
+//! user sees them.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -254,4 +255,67 @@ fn dist_report_rides_the_snapshot_table() {
 
     let path = PathBuf::from(tmp("dist_table_freq.csv"));
     assert!(path.exists());
+}
+
+/// The shuffled top-k methods fold every scoring round on the executor,
+/// so a spawned worker receives their jobs.
+#[test]
+fn shuffled_topk_rounds_reach_dist_workers() {
+    let pairs = dataset("dist_topk_pairs.csv");
+    for method in ["pts-opt", "ptj-opt"] {
+        let out = mcim(&[
+            "topk",
+            "--input",
+            &pairs,
+            "--eps",
+            "4.0",
+            "--k",
+            "3",
+            "--seed",
+            "5",
+            "--method",
+            method,
+            "--dist-spawn",
+            "1",
+            "--verbose",
+            "--output",
+            &tmp("dist_topk.csv"),
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{method}: {stderr}");
+        let folds: u64 = stderr
+            .lines()
+            .find_map(|l| l.strip_prefix("mcim_dist_folds_total"))
+            .and_then(|rest| rest.split_whitespace().next()?.parse().ok())
+            .unwrap_or_else(|| panic!("{method}: no dist fold count in:\n{stderr}"));
+        assert!(folds > 0, "{method}: no fold reached the worker");
+    }
+}
+
+/// Out-of-range Algorithm 1/2 parameters exit non-zero and write nothing,
+/// instead of silently skipping a phase or emitting a header-only CSV.
+#[test]
+fn topk_refuses_out_of_range_pipeline_parameters() {
+    let pairs = dataset("bad_param_pairs.csv");
+    let output = tmp("bad_param_topk.csv");
+    for (flag, value) in [
+        ("--sample-frac", "1"),
+        ("--sample-frac", "1.5"),
+        ("--sample-frac", "nan"),
+        ("--sample-frac", "-1"),
+        ("--noise-b", "nan"),
+        ("--noise-b", "0"),
+    ] {
+        let _ = std::fs::remove_file(&output);
+        let out = mcim(&[
+            "topk", "--input", &pairs, "--eps", "4", "--k", "3", flag, value, "--output", &output,
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{flag} {value} was accepted");
+        assert!(stderr.starts_with("error:"), "{flag} {value}: {stderr}");
+        assert!(
+            !PathBuf::from(&output).exists(),
+            "{flag} {value} wrote output"
+        );
+    }
 }

@@ -29,7 +29,7 @@
 
 use rand::Rng;
 
-use mcim_oracles::{parallel, stream, BitVec, ColumnCounter, Eps, Error, Exec, Grr, Result};
+use mcim_oracles::{stream, BitVec, ColumnCounter, Eps, Error, Exec, Grr, Result};
 
 use crate::validity::{ValidityInput, ValidityPerturbation};
 use crate::{Domains, FrequencyTable, LabelItem};
@@ -123,24 +123,6 @@ impl CorrelatedPerturbation {
             ValidityInput::Invalid
         };
         self.item_mech.privatize_into(input, rng, &mut out.bits)
-    }
-
-    /// Privatizes a batch of pairs on up to `threads` workers with the
-    /// sharded deterministic RNG scheme of [`parallel`]: output is
-    /// bit-identical for every thread count.
-    pub fn privatize_batch(
-        &self,
-        pairs: &[LabelItem],
-        base_seed: u64,
-        threads: usize,
-    ) -> Result<Vec<CpReport>> {
-        parallel::try_fill_shards(pairs, threads, |shard, chunk, slots| {
-            let mut rng = parallel::shard_rng(base_seed, shard);
-            for (&pair, slot) in chunk.iter().zip(slots.iter_mut()) {
-                *slot = Some(self.privatize(pair, &mut rng)?);
-            }
-            Ok(())
-        })
     }
 
     /// Privatizes a pair whose item may already be invalid (pruned), as in
@@ -285,28 +267,9 @@ impl CpAggregator {
         outcome
     }
 
-    /// [`CpAggregator::absorb_all`] sharded across up to `threads` workers;
-    /// per-shard counter sums merge associatively, so results are
-    /// bit-identical for every thread count.
-    pub fn absorb_batch(&mut self, reports: &[CpReport], threads: usize) -> Result<()> {
-        if threads.max(1) == 1 || reports.len() <= parallel::SHARD_SIZE {
-            return self.absorb_all(reports);
-        }
-        let template = self.fresh();
-        let shards = parallel::map_shards(reports, threads, |_, chunk| {
-            let mut local = template.clone();
-            local.absorb_all(chunk).map(|()| local)
-        });
-        for shard in shards {
-            self.merge(&shard?)?;
-        }
-        Ok(())
-    }
-
-    /// Absorbs every report pulled from `source` in bounded chunks —
-    /// [`CpAggregator::absorb_batch`] without the materialized slice.
-    /// Counts are bit-identical to the batch path for every chunk size and
-    /// thread count.
+    /// Absorbs every report pulled from `source` in bounded chunks, on up
+    /// to the plan's thread count of workers. Counts are bit-identical to
+    /// [`CpAggregator::absorb_all`] for every chunk size and thread count.
     pub fn absorb_stream<S>(&mut self, source: &mut S, plan: &Exec) -> Result<()>
     where
         S: stream::ReportSource<Item = CpReport>,
@@ -323,7 +286,7 @@ impl CpAggregator {
     }
 
     /// An empty aggregator with this one's mechanism parameters (the
-    /// per-shard accumulator of [`CpAggregator::absorb_batch`]).
+    /// per-worker accumulator of [`CpAggregator::absorb_stream`]).
     fn fresh(&self) -> Self {
         CpAggregator {
             domains: self.domains,
@@ -554,20 +517,23 @@ mod tests {
         let pairs: Vec<LabelItem> = (0..9000)
             .map(|u| LabelItem::new((u % 4) as u32, ((u * 13) % 70) as u32))
             .collect();
-        let base = 77;
-        let reports = m.privatize_batch(&pairs, base, 1).unwrap();
-        assert_eq!(
-            m.privatize_batch(&pairs, base, 4).unwrap(),
-            reports,
-            "privatize_batch must be thread-count invariant"
-        );
+        let mut rng = StdRng::seed_from_u64(77);
+        let reports: Vec<CpReport> = pairs
+            .iter()
+            .map(|&pair| m.privatize(pair, &mut rng).unwrap())
+            .collect();
         let mut seq = CpAggregator::new(&m);
         for r in &reports {
             seq.absorb(r).unwrap();
         }
         for threads in [1, 2, 8] {
             let mut batch = CpAggregator::new(&m);
-            batch.absorb_batch(&reports, threads).unwrap();
+            batch
+                .absorb_stream(
+                    &mut stream::SliceSource::new(&reports),
+                    &Exec::new().threads(threads),
+                )
+                .unwrap();
             assert_eq!(
                 batch.report_count(),
                 seq.report_count(),

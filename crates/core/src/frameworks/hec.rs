@@ -12,7 +12,7 @@
 
 use rand::Rng;
 
-use mcim_oracles::{parallel, stream, Aggregator, Eps, Error, Exec, Oracle, Report, Result};
+use mcim_oracles::{stream, Aggregator, Eps, Error, Exec, Oracle, Report, Result};
 
 use crate::{Domains, FrequencyTable, LabelItem};
 
@@ -80,27 +80,6 @@ impl Hec {
             report: self.oracle.privatize(value, rng)?,
         })
     }
-
-    /// Privatizes a batch of pairs on up to `threads` workers; user
-    /// `pairs[i]` gets the global index `first_user_index + i` (group
-    /// assignment is positional in HEC). Sharded deterministic RNG streams
-    /// make the output bit-identical for every thread count.
-    pub fn privatize_batch(
-        &self,
-        first_user_index: u64,
-        pairs: &[LabelItem],
-        base_seed: u64,
-        threads: usize,
-    ) -> Result<Vec<HecReport>> {
-        parallel::try_fill_shards(pairs, threads, |shard, chunk, slots| {
-            let mut rng = parallel::shard_rng(base_seed, shard);
-            let start = first_user_index + shard * parallel::SHARD_SIZE as u64;
-            for (i, (&pair, slot)) in chunk.iter().zip(slots.iter_mut()).enumerate() {
-                *slot = Some(self.privatize(start + i as u64, pair, &mut rng)?);
-            }
-            Ok(())
-        })
-    }
 }
 
 /// Server-side aggregation: one oracle aggregator per class group.
@@ -159,27 +138,9 @@ impl HecAggregator {
         outcome
     }
 
-    /// [`HecAggregator::absorb_all`] sharded across up to `threads`
-    /// workers; bit-identical for every thread count.
-    pub fn absorb_batch(&mut self, reports: &[HecReport], threads: usize) -> Result<()> {
-        if threads.max(1) == 1 || reports.len() <= parallel::SHARD_SIZE {
-            return self.absorb_all(reports);
-        }
-        let template = self.fresh();
-        let shards = parallel::map_shards(reports, threads, |_, chunk| {
-            let mut local = template.clone();
-            local.absorb_all(chunk).map(|()| local)
-        });
-        for shard in shards {
-            self.merge(&shard?)?;
-        }
-        Ok(())
-    }
-
-    /// Absorbs every report pulled from `source` in bounded chunks —
-    /// [`HecAggregator::absorb_batch`] without the materialized slice.
-    /// Counts are bit-identical to the batch path for every chunk size and
-    /// thread count.
+    /// Absorbs every report pulled from `source` in bounded chunks, on up
+    /// to the plan's thread count of workers. Counts are bit-identical to
+    /// [`HecAggregator::absorb_all`] for every chunk size and thread count.
     pub fn absorb_stream<S>(&mut self, source: &mut S, plan: &Exec) -> Result<()>
     where
         S: stream::ReportSource<Item = HecReport>,
@@ -195,8 +156,8 @@ impl HecAggregator {
         self.merge(&merged)
     }
 
-    /// An empty aggregator with this one's group oracles (the per-shard
-    /// accumulator of [`HecAggregator::absorb_batch`]).
+    /// An empty aggregator with this one's group oracles (the per-worker
+    /// accumulator of [`HecAggregator::absorb_stream`]).
     fn fresh(&self) -> Self {
         HecAggregator {
             domains: self.domains,

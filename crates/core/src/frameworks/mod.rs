@@ -322,7 +322,7 @@ mod tests {
                     }
                 }
             }
-            // Sanity: the batched runtime estimates the same quantity the
+            // Sanity: the sharded runtime estimates the same quantity the
             // sequential `run` does (HEC keeps its Theorem-4 bias).
             for label in 0..3u32 {
                 for item in 0..8 {

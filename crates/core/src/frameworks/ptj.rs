@@ -46,22 +46,6 @@ impl Ptj {
         self.domains.check(pair)?;
         self.oracle.privatize(self.domains.joint_index(pair), rng)
     }
-
-    /// Privatizes a batch of pairs on up to `threads` workers with the
-    /// sharded deterministic RNG scheme of [`mcim_oracles::parallel`]:
-    /// output is bit-identical for every thread count.
-    pub fn privatize_batch(
-        &self,
-        pairs: &[LabelItem],
-        base_seed: u64,
-        threads: usize,
-    ) -> Result<Vec<Report>> {
-        for &pair in pairs {
-            self.domains.check(pair)?;
-        }
-        let joint: Vec<u32> = pairs.iter().map(|&p| self.domains.joint_index(p)).collect();
-        self.oracle.privatize_batch(&joint, base_seed, threads)
-    }
 }
 
 /// Server-side aggregation over the joint domain.
@@ -86,15 +70,18 @@ impl PtjAggregator {
     }
 
     /// Absorbs a block of reports through the word-parallel column-sum
-    /// runtime (see [`Aggregator::absorb_batch`]); counts are bit-identical
-    /// for every thread count.
-    pub fn absorb_batch(&mut self, reports: &[Report], threads: usize) -> Result<()> {
-        self.inner.absorb_batch(reports, threads)
+    /// runtime (see [`Aggregator::absorb_all`]); counts equal sequential
+    /// [`PtjAggregator::absorb`].
+    pub fn absorb_all<'a, I>(&mut self, reports: I) -> Result<()>
+    where
+        I: IntoIterator<Item = &'a Report>,
+    {
+        self.inner.absorb_all(reports)
     }
 
     /// Absorbs every report pulled from `source` in bounded chunks (see
-    /// [`Aggregator::absorb_stream`]); counts are bit-identical to the
-    /// batch path for every chunk size and thread count.
+    /// [`Aggregator::absorb_stream`]); counts are bit-identical to
+    /// [`PtjAggregator::absorb_all`] for every chunk size and thread count.
     pub fn absorb_stream<S>(&mut self, source: &mut S, plan: &Exec) -> Result<()>
     where
         S: mcim_oracles::stream::ReportSource<Item = Report>,

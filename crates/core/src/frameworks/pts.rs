@@ -13,8 +13,8 @@
 use rand::Rng;
 
 use mcim_oracles::{
-    calibrate::unbiased_count, parallel, stream, BitVec, ColumnCounter, Eps, Error, Exec, Grr,
-    Result, UnaryEncoding,
+    calibrate::unbiased_count, stream, BitVec, ColumnCounter, Eps, Error, Exec, Grr, Result,
+    UnaryEncoding,
 };
 
 use crate::{Domains, FrequencyTable, LabelItem};
@@ -96,24 +96,6 @@ impl Pts {
         self.domains.check(pair)?;
         out.label = self.label_mech.perturb(pair.label, rng)?;
         self.item_mech.privatize_into(pair.item, rng, &mut out.bits)
-    }
-
-    /// Privatizes a batch of pairs on up to `threads` workers with the
-    /// sharded deterministic RNG scheme of [`parallel`]: output is
-    /// bit-identical for every thread count.
-    pub fn privatize_batch(
-        &self,
-        pairs: &[LabelItem],
-        base_seed: u64,
-        threads: usize,
-    ) -> Result<Vec<PtsReport>> {
-        parallel::try_fill_shards(pairs, threads, |shard, chunk, slots| {
-            let mut rng = parallel::shard_rng(base_seed, shard);
-            for (&pair, slot) in chunk.iter().zip(slots.iter_mut()) {
-                *slot = Some(self.privatize(pair, &mut rng)?);
-            }
-            Ok(())
-        })
     }
 }
 
@@ -213,28 +195,9 @@ impl PtsAggregator {
         outcome
     }
 
-    /// [`PtsAggregator::absorb_all`] sharded across up to `threads` workers;
-    /// per-shard counter sums merge associatively, so results are
-    /// bit-identical for every thread count.
-    pub fn absorb_batch(&mut self, reports: &[PtsReport], threads: usize) -> Result<()> {
-        if threads.max(1) == 1 || reports.len() <= parallel::SHARD_SIZE {
-            return self.absorb_all(reports);
-        }
-        let template = self.fresh();
-        let shards = parallel::map_shards(reports, threads, |_, chunk| {
-            let mut local = template.clone();
-            local.absorb_all(chunk).map(|()| local)
-        });
-        for shard in shards {
-            self.merge(&shard?)?;
-        }
-        Ok(())
-    }
-
-    /// Absorbs every report pulled from `source` in bounded chunks —
-    /// [`PtsAggregator::absorb_batch`] without the materialized slice.
-    /// Counts are bit-identical to the batch path for every chunk size and
-    /// thread count.
+    /// Absorbs every report pulled from `source` in bounded chunks, on up
+    /// to the plan's thread count of workers. Counts are bit-identical to
+    /// [`PtsAggregator::absorb_all`] for every chunk size and thread count.
     pub fn absorb_stream<S>(&mut self, source: &mut S, plan: &Exec) -> Result<()>
     where
         S: stream::ReportSource<Item = PtsReport>,
@@ -251,7 +214,7 @@ impl PtsAggregator {
     }
 
     /// An empty aggregator with this one's mechanism parameters (the
-    /// per-shard accumulator of [`PtsAggregator::absorb_batch`]).
+    /// per-worker accumulator of [`PtsAggregator::absorb_stream`]).
     fn fresh(&self) -> Self {
         PtsAggregator {
             domains: self.domains,
@@ -450,20 +413,23 @@ mod tests {
         let pairs: Vec<LabelItem> = (0..9000)
             .map(|u| LabelItem::new((u % 3) as u32, ((u * 11) % 130) as u32))
             .collect();
-        let base = 3;
-        let reports = fw.privatize_batch(&pairs, base, 1).unwrap();
-        assert_eq!(
-            fw.privatize_batch(&pairs, base, 4).unwrap(),
-            reports,
-            "privatize_batch must be thread-count invariant"
-        );
+        let mut rng = StdRng::seed_from_u64(3);
+        let reports: Vec<PtsReport> = pairs
+            .iter()
+            .map(|&pair| fw.privatize(pair, &mut rng).unwrap())
+            .collect();
         let mut seq = PtsAggregator::new(&fw);
         for r in &reports {
             seq.absorb(r).unwrap();
         }
         for threads in [1, 2, 8] {
             let mut batch = PtsAggregator::new(&fw);
-            batch.absorb_batch(&reports, threads).unwrap();
+            batch
+                .absorb_stream(
+                    &mut stream::SliceSource::new(&reports),
+                    &Exec::new().threads(threads),
+                )
+                .unwrap();
             assert_eq!(
                 batch.report_count(),
                 seq.report_count(),

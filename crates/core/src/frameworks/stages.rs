@@ -284,7 +284,7 @@ impl FwArm for PtjArm {
     }
 
     fn absorb(&self, agg: &mut PtjAggregator, block: &[Report]) -> Result<()> {
-        agg.absorb_batch(block, 1)
+        agg.absorb_all(block)
     }
 
     fn merge(agg: &mut PtjAggregator, other: &PtjAggregator) -> Result<()> {

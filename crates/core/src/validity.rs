@@ -20,9 +20,7 @@
 
 use rand::Rng;
 
-use mcim_oracles::{
-    parallel, stream, BitVec, ColumnCounter, Eps, Error, Exec, Result, UnaryEncoding,
-};
+use mcim_oracles::{stream, BitVec, ColumnCounter, Eps, Error, Exec, Result, UnaryEncoding};
 
 /// The validity perturbation mechanism over item domain `[0, d)`.
 ///
@@ -138,24 +136,6 @@ impl ValidityPerturbation {
         self.ue.privatize_into(hot, rng, out)
     }
 
-    /// Privatizes a batch of inputs on up to `threads` workers with the
-    /// sharded deterministic RNG scheme of [`parallel`]: output is
-    /// bit-identical for every thread count.
-    pub fn privatize_batch(
-        &self,
-        inputs: &[ValidityInput],
-        base_seed: u64,
-        threads: usize,
-    ) -> Result<Vec<BitVec>> {
-        parallel::try_fill_shards(inputs, threads, |shard, chunk, slots| {
-            let mut rng = parallel::shard_rng(base_seed, shard);
-            for (&input, slot) in chunk.iter().zip(slots.iter_mut()) {
-                *slot = Some(self.privatize(input, &mut rng)?);
-            }
-            Ok(())
-        })
-    }
-
     /// Exact probability of an output vector given an input (for privacy
     /// enumeration tests; `O(d)` per call).
     pub fn response_probability(&self, input: ValidityInput, out: &BitVec) -> f64 {
@@ -263,28 +243,9 @@ impl VpAggregator {
         outcome
     }
 
-    /// [`VpAggregator::absorb_all`] sharded across up to `threads` workers;
-    /// per-shard counter sums merge associatively, so results are
-    /// bit-identical for every thread count.
-    pub fn absorb_batch(&mut self, reports: &[BitVec], threads: usize) -> Result<()> {
-        if threads.max(1) == 1 || reports.len() <= parallel::SHARD_SIZE {
-            return self.absorb_all(reports);
-        }
-        let template = self.fresh();
-        let shards = parallel::map_shards(reports, threads, |_, chunk| {
-            let mut local = template.clone();
-            local.absorb_all(chunk).map(|()| local)
-        });
-        for shard in shards {
-            self.merge(&shard?)?;
-        }
-        Ok(())
-    }
-
-    /// Absorbs every report pulled from `source` in bounded chunks —
-    /// [`VpAggregator::absorb_batch`] without the materialized slice.
-    /// Counts are bit-identical to the batch path for every chunk size and
-    /// thread count.
+    /// Absorbs every report pulled from `source` in bounded chunks, on up
+    /// to the plan's thread count of workers. Counts are bit-identical to
+    /// [`VpAggregator::absorb_all`] for every chunk size and thread count.
     pub fn absorb_stream<S>(&mut self, source: &mut S, plan: &Exec) -> Result<()>
     where
         S: stream::ReportSource<Item = BitVec>,
@@ -301,7 +262,7 @@ impl VpAggregator {
     }
 
     /// An empty aggregator with this one's mechanism parameters (the
-    /// per-shard accumulator of [`VpAggregator::absorb_batch`]).
+    /// per-worker accumulator of [`VpAggregator::absorb_stream`]).
     fn fresh(&self) -> Self {
         VpAggregator {
             d: self.d,
@@ -543,24 +504,31 @@ mod tests {
                 _ => ValidityInput::Invalid,
             })
             .collect();
-        let base = 42;
-        let reports = vp.privatize_batch(&inputs, base, 1).unwrap();
-        assert_eq!(
-            vp.privatize_batch(&inputs, base, 4).unwrap(),
-            reports,
-            "privatize_batch must be thread-count invariant"
-        );
+        let mut rng = StdRng::seed_from_u64(42);
+        let reports: Vec<BitVec> = inputs
+            .iter()
+            .map(|&input| vp.privatize(input, &mut rng).unwrap())
+            .collect();
         let mut seq = VpAggregator::new(&vp);
         for r in &reports {
             seq.absorb(r).unwrap();
         }
+        let mut all = VpAggregator::new(&vp);
+        all.absorb_all(&reports).unwrap();
+        assert_eq!(all.raw_counts(), seq.raw_counts());
+        assert_eq!(all.raw_flag_count(), seq.raw_flag_count());
         for threads in [1, 2, 8] {
-            let mut batch = VpAggregator::new(&vp);
-            batch.absorb_batch(&reports, threads).unwrap();
-            assert_eq!(batch.raw_counts(), seq.raw_counts(), "threads={threads}");
-            assert_eq!(batch.raw_flag_count(), seq.raw_flag_count());
-            assert_eq!(batch.report_count(), seq.report_count());
-            assert_eq!(batch.estimate(), seq.estimate());
+            let mut streamed = VpAggregator::new(&vp);
+            streamed
+                .absorb_stream(
+                    &mut stream::SliceSource::new(&reports),
+                    &Exec::new().threads(threads),
+                )
+                .unwrap();
+            assert_eq!(streamed.raw_counts(), seq.raw_counts(), "threads={threads}");
+            assert_eq!(streamed.raw_flag_count(), seq.raw_flag_count());
+            assert_eq!(streamed.report_count(), seq.report_count());
+            assert_eq!(streamed.estimate(), seq.estimate());
         }
     }
 

@@ -491,7 +491,7 @@ mod tests {
     fn fill_bernoulli_wordwise_mean_matches_q() {
         let mut rng = StdRng::seed_from_u64(17);
         // Includes dyadic q (0.5, 0.25: shortest expansions) and the OUE
-        // values the batch privatizer actually uses.
+        // values the privatizer actually uses.
         for q in [0.01, 0.1, 0.25, 1.0 / (1f64.exp() + 1.0), 0.5, 0.9] {
             let len = 10_000;
             let trials = 50;

@@ -21,13 +21,13 @@
 //! * [`hash`] — seeded `splitmix64`-based hashing and a deterministic
 //!   [`hash::SplitMix64`] RNG used for reproducible shuffles,
 //! * [`calibrate`] — unbiased count calibration and analytic variances,
-//! * [`colsum`] — word-parallel (bit-sliced) column sums for batch
+//! * [`colsum`] — word-parallel (bit-sliced) column sums for block
 //!   aggregation of unary-encoding reports,
 //! * [`parallel`] — fixed-size sharding with deterministic per-shard RNG
 //!   streams: `threads = N` is bit-identical to `threads = 1`,
 //! * [`stream`] — bounded-memory chunked ingestion over pull-based
-//!   [`stream::ReportSource`]s, bit-identical to the batch APIs for every
-//!   chunk size and thread count,
+//!   [`stream::ReportSource`]s, bit-identical to a sequential shard scan
+//!   for every chunk size and thread count,
 //! * [`exec`] — declarative [`Exec`] execution plans (seed / threads /
 //!   chunk), serializable [`exec::Stage`] fold objects, and the
 //!   [`Executor`] backend trait every pipeline's `execute` entry point

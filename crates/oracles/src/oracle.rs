@@ -11,9 +11,7 @@ use rand::Rng;
 
 use crate::calibrate::unbiased_count;
 use crate::colsum::ColumnCounter;
-use crate::{
-    parallel, stream, BitVec, Eps, Error, Exec, Grr, Olh, OlhReport, Result, UnaryEncoding,
-};
+use crate::{stream, BitVec, Eps, Error, Exec, Grr, Olh, OlhReport, Result, UnaryEncoding};
 
 /// A frequency oracle: one of the concrete LDP mechanisms.
 #[derive(Debug, Clone)]
@@ -117,38 +115,6 @@ impl Oracle {
             Oracle::Ue(m) => Ok(Report::Bits(m.privatize(v, rng)?)),
             Oracle::Olh(m) => Ok(Report::Hashed(m.privatize(v, rng)?)),
         }
-    }
-
-    /// Privatizes a batch of values on up to `threads` workers.
-    ///
-    /// Values are split into fixed [`parallel::SHARD_SIZE`] shards; shard
-    /// `s` is privatized sequentially with the deterministic RNG
-    /// [`parallel::shard_rng`]`(base_seed, s)`, and workers write into
-    /// preallocated disjoint output slices (no per-shard `Vec`, no result
-    /// flattening). The output is a pure function of
-    /// `(self, values, base_seed)` — any thread count produces
-    /// bit-identical reports.
-    ///
-    /// Every shard privatizes exactly as a per-report [`Oracle::privatize`]
-    /// loop would: under the RNG contract the unary-encoding sampler draws
-    /// its noise planes word-parallel for dense `q` on *every* entry point
-    /// ([`UnaryEncoding::privatize`] and
-    /// [`crate::UnaryEncoding::privatize_into`] consume the RNG stream
-    /// identically), so the batch output needs no UE special case to match
-    /// the sequential stream bit-for-bit.
-    pub fn privatize_batch(
-        &self,
-        values: &[u32],
-        base_seed: u64,
-        threads: usize,
-    ) -> Result<Vec<Report>> {
-        parallel::try_fill_shards(values, threads, |shard, chunk, slots| {
-            let mut rng = parallel::shard_rng(base_seed, shard);
-            for (&v, slot) in chunk.iter().zip(slots.iter_mut()) {
-                *slot = Some(self.privatize(v, &mut rng)?);
-            }
-            Ok(())
-        })
     }
 
     /// Short name for logs and benchmark tables.
@@ -288,33 +254,14 @@ impl Aggregator {
         Ok(())
     }
 
-    /// [`Aggregator::absorb_all`] sharded across up to `threads` workers.
-    ///
-    /// Each shard aggregates into its own counter block; the per-shard
-    /// `u64` sums are then merged in shard order, so the final counts are
-    /// bit-identical for every thread count.
-    pub fn absorb_batch(&mut self, reports: &[Report], threads: usize) -> Result<()> {
-        if threads.max(1) == 1 || reports.len() <= parallel::SHARD_SIZE {
-            return self.absorb_all(reports);
-        }
-        let oracle = self.oracle.clone();
-        let shards = parallel::map_shards(reports, threads, |_, chunk| {
-            let mut local = Aggregator::new(&oracle);
-            local.absorb_all(chunk).map(|()| local)
-        });
-        for shard in shards {
-            self.merge(&shard?)?;
-        }
-        Ok(())
-    }
-
-    /// Absorbs every report pulled from `source` in bounded chunks —
-    /// [`Aggregator::absorb_batch`] without the materialized slice.
+    /// Absorbs every report pulled from `source` in bounded chunks, on up
+    /// to the plan's thread count of workers.
     ///
     /// Memory stays `O(chunk + threads × shard)` regardless of the stream
-    /// length, and the final counts are bit-identical to `absorb_batch`
-    /// over the same reports for every chunk size and thread count
-    /// (absorption is a counter sum — associative and commutative).
+    /// length, and the final counts are bit-identical to
+    /// [`Aggregator::absorb_all`] over the same reports for every chunk
+    /// size and thread count (absorption is a counter sum — associative
+    /// and commutative).
     pub fn absorb_stream<S>(&mut self, source: &mut S, plan: &Exec) -> Result<()>
     where
         S: stream::ReportSource<Item = Report>,
@@ -461,51 +408,16 @@ mod tests {
     }
 
     #[test]
-    fn privatize_batch_is_thread_count_invariant_and_shard_equivalent() {
-        for oracle in [
-            Oracle::grr(eps(1.0), 6).unwrap(),
-            Oracle::oue(eps(1.0), 130).unwrap(),
-            Oracle::olh(eps(2.0), 40).unwrap(),
-        ] {
-            let d = oracle.domain_size();
-            let values: Vec<u32> = (0..9000).map(|u| u % d).collect();
-            let base = 0xFEED;
-            let seq = oracle.privatize_batch(&values, base, 1).unwrap();
-            for threads in [2, 4] {
-                assert_eq!(
-                    oracle.privatize_batch(&values, base, threads).unwrap(),
-                    seq,
-                    "{} threads={threads}",
-                    oracle.name()
-                );
-            }
-            // The documented contract: shard s is privatized sequentially
-            // with parallel::shard_rng(base, s) through the plain
-            // per-report privatize loop — for every mechanism, including
-            // unary encoding (the contract shares one sampler stream).
-            let mut reference = Vec::new();
-            for (s, chunk) in values.chunks(parallel::SHARD_SIZE).enumerate() {
-                let mut rng = parallel::shard_rng(base, s as u64);
-                for &v in chunk {
-                    reference.push(oracle.privatize(v, &mut rng).unwrap());
-                }
-            }
-            assert_eq!(seq, reference, "{}", oracle.name());
-        }
-    }
-
-    #[test]
-    fn privatize_batch_bulk_sampler_matches_oue_rates() {
+    fn word_parallel_sampler_matches_oue_rates() {
         // The word-parallel noise plane must reproduce (p, q) exactly like
-        // the per-report path: check empirical bit rates on batch output.
+        // the per-report path: check empirical bit rates.
         let oracle = Oracle::oue(eps(1.0), 128).unwrap();
         let n = 20_000u32;
-        let values: Vec<u32> = (0..n).map(|_| 7).collect();
-        let reports = oracle.privatize_batch(&values, 99, 4).unwrap();
+        let mut rng = StdRng::seed_from_u64(99);
         let mut hot = 0usize;
         let mut cold = 0usize;
-        for r in &reports {
-            let Report::Bits(bits) = r else {
+        for _ in 0..n {
+            let Report::Bits(bits) = oracle.privatize(7, &mut rng).unwrap() else {
                 panic!("OUE emits bit reports")
             };
             hot += usize::from(bits.get(7));
@@ -518,25 +430,36 @@ mod tests {
     }
 
     #[test]
-    fn absorb_batch_matches_sequential_absorb() {
+    fn absorb_all_and_stream_match_sequential_absorb() {
         for oracle in [
             Oracle::grr(eps(1.0), 6).unwrap(),
             Oracle::oue(eps(1.0), 200).unwrap(),
             Oracle::olh(eps(2.0), 32).unwrap(),
         ] {
             let d = oracle.domain_size();
-            let values: Vec<u32> = (0..9000).map(|u| (u * 7) % d).collect();
-            let reports = oracle.privatize_batch(&values, 5, 1).unwrap();
+            let mut rng = StdRng::seed_from_u64(5);
+            let reports: Vec<Report> = (0..9000)
+                .map(|u| oracle.privatize((u * 7) % d, &mut rng).unwrap())
+                .collect();
             let mut seq = Aggregator::new(&oracle);
             for r in &reports {
                 seq.absorb(r).unwrap();
             }
+            let mut all = Aggregator::new(&oracle);
+            all.absorb_all(&reports).unwrap();
+            assert_eq!(all.raw_counts(), seq.raw_counts(), "{}", oracle.name());
+            assert_eq!(all.report_count(), seq.report_count());
             for threads in [1, 2, 8] {
-                let mut batch = Aggregator::new(&oracle);
-                batch.absorb_batch(&reports, threads).unwrap();
-                assert_eq!(batch.raw_counts(), seq.raw_counts(), "threads={threads}");
-                assert_eq!(batch.report_count(), seq.report_count());
-                assert_eq!(batch.estimate(), seq.estimate(), "{}", oracle.name());
+                let mut streamed = Aggregator::new(&oracle);
+                streamed
+                    .absorb_stream(
+                        &mut stream::SliceSource::new(&reports),
+                        &Exec::new().threads(threads),
+                    )
+                    .unwrap();
+                assert_eq!(streamed.raw_counts(), seq.raw_counts(), "threads={threads}");
+                assert_eq!(streamed.report_count(), seq.report_count());
+                assert_eq!(streamed.estimate(), seq.estimate(), "{}", oracle.name());
             }
         }
     }

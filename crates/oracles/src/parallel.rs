@@ -8,26 +8,23 @@
 //! * work is split into **fixed-size shards** ([`SHARD_SIZE`] items) that
 //!   depend only on the input, never on the worker count;
 //! * every shard derives its own RNG stream from `(base_seed, shard
-//!   index)` via the protocol-stable [`splitmix64`] mixer ([`shard_rng`]);
-//! * shard results are returned **in shard order** and all aggregation
-//!   state merged from shards is additive (`u64` counter sums), which is
-//!   associative.
+//!   index)` via the protocol-stable [`splitmix64`] mixer ([`shard_rng`]).
 //!
-//! Consequently `threads = N` produces bit-identical output to
-//! `threads = 1` for every batch API built on [`map_shards`] — the
-//! property the `MCIM_THREADS` CI matrix locks in.
+//! Every fold (`crate::stream::fold_stream`, and through it every
+//! [`crate::exec::Executor`]) is built on these two pieces.
+//! [`try_fill_shards`] is the one output-per-input map on them — the GRR
+//! label routing of the top-k pipelines — whose outputs stay in input
+//! order, so `threads = N` is bit-identical to `threads = 1`.
 //!
 //! ## Scheduling
 //!
 //! Workers own **contiguous shard ranges** (static partitioning) and write
-//! into **preallocated disjoint output slices**. The first version of this
-//! module used an atomic work-stealing cursor with one `Mutex<Option<T>>`
-//! slot per shard; profiling the privatize path showed the per-shard
-//! output `Vec` allocations and slot locking serialized workers on the
-//! allocator and made the batch runtime *slower* than the sequential path
-//! (`oue_privatize_batch_tn_vs_seq: 0.92` in the PR-2 baseline). Shards
-//! are uniform-cost, so static ranges lose nothing to stealing and need no
-//! synchronization beyond the scoped join.
+//! into **preallocated disjoint output slices**. An earlier version used
+//! an atomic work-stealing cursor with one `Mutex<Option<T>>` slot per
+//! shard; the per-shard output `Vec` allocations and slot locking
+//! serialized workers on the allocator and made the sharded path *slower*
+//! than the sequential one. Shards are uniform-cost, so static ranges lose
+//! nothing to stealing and need no synchronization beyond the scoped join.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -90,27 +87,7 @@ pub(crate) fn ranges(n: usize, workers: usize) -> impl Iterator<Item = std::ops:
     })
 }
 
-/// Splits `items` into [`SHARD_SIZE`]-sized shards and maps `f` over them
-/// on up to `threads` workers, returning per-shard results in shard order.
-///
-/// `f` receives `(shard_index, shard_items)`. Workers own contiguous shard
-/// ranges and write results into preallocated disjoint output slices, so
-/// the parallel path takes no locks and performs no per-shard allocation.
-/// Because shard boundaries and shard indices are fixed, the result vector
-/// — and anything deterministically derived from it, like merged counter
-/// sums — does not depend on `threads`.
-pub fn map_shards<I, T, F>(items: &[I], threads: usize, f: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(u64, &[I]) -> T + Sync,
-{
-    let shards: Vec<&[I]> = items.chunks(SHARD_SIZE).collect();
-    map_each(&shards, threads, |i, s| f(i as u64, s))
-}
-
-/// One-output-per-input sharded execution into a preallocated buffer: the
-/// shape of every batch privatization.
+/// One-output-per-input sharded execution into a preallocated buffer.
 ///
 /// `f` receives `(shard_index, shard_items, shard_output)` where
 /// `shard_output` is the shard's disjoint slice of the preallocated output
@@ -180,81 +157,48 @@ where
         .collect())
 }
 
-/// Maps `f` over individual items (not shards) on up to `threads` workers,
-/// returning results in item order. For coarse tasks — e.g. the per-class
-/// final mining rounds, whose cohorts are often smaller than one shard and
-/// would otherwise run single-threaded. Workers own contiguous item ranges
-/// (deterministic output for every thread count, given `f` deterministic in
-/// its arguments).
-pub fn map_each<I, T, F>(items: &[I], threads: usize, f: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(usize, &I) -> T + Sync,
-{
-    let workers = threads.max(1).min(items.len());
-    if workers <= 1 {
-        return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
-    }
-    let mut out: Vec<Option<T>> = (0..items.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut rest: &mut [Option<T>] = &mut out;
-        for range in ranges(items.len(), workers) {
-            let (mine, tail) = rest.split_at_mut(range.len());
-            rest = tail;
-            let f = &f;
-            scope.spawn(move || {
-                for (slot, i) in mine.iter_mut().zip(range) {
-                    *slot = Some(f(i, &items[i]));
-                }
-            });
-        }
-    });
-    out.into_iter()
-        // mcim-lint: allow(panic-freedom, infallible: the scope above filled every slot of `out` before returning)
-        .map(|s| s.expect("every item slot filled"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::RngCore;
 
+    /// Per-shard RNG draws through [`try_fill_shards`], one output per item.
+    fn draws(items: &[u32], threads: usize) -> Vec<(u64, u64)> {
+        try_fill_shards(items, threads, |shard, chunk, slots| {
+            let mut rng = shard_rng(99, shard);
+            for (&x, slot) in chunk.iter().zip(slots.iter_mut()) {
+                *slot = Some((shard, x as u64 ^ rng.next_u64()));
+            }
+            Ok::<(), ()>(())
+        })
+        .unwrap()
+    }
+
     #[test]
     fn shard_results_are_thread_count_invariant() {
         let items: Vec<u32> = (0..3 * SHARD_SIZE as u32 + 17).collect();
-        let run = |threads| {
-            map_shards(&items, threads, |shard, chunk| {
-                let mut rng = shard_rng(99, shard);
-                chunk
-                    .iter()
-                    .fold(0u64, |acc, &x| acc.wrapping_add(x as u64 ^ rng.next_u64()))
-            })
-        };
-        let seq = run(1);
-        assert_eq!(seq.len(), 4, "fixed shard size decides the shard count");
+        let seq = draws(&items, 1);
+        assert_eq!(
+            seq.last().unwrap().0,
+            3,
+            "fixed shard size decides the shard count"
+        );
         for threads in [2, 3, 8] {
-            assert_eq!(run(threads), seq, "threads={threads}");
+            assert_eq!(draws(&items, threads), seq, "threads={threads}");
         }
     }
 
     #[test]
     fn shards_cover_items_in_order() {
-        let items: Vec<usize> = (0..SHARD_SIZE + 5).collect();
-        let spans = map_shards(&items, 4, |shard, chunk| {
-            (shard, chunk[0], chunk[chunk.len() - 1])
-        });
-        assert_eq!(
-            spans,
-            vec![(0, 0, SHARD_SIZE - 1), (1, SHARD_SIZE, SHARD_SIZE + 4)]
-        );
+        let items: Vec<u32> = (0..SHARD_SIZE as u32 + 5).collect();
+        let shards: Vec<u64> = draws(&items, 4).into_iter().map(|(s, _)| s).collect();
+        let expected: Vec<u64> = (0..items.len()).map(|i| (i / SHARD_SIZE) as u64).collect();
+        assert_eq!(shards, expected);
     }
 
     #[test]
     fn empty_input_yields_no_shards() {
-        let out: Vec<u64> = map_shards(&[] as &[u32], 8, |_, _| 1);
-        assert!(out.is_empty());
+        assert!(draws(&[], 8).is_empty());
     }
 
     #[test]
@@ -316,20 +260,6 @@ mod tests {
             .unwrap_err();
             assert_eq!(err, 1, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn map_each_is_thread_count_invariant() {
-        let items: Vec<u32> = (0..37).collect();
-        let seq = map_each(&items, 1, |i, &x| (i as u32) * 1000 + x);
-        for threads in [2, 5, 64] {
-            assert_eq!(
-                map_each(&items, threads, |i, &x| (i as u32) * 1000 + x),
-                seq
-            );
-        }
-        let empty: Vec<u64> = map_each(&[] as &[u32], 4, |_, _| 0);
-        assert!(empty.is_empty());
     }
 
     #[test]

@@ -1,32 +1,30 @@
-//! Bounded-memory streaming ingestion.
+//! Bounded-memory streaming ingestion: the one fold every pipeline runs.
 //!
-//! The batch runtime ([`crate::parallel`]) requires fully materialized
-//! input slices: `absorb_batch` takes a `&[Report]`, which at paper scale
-//! (5–9M users × a kilobit per unary report) costs hundreds of megabytes
-//! before aggregation even starts. This module replaces the materialized
-//! slice with a **pull-based source** ([`ReportSource`]) and a chunked
-//! executor ([`fold_stream`]) that holds only
+//! Materializing a pipeline's input is what paper scale cannot afford:
+//! 5–9M users × a kilobit per unary report costs hundreds of megabytes
+//! before aggregation even starts. This module pulls items from a
+//! **pull-based source** ([`ReportSource`]) through a chunked executor
+//! ([`fold_stream`]) that holds only
 //!
 //! * one reusable input buffer of `chunk_items` items, and
 //! * one in-flight accumulator clone per worker,
 //!
 //! i.e. `O(chunk + threads × shard)` memory instead of `O(n)`.
 //!
-//! ## Bit-identical to the batch APIs
+//! ## Independent of chunks and threads
 //!
 //! The executor assigns every pulled item its **absolute stream index**,
-//! so shard boundaries land exactly where the batch runtime would put them
-//! regardless of the chunk size. Shard `s` is always processed with the
-//! deterministic RNG [`shard_rng`]`(base_seed, s)`; when a chunk boundary
-//! splits a shard, the partially-advanced RNG is carried to the next chunk
-//! and the shard's remaining items continue the same stream. Consequently
-//! `fold_stream` produces bit-identical results to the corresponding
-//! `*_batch` call for **every** chunk size and thread count, provided the
-//! fold function is prefix-composable (processing a shard in two fragments
-//! with a carried RNG equals processing it at once — true for every
-//! privatize+absorb loop in this workspace) and the merge is commutative
-//! and associative (true for counter sums and [`super::parallel`]-style
-//! accumulators).
+//! so shard boundaries land at the same places regardless of the chunk
+//! size. Shard `s` is always processed with the deterministic RNG
+//! [`shard_rng`]`(base_seed, s)`; when a chunk boundary splits a shard,
+//! the partially-advanced RNG is carried to the next chunk and the shard's
+//! remaining items continue the same stream. Consequently `fold_stream`
+//! produces bit-identical results to a sequential shard-by-shard scan for
+//! **every** chunk size and thread count, provided the fold function is
+//! prefix-composable (processing a shard in two fragments with a carried
+//! RNG equals processing it at once — true for every privatize+absorb loop
+//! in this workspace) and the merge is commutative and associative (true
+//! for counter sums).
 //!
 //! ## RNG contract v4: one sampler stream for every plan
 //!
@@ -62,8 +60,8 @@
 //!    chaos nets pin exactly this.
 //!
 //! History: v1 privatized the sequential path through a per-report
-//! geometric sampler while `privatize_batch` went word-parallel — two
-//! streams for one seed. v2 unified them on a bit-sliced sampler whose
+//! geometric sampler while the sharded batch path went word-parallel —
+//! two streams for one seed. v2 unified them on a bit-sliced sampler whose
 //! loop ran until every lane was decided, costing a mispredicted branch
 //! per word. v3 fixes the depth at 8 steps plus an exact per-lane
 //! fix-up. v4 moves the geometric/word-parallel crossover from 1/16 to
@@ -280,7 +278,7 @@ impl<S: ReportSource> ReportSource for Take<'_, S> {
 /// `f(rng, abs_index, items, acc)` processes one shard *fragment*: a run
 /// of consecutive items that all belong to the same absolute shard,
 /// starting at stream position `abs_index`. The RNG is positioned exactly
-/// where a batch run would have it: fresh [`shard_rng`]`(base_seed, s)` at
+/// where a sequential shard scan would have it: fresh [`shard_rng`]`(base_seed, s)` at
 /// a shard's first item, carried state mid-shard. Fragments of distinct
 /// shards run on up to the plan's resolved thread count of workers, each
 /// folding into its own clone
@@ -476,8 +474,8 @@ mod tests {
         }
     }
 
-    /// Reference: the batch-style fold (map_shards semantics) the stream
-    /// must reproduce bit-for-bit.
+    /// Reference: a sequential shard-by-shard scan the stream must
+    /// reproduce bit-for-bit.
     fn batch_reference(items: &[u32], base_seed: u64) -> (u64, u64) {
         let mut sum = 0u64;
         let mut rng_mix = 0u64;

@@ -120,7 +120,7 @@ impl UnaryEncoding {
     /// [`UnaryEncoding::WORDWISE_MIN_Q`]. Because the cross-over depends
     /// only on `prob` (a mechanism parameter, never on data), every
     /// execution mode picks the same branch and consumes the RNG stream
-    /// identically — this is what keeps sequential, batch, stream and
+    /// identically — this is what keeps single-report, streamed and
     /// distributed outputs bit-identical.
     #[inline]
     fn fill_plane<R: Rng + ?Sized>(&self, prob: f64, out: &mut BitVec, rng: &mut R) {
@@ -135,9 +135,9 @@ impl UnaryEncoding {
     ///
     /// Draws its Bernoulli(`q`) noise plane through the shared contract
     /// sampler, so a per-report loop over `privatize` consumes the RNG
-    /// stream exactly like [`UnaryEncoding::privatize_into`] — the batch,
-    /// stream and distributed paths reproduce this output bit-for-bit from
-    /// the same `(stage_seed, shard)` stream.
+    /// stream exactly like [`UnaryEncoding::privatize_into`] — the
+    /// in-process and distributed folds reproduce this output bit-for-bit
+    /// from the same `(stage_seed, shard)` stream.
     pub fn privatize<R: Rng + ?Sized>(&self, v: u32, rng: &mut R) -> Result<BitVec> {
         let mut bits = BitVec::zeros(self.d as usize);
         self.privatize_into(v, rng, &mut bits)?;

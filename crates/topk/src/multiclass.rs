@@ -14,20 +14,25 @@
 //! ε₁ once on the GRR label (used for routing and class-size estimation)
 //! and ε₂ on the single item report each user submits — every user reports
 //! in exactly one round, so the total stays ε = ε₁ + ε₂.
+//!
+//! ### Execution
+//! Every scoring round is one [`Executor::fold`] of a PEM round stage
+//! ([`PemVpRoundStage`] or [`PemOracleRoundStage`]): the PEM methods' trie
+//! rounds over their candidate prefixes, and the shuffling methods' bucket
+//! and final rounds over the identity candidate set `0..buckets`. So a
+//! distributed executor runs all of them on its workers. The GRR label
+//! routing is the only pass that stays on local threads.
 
 use std::collections::HashMap;
 
-use rand::Rng;
-
-use mcim_core::{CommStats, Domains, LabelItem, ValidityInput, ValidityPerturbation, VpAggregator};
+use mcim_core::{CommStats, Domains, LabelItem, ValidityPerturbation};
 use mcim_oracles::exec::{Exec, Executor};
 use mcim_oracles::hash::SplitMix64;
 use mcim_oracles::stream::{drain_source, ReportSource, SliceSource};
-use mcim_oracles::{
-    calibrate::unbiased_count, parallel, Aggregator, Eps, Error, Grr, Oracle, Result,
-};
+use mcim_oracles::{calibrate::unbiased_count, parallel, Eps, Error, Grr, Result};
 
-use crate::pem::{Pem, PemConfig, PemEngine, PemOutcome};
+use crate::encoding::PrefixCode;
+use crate::pem::{Pem, PemConfig, PemEngine, PemOracleRoundStage, PemOutcome, PemVpRoundStage};
 use crate::shuffle::ShuffleEngine;
 
 /// Which form of Algorithm 2's noise test gates the final CP round.
@@ -229,23 +234,20 @@ pub struct TopKResult {
     pub broadcast_bits_per_user: f64,
 }
 
-/// Execution pacing for the bulk privatize+aggregate stages: the sharded
-/// deterministic runtime of [`parallel`].
+/// Execution pacing: the per-stage seed stream and the executor every
+/// scoring round folds on.
 ///
 /// Stage `i` takes the `i`-th seed of a [`SplitMix64`] stream over the
-/// plan seed and fans out over fixed-size shards with derived per-shard
-/// RNGs, so the mined result is bit-identical for every thread count,
-/// chunk size and worker count. A one-thread plan is this same runtime
-/// pinned to one worker (the RNG contract; see `mcim_oracles::stream`).
+/// plan seed and processes fixed-size shards with derived per-shard RNGs,
+/// so the mined result is bit-identical for every thread count, chunk
+/// size and worker count (the RNG contract; see `mcim_oracles::stream`).
 struct Pace<'r, E: Executor> {
     /// Per-stage seed stream.
     stream: SplitMix64,
-    /// Worker thread cap (local fan-out stages).
+    /// Worker thread cap of the local label-routing pass.
     threads: usize,
-    /// Backend for the PEM stages — in-process threads or the distributed
-    /// reducer. The label-routing and shuffling stages stay local: their
-    /// folds are output-per-input maps, not mergeable reductions, so there
-    /// is nothing for a reducer to merge.
+    /// Backend for every PEM and bucket-scoring round — in-process threads
+    /// or the distributed reducer.
     executor: &'r E,
 }
 
@@ -256,6 +258,11 @@ impl<E: Executor> Pace<'_, E> {
     }
 
     /// GRR-routes a block of labels, recording uplink per user.
+    ///
+    /// The one pass that stays off the executor: it yields one output per
+    /// input, in input order, which a fold cannot express — folds combine
+    /// partials with a commutative [`Stage::merge`](mcim_oracles::exec::Stage::merge).
+    /// It runs on local threads under the same shard RNG contract.
     fn route(&mut self, grr: &Grr, labels: &[u32], comm: &mut CommStats) -> Result<Vec<u32>> {
         for _ in labels {
             comm.record(grr.report_bits());
@@ -268,17 +275,6 @@ impl<E: Executor> Pace<'_, E> {
             }
             Ok(())
         })
-    }
-
-    /// Privatizes and aggregates a block of validity-perturbation inputs.
-    fn vp_aggregate(
-        &mut self,
-        vp: &ValidityPerturbation,
-        inputs: &[ValidityInput],
-        comm: &mut CommStats,
-    ) -> Result<VpAggregator> {
-        let base = self.stream.next_u64();
-        vp_aggregate_batch(vp, inputs, base, self.threads, comm)
     }
 
     /// Runs one PEM round on a prepared item group.
@@ -310,20 +306,25 @@ impl<E: Executor> Pace<'_, E> {
 /// Runs `method` under an [`Exec`] plan and returns per-class top-k items
 /// — the single entry point of the multi-class layer.
 ///
-/// Every plan fans each bulk privatize+aggregate stage out over
-/// fixed-size shards with RNG streams derived from the plan seed
-/// (the RNG contract), so the mined result is a pure function of
-/// `(method, config, domains, pairs, seed)` — bit-identical across
-/// in-process and distributed execution for every thread count and chunk
-/// size (the `MCIM_THREADS` CI matrix locks this in).
+/// Every scoring round is a fold over fixed-size shards with RNG streams
+/// derived from the plan seed (the RNG contract), so the mined result is a
+/// pure function of `(method, config, domains, pairs, seed)` —
+/// bit-identical across in-process and distributed execution for every
+/// thread count and chunk size (the `MCIM_THREADS` CI matrix locks this
+/// in).
 ///
 /// Multi-round mining routes users into per-class groups that later
 /// rounds revisit, so the 8-byte pairs themselves are drained into memory
 /// (≈ 40 MB at the paper's 5M users) under every plan — but every privatized
-/// report still lives only inside the sharded runtime's
-/// `O(threads × shard)` buffers, never as an `O(n)` slice, and the
-/// pull-based ingestion means the pairs can come straight off disk or a
-/// socket instead of a pre-built `Vec`.
+/// report still lives only inside the fold's `O(threads × shard)`
+/// buffers, never as an `O(n)` slice, and the pull-based ingestion means
+/// the pairs can come straight off disk or a socket instead of a pre-built
+/// `Vec`.
+///
+/// # Errors
+/// [`Error::InvalidParameter`] for `k = 0`, an empty source, a
+/// `sample_frac` outside `(0, 1)` or a `noise_factor` that is not a finite
+/// positive number.
 pub fn execute<S>(
     method: TopKMethod,
     config: TopKConfig,
@@ -339,14 +340,14 @@ where
 
 /// Runs `method` on an explicit [`Executor`] backend — the
 /// distributed-reducer seam of the multi-class layer (pass `mcim-dist`'s
-/// `Coordinator` to fan the PEM mining stages out across worker
-/// processes).
+/// `Coordinator` to fan every scoring round out across worker processes).
 ///
 /// Stage `i` of the pipeline takes the `i`-th seed of a [`SplitMix64`]
-/// stream over the executor's plan seed, exactly like [`execute`] — the mined result is bit-identical for every conforming
-/// executor, thread count, chunk size and worker count. The PEM rounds run
-/// on the executor; the label-routing and bucket-shuffling stages fan out
-/// on local threads (output-per-input maps have no mergeable partials to
+/// stream over the executor's plan seed, exactly like [`execute`] — the
+/// mined result is bit-identical for every conforming executor, thread
+/// count, chunk size and worker count. Every PEM, bucket-scoring and
+/// final round folds on the executor; only the GRR label routing runs on
+/// local threads (an output-per-input map has no mergeable partials to
 /// reduce).
 pub fn execute_on<E, S>(
     method: TopKMethod,
@@ -400,6 +401,18 @@ fn mine_with<E: Executor>(
         return Err(Error::InvalidParameter {
             name: "data",
             constraint: "at least one user required",
+        });
+    }
+    if !(config.sample_frac > 0.0 && config.sample_frac < 1.0) {
+        return Err(Error::InvalidParameter {
+            name: "sample_frac",
+            constraint: "0 < sample_frac < 1",
+        });
+    }
+    if !(config.noise_factor > 0.0 && config.noise_factor.is_finite()) {
+        return Err(Error::InvalidParameter {
+            name: "noise_factor",
+            constraint: "finite noise_factor > 0",
         });
     }
     match method {
@@ -781,107 +794,49 @@ fn pts_shuffled<E: Executor>(
         class_broadcast = class_broadcast.max(engine.broadcast_bits() as f64);
     }
 
-    // Final round. CP classes need the cohort-wide total N_f for Eq. (4).
+    // Final round: one fold per eligible class, in class order. CP classes
+    // need the cohort-wide total N_f for Eq. (4).
     let n_final: usize = finals.iter().map(|f| f.users.len()).sum();
     let mut per_class: Vec<Vec<u32>> = vec![Vec::new(); c];
-
-    // Pieces shared by both pacing arms, so the estimator math cannot
-    // silently diverge between them.
-    let cand_index = |fg: &FinalGroup<'_>| -> HashMap<u32, u32> {
-        fg.candidates
+    for fg in &finals {
+        if fg.users.is_empty() || fg.candidates.is_empty() {
+            continue;
+        }
+        let index: HashMap<u32, u32> = fg
+            .candidates
             .iter()
             .enumerate()
             .map(|(i, &it)| (it, i as u32))
-            .collect()
-    };
-    // Correlated perturbation: validity requires the routed label to match
-    // the true label AND the item to have survived pruning.
-    let cp_inputs = |fg: &FinalGroup<'_>, index: &HashMap<u32, u32>| -> Vec<ValidityInput> {
-        fg.users
+            .collect();
+        // Correlated perturbation: validity also requires the routed label
+        // to match the true label (besides the item surviving pruning).
+        let inputs: Vec<Option<u32>> = fg
+            .users
             .iter()
-            .map(|p| match index.get(&p.item) {
-                Some(&idx) if p.label == fg.class => ValidityInput::Valid(idx),
-                _ => ValidityInput::Invalid,
+            .map(|p| {
+                let idx = index.get(&p.item).copied();
+                idx.filter(|_| !fg.use_cp || p.label == fg.class)
             })
-            .collect()
-    };
-    // Eq. (4) with N = final cohort size and ñ_C = |F_C| (every member of
-    // this group was routed to this class).
-    let cp_scores = |fg: &FinalGroup<'_>, vp: &ValidityPerturbation, agg: &VpAggregator| {
-        let (p2, q2) = (vp.p(), vp.q());
-        let n_f = n_final as f64;
-        let n_hat = unbiased_count(fg.users.len() as f64, n_f, p1, q1);
-        let denom = p1 * (1.0 - q2) * (p2 - q2);
-        let correction = n_hat * q2 * (p1 * (1.0 - q2) - q1 * (1.0 - p2));
-        agg.raw_counts()
-            .iter()
-            .map(|&cnt| (cnt as f64 - n_f * q1 * q2 * (1.0 - p2) - correction) / denom)
-            .collect::<Vec<f64>>()
-    };
-    let item_inputs = |fg: &FinalGroup<'_>, index: &HashMap<u32, u32>| -> Vec<Option<u32>> {
-        fg.users
-            .iter()
-            .map(|p| index.get(&p.item).copied())
-            .collect()
-    };
-    let rank_top = |cands: &[u32], scores: Vec<f64>| -> Vec<u32> {
-        let mut ranked: Vec<(u32, f64)> = cands.iter().copied().zip(scores).collect();
+            .collect();
+        // `use_cp` implies `validity`, so CP classes get VP's raw counts.
+        let n_cands = fg.candidates.len();
+        let mut scores = score_round(pace, e2, n_cands, &inputs, validity, &mut comm)?;
+        if fg.use_cp {
+            // Eq. (4) with N = final cohort size and ñ_C = |F_C| (every
+            // member of this group was routed to this class).
+            let vp = ValidityPerturbation::new(e2, n_cands as u32)?;
+            let (p2, q2) = (vp.p(), vp.q());
+            let n_f = n_final as f64;
+            let n_hat = unbiased_count(fg.users.len() as f64, n_f, p1, q1);
+            let denom = p1 * (1.0 - q2) * (p2 - q2);
+            let correction = n_hat * q2 * (p1 * (1.0 - q2) - q1 * (1.0 - p2));
+            for s in &mut scores {
+                *s = (*s - n_f * q1 * q2 * (1.0 - p2) - correction) / denom;
+            }
+        }
+        let mut ranked: Vec<(u32, f64)> = fg.candidates.iter().copied().zip(scores).collect();
         ranked.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        ranked.into_iter().take(k).map(|(it, _)| it).collect()
-    };
-
-    // One class's final-round scores on the sharded runtime, under an
-    // explicit base seed (so classes can run concurrently).
-    let class_scores_batch =
-        |fg: &FinalGroup<'_>, seed: u64, threads: usize| -> Result<(Vec<f64>, CommStats)> {
-            let mut comm = CommStats::default();
-            let index = cand_index(fg);
-            let scores = if fg.use_cp {
-                let vp = ValidityPerturbation::new(e2, fg.candidates.len() as u32)?;
-                let inputs = cp_inputs(fg, &index);
-                let agg = vp_aggregate_batch(&vp, &inputs, seed, threads, &mut comm)?;
-                cp_scores(fg, &vp, &agg)
-            } else {
-                let inputs = item_inputs(fg, &index);
-                score_round_batch(
-                    e2,
-                    fg.candidates.len(),
-                    &inputs,
-                    validity,
-                    seed,
-                    threads,
-                    &mut comm,
-                )?
-            };
-            Ok((scores, comm))
-        };
-
-    // Final cohorts rarely fill a single 4096-item shard, so per-class
-    // sharding runs them one after another on one worker. Pre-drawing each
-    // eligible class's base seed in class order (exactly the draws an
-    // in-class-order execution performs) lets the classes themselves fan
-    // out across workers while every RNG stream — and therefore the mined
-    // set — stays bit-identical.
-    let threads = pace.threads;
-    let jobs: Vec<(usize, u64)> = finals
-        .iter()
-        .enumerate()
-        .filter(|(_, fg)| !fg.users.is_empty() && !fg.candidates.is_empty())
-        .map(|(i, _)| (i, pace.next_seed()))
-        .collect();
-    // Split the worker budget between the class fan-out and each class's
-    // internal sharding: paper-scale cohorts exceed one shard, and
-    // `jobs.len() × threads` workers would oversubscribe the machine in
-    // exactly the path this fan-out accelerates.
-    let inner_threads = (threads / jobs.len().max(1)).max(1);
-    let outcomes = parallel::map_each(&jobs, threads, |_, &(i, seed)| {
-        class_scores_batch(&finals[i], seed, inner_threads).map(|r| (i, r))
-    });
-    for outcome in outcomes {
-        let (i, (scores, class_comm)) = outcome?;
-        comm.merge(class_comm);
-        let fg = &finals[i];
-        per_class[fg.class as usize] = rank_top(&fg.candidates, scores);
+        per_class[fg.class as usize] = ranked.into_iter().take(k).map(|(it, _)| it).collect();
     }
 
     Ok(TopKResult {
@@ -893,12 +848,17 @@ fn pts_shuffled<E: Executor>(
 
 // ------------------------------------------------------------ helpers --
 
-/// Aggregates one round of bucket/candidate reports and returns raw scores.
-/// `inputs` holds each user's bucket (`None` = invalid). With `validity`
-/// the VP mechanism is used; otherwise invalid users substitute a uniform
-/// random bucket (vanilla PEM deniability) under the adaptive oracle.
-/// Bulk work is sharded across `pace`'s threads with derived deterministic
-/// streams.
+/// Scores one round of bucket reports on the executor. `inputs` holds each
+/// user's bucket in `0..buckets` (`None` = invalid). With `validity` the
+/// scores are the VP mechanism's raw flag-filtered counts; otherwise
+/// invalid users substitute a uniform random bucket (vanilla PEM
+/// deniability) and the scores are the adaptive oracle's estimates.
+///
+/// The round is a fold of the PEM round stage over the *identity*
+/// candidate set — bucket `b` is its own full-length code, so the stage
+/// classifies it as candidate `b` — under the next seed of `pace`'s
+/// stream. Every top-k scoring round therefore runs on the executor, and
+/// a distributed one ships it to its workers.
 fn score_round<E: Executor>(
     pace: &mut Pace<'_, E>,
     eps: Eps,
@@ -910,116 +870,22 @@ fn score_round<E: Executor>(
     if buckets == 0 {
         return Ok(Vec::new());
     }
-    if validity {
-        let vp = ValidityPerturbation::new(eps, buckets as u32)?;
-        let vp_inputs: Vec<ValidityInput> = inputs
-            .iter()
-            .map(|b| match b {
-                Some(idx) => ValidityInput::Valid(*idx),
-                None => ValidityInput::Invalid,
-            })
-            .collect();
-        let agg = pace.vp_aggregate(&vp, &vp_inputs, comm)?;
-        Ok(agg.raw_counts().iter().map(|&c| c as f64).collect())
+    let domain = buckets as u32;
+    let prefix_len = PrefixCode::for_domain(domain).bits();
+    let candidates: Vec<u32> = (0..domain).collect();
+    let seed = pace.next_seed();
+    let source = &mut SliceSource::new(inputs);
+    let (scores, stats) = if validity {
+        let stage = PemVpRoundStage::new(eps, domain, prefix_len, candidates)?;
+        let (agg, stats) = pace.executor.fold(source, seed, &stage)?;
+        (agg.raw_counts().iter().map(|&c| c as f64).collect(), stats)
     } else {
-        let base = pace.next_seed();
-        oracle_score_batch(eps, buckets, inputs, base, pace.threads, comm)
-    }
-}
-
-/// The sharded half of [`score_round`]'s oracle path, callable with an
-/// explicit base seed so the per-class final rounds can pre-draw their
-/// seeds and run on worker threads.
-fn oracle_score_batch(
-    eps: Eps,
-    buckets: usize,
-    inputs: &[Option<u32>],
-    base_seed: u64,
-    threads: usize,
-    comm: &mut CommStats,
-) -> Result<Vec<f64>> {
-    let oracle = Oracle::adaptive(eps, buckets as u32)?;
-    let mut agg = Aggregator::new(&oracle);
-    let shards = parallel::map_shards(inputs, threads, |shard, chunk| {
-        let mut rng = parallel::shard_rng(base_seed, shard);
-        let mut shard_comm = CommStats::default();
-        let mut reports = Vec::with_capacity(chunk.len());
-        for &b in chunk {
-            let value = b.unwrap_or_else(|| rng.random_range(0..buckets as u32));
-            let report = oracle.privatize(value, &mut rng)?;
-            shard_comm.record(report.size_bits());
-            reports.push(report);
-        }
-        let mut local = Aggregator::new(&oracle);
-        local.absorb_all(&reports)?;
-        Ok::<_, Error>((local, shard_comm))
-    });
-    for shard in shards {
-        let (partial, partial_comm) = shard?;
-        agg.merge(&partial)?;
-        comm.merge(partial_comm);
-    }
-    Ok(agg.estimate())
-}
-
-/// The sharded half of [`Pace::vp_aggregate`], callable with an explicit
-/// base seed (same rationale as [`oracle_score_batch`]).
-fn vp_aggregate_batch(
-    vp: &ValidityPerturbation,
-    inputs: &[ValidityInput],
-    base_seed: u64,
-    threads: usize,
-    comm: &mut CommStats,
-) -> Result<VpAggregator> {
-    let mut agg = VpAggregator::new(vp);
-    let shards = parallel::map_shards(inputs, threads, |shard, chunk| {
-        let mut rng = parallel::shard_rng(base_seed, shard);
-        let mut shard_comm = CommStats::default();
-        let mut local = VpAggregator::new(vp);
-        local.absorb_each(chunk.len(), |i, report| {
-            vp.privatize_into(chunk[i], &mut rng, report)?;
-            shard_comm.record(report.len());
-            Ok(())
-        })?;
-        Ok::<_, Error>((local, shard_comm))
-    });
-    for shard in shards {
-        let (partial, partial_comm) = shard?;
-        agg.merge(&partial)?;
-        comm.merge(partial_comm);
-    }
-    Ok(agg)
-}
-
-/// [`score_round`]'s sharded path with an explicit base seed — the
-/// per-class final rounds pre-draw one seed per class in class order and
-/// then run the classes themselves on worker threads.
-fn score_round_batch(
-    eps: Eps,
-    buckets: usize,
-    inputs: &[Option<u32>],
-    validity: bool,
-    base_seed: u64,
-    threads: usize,
-    comm: &mut CommStats,
-) -> Result<Vec<f64>> {
-    if buckets == 0 {
-        return Ok(Vec::new());
-    }
-    if validity {
-        let vp = ValidityPerturbation::new(eps, buckets as u32)?;
-        let vp_inputs: Vec<ValidityInput> = inputs
-            .iter()
-            .map(|b| match b {
-                Some(idx) => ValidityInput::Valid(*idx),
-                None => ValidityInput::Invalid,
-            })
-            .collect();
-        let agg = vp_aggregate_batch(&vp, &vp_inputs, base_seed, threads, comm)?;
-        Ok(agg.raw_counts().iter().map(|&c| c as f64).collect())
-    } else {
-        oracle_score_batch(eps, buckets, inputs, base_seed, threads, comm)
-    }
+        let stage = PemOracleRoundStage::new(eps, domain, prefix_len, candidates)?;
+        let (agg, stats) = pace.executor.fold(source, seed, &stage)?;
+        (agg.estimate(), stats)
+    };
+    comm.merge(stats);
+    Ok(scores)
 }
 
 /// Splits a ranked list of joint codes into per-class top-k item lists.
@@ -1045,7 +911,7 @@ fn split_at_frac(data: &[LabelItem], frac: f64) -> (&[LabelItem], &[LabelItem]) 
 /// must receive that round's candidate prefixes (up to `2k·2^m` codes of
 /// `⌈log₂ d⌉` bits).
 fn pem_broadcast_estimate(domain: u32, k: usize) -> f64 {
-    let code_bits = crate::encoding::PrefixCode::for_domain(domain).bits() as f64;
+    let code_bits = PrefixCode::for_domain(domain).bits() as f64;
     (4 * k) as f64 * code_bits
 }
 
@@ -1053,7 +919,7 @@ fn pem_broadcast_estimate(domain: u32, k: usize) -> f64 {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn eps(v: f64) -> Eps {
         Eps::new(v).unwrap()
@@ -1274,6 +1140,33 @@ mod tests {
             SliceSource::new(&[] as &[LabelItem]),
         )
         .is_err());
+        // Algorithm 1's sample fraction and Algorithm 2's noise threshold
+        // are refused before any draw, whichever method would use them.
+        let opt = TopKMethod::PtsShuffled {
+            validity: true,
+            global: true,
+            correlated: true,
+        };
+        let refused = |config: TopKConfig, name: &str| {
+            for method in [TopKMethod::Hec, opt] {
+                let err = execute(method, config, domains, &plan, SliceSource::new(&data));
+                assert!(
+                    matches!(err, Err(Error::InvalidParameter { name: n, .. }) if n == name),
+                    "{}: {err:?}",
+                    method.name()
+                );
+            }
+        };
+        for frac in [0.0, 1.0, 1.5, -1.0, f64::NAN, f64::INFINITY] {
+            let mut config = TopKConfig::new(1, eps(1.0));
+            config.sample_frac = frac;
+            refused(config, "sample_frac");
+        }
+        for b in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut config = TopKConfig::new(1, eps(1.0));
+            config.noise_factor = b;
+            refused(config, "noise_factor");
+        }
     }
 
     #[test]

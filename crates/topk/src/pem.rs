@@ -288,6 +288,7 @@ impl Stage for PemOracleRoundStage {
         (agg, comm): &mut Self::Acc,
     ) -> Result<()> {
         let n_cands = self.candidates.len() as u32;
+        let mut reports = Vec::with_capacity(items.len());
         for &item in items {
             let value = match item {
                 Some(it) => match self.index.get(self.code.prefix(it, self.prefix_len)) {
@@ -298,9 +299,11 @@ impl Stage for PemOracleRoundStage {
             };
             let report = self.oracle.privatize(value, rng)?;
             comm.record(report.size_bits());
-            agg.absorb(&report)?;
+            reports.push(report);
         }
-        Ok(())
+        // One block per fragment: unary-encoding reports sum through the
+        // bit-sliced column counter instead of per-report increments.
+        agg.absorb_all(&reports)
     }
 
     fn merge(&self, into: &mut Self::Acc, from: &Self::Acc) -> Result<()> {
@@ -540,7 +543,8 @@ impl PemEngine {
     /// (`CandIndex`); the validity round privatizes each user into one
     /// reused report and sums the fragment through the bit-sliced column
     /// counter ([`VpAggregator::absorb_each`]), while the vanilla round
-    /// absorbs each adaptive-oracle report as it is drawn. The
+    /// absorbs each fragment's adaptive-oracle reports as one block
+    /// ([`Aggregator::absorb_all`]). The
     /// surviving candidate set is a pure function of
     /// `(engine state, eps, items, stage_seed)` — bit-identical for every
     /// conforming executor, thread count, chunk size and worker count.
@@ -594,8 +598,8 @@ impl PemEngine {
         Ok(comm)
     }
 
-    /// Applies external scores (one per candidate) — used by callers that
-    /// aggregate reports themselves (the multi-class PTS pipeline).
+    /// Applies external scores (one per candidate), for callers that
+    /// aggregate reports themselves.
     pub fn apply_scores(&mut self, scores: Vec<f64>) -> Result<()> {
         if scores.len() != self.candidates.len() {
             return Err(Error::ReportMismatch {
@@ -1049,7 +1053,7 @@ mod tests {
                 );
                 assert_eq!(par.comm, seq.comm);
             }
-            // The batched runtime still mines the heavy head.
+            // The sharded runtime still mines the heavy head.
             for expected in 0..2u32 {
                 assert!(
                     seq.top.contains(&expected),

@@ -83,7 +83,7 @@ fn topk_mining_identical_for_identical_seeds() {
     );
 }
 
-/// The batch runtime's headline guarantee: `threads = N` produces
+/// The sharded runtime's headline guarantee: `threads = N` produces
 /// bit-identical estimates to `threads = 1` for every framework. The CI
 /// thread matrix runs this file under `MCIM_THREADS=1` and `MCIM_THREADS=4`,
 /// so `configured_threads()` exercises a genuinely different worker count
@@ -120,10 +120,10 @@ fn batch_plan_thread_matrix_is_bit_identical_for_every_framework() {
     }
 }
 
-/// Same guarantee for the standalone validity-perturbation pipeline (the
-/// "VP" row of the acceptance matrix): batched privatization equals N
-/// sequential per-shard privatize calls, and sharded aggregation equals
-/// sequential absorption bit-for-bit.
+/// Same guarantee for the standalone validity-perturbation aggregator (the
+/// "VP" row of the acceptance matrix): reports privatized shard by shard
+/// and absorbed through the sharded stream runtime equal sequential
+/// absorption bit-for-bit at every thread count.
 #[test]
 fn vp_batch_thread_matrix_is_bit_identical() {
     let vp = ValidityPerturbation::new(Eps::new(1.5).unwrap(), 96).unwrap();
@@ -136,33 +136,29 @@ fn vp_batch_thread_matrix_is_bit_identical() {
             }
         })
         .collect();
-    let reports = vp.privatize_batch(&inputs, 9, 1).unwrap();
-
-    // Batched privatization == sequential privatize calls, shard by shard.
-    let mut reference = Vec::new();
+    let mut reports = Vec::new();
     for (s, chunk) in inputs.chunks(parallel::SHARD_SIZE).enumerate() {
         let mut rng = parallel::shard_rng(9, s as u64);
         for &input in chunk {
-            reference.push(vp.privatize(input, &mut rng).unwrap());
+            reports.push(vp.privatize(input, &mut rng).unwrap());
         }
     }
-    assert_eq!(reports, reference);
 
     let mut seq = VpAggregator::new(&vp);
     for r in &reports {
         seq.absorb(r).unwrap();
     }
     for t in [1, 2, parallel::configured_threads()] {
-        assert_eq!(vp.privatize_batch(&inputs, 9, t).unwrap(), reports);
         let mut par = VpAggregator::new(&vp);
-        par.absorb_batch(&reports, t).unwrap();
+        par.absorb_stream(&mut SliceSource::new(&reports), &Exec::new().threads(t))
+            .unwrap();
         assert_eq!(par.raw_counts(), seq.raw_counts(), "threads={t}");
         assert_eq!(par.raw_flag_count(), seq.raw_flag_count());
         assert_eq!(par.estimate(), seq.estimate());
     }
 }
 
-/// Top-k mining on the batch runtime is a pure function of the base seed —
+/// Top-k mining on the sharded runtime is a pure function of the base seed —
 /// the thread count never changes the mined sets.
 #[test]
 fn topk_batch_plan_thread_matrix_is_bit_identical() {

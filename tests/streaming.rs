@@ -1,7 +1,8 @@
-//! Streaming-ingestion equivalence: every `*_stream` API must produce
-//! **bit-identical** results to its `*_batch` counterpart, and every plan
-//! to the one that holds the whole source in a single chunk, for every
-//! chunk size (including ones that split shards) and every thread count.
+//! Streaming-ingestion equivalence: every aggregator's `absorb_stream`
+//! must produce **bit-identical** results to its `absorb_all` over the
+//! materialized reports, and every plan to the one that holds the whole
+//! source in a single chunk, for every chunk size (including ones that
+//! split shards) and every thread count.
 //! The CI thread matrix runs this file under `MCIM_THREADS=1` and `=4`.
 
 use multiclass_ldp::core::frameworks::{
@@ -21,6 +22,19 @@ fn sample_data(domains: Domains, n: usize) -> Vec<LabelItem> {
                 ((u * 7919) % domains.items() as usize) as u32,
             )
         })
+        .collect()
+}
+
+/// Privatizes every input from one seeded stream.
+fn privatize_all<I: Copy, R>(
+    inputs: &[I],
+    seed: u64,
+    mut privatize: impl FnMut(I, &mut rand::rngs::StdRng) -> Result<R>,
+) -> Vec<R> {
+    let mut rng = parallel::shard_rng(seed, 0);
+    inputs
+        .iter()
+        .map(|&x| privatize(x, &mut rng).unwrap())
         .collect()
 }
 
@@ -44,9 +58,9 @@ fn aggregator_absorb_stream_matches_batch_for_every_oracle() {
     ] {
         let d = oracle.domain_size();
         let values: Vec<u32> = (0..SHARD as u32 + 700).map(|u| (u * 13) % d).collect();
-        let reports = oracle.privatize_batch(&values, 8, 1).unwrap();
+        let reports = privatize_all(&values, 8, |v, rng| oracle.privatize(v, rng));
         let mut batch = Aggregator::new(&oracle);
-        batch.absorb_batch(&reports, 4).unwrap();
+        batch.absorb_all(&reports).unwrap();
         for chunk in [SHARD - 1, SHARD + 1] {
             for threads in [1, 4] {
                 let mut streamed = Aggregator::new(&oracle);
@@ -80,9 +94,9 @@ fn vp_and_cp_absorb_stream_match_batch() {
             }
         })
         .collect();
-    let reports = vp.privatize_batch(&inputs, 3, 1).unwrap();
+    let reports = privatize_all(&inputs, 3, |x, rng| vp.privatize(x, rng));
     let mut batch = VpAggregator::new(&vp);
-    batch.absorb_batch(&reports, 4).unwrap();
+    batch.absorb_all(&reports).unwrap();
     for threads in [1, 4] {
         let mut streamed = VpAggregator::new(&vp);
         streamed
@@ -100,9 +114,9 @@ fn vp_and_cp_absorb_stream_match_batch() {
     let domains = Domains::new(4, 48).unwrap();
     let cp = CorrelatedPerturbation::with_total(Eps::new(2.0).unwrap(), domains).unwrap();
     let pairs = sample_data(domains, n);
-    let reports = cp.privatize_batch(&pairs, 5, 1).unwrap();
+    let reports = privatize_all(&pairs, 5, |p, rng| cp.privatize(p, rng));
     let mut batch = CpAggregator::new(&cp);
-    batch.absorb_batch(&reports, 4).unwrap();
+    batch.absorb_all(&reports).unwrap();
     for threads in [1, 4] {
         let mut streamed = CpAggregator::new(&cp);
         streamed
@@ -138,9 +152,9 @@ fn pts_ptj_hec_absorb_stream_match_batch() {
     let eps = Eps::new(2.0).unwrap();
 
     let pts = Pts::new(Eps::new(1.0).unwrap(), Eps::new(1.0).unwrap(), domains).unwrap();
-    let reports = pts.privatize_batch(&pairs, 6, 1).unwrap();
+    let reports = privatize_all(&pairs, 6, |p, rng| pts.privatize(p, rng));
     let mut batch = PtsAggregator::new(&pts);
-    batch.absorb_batch(&reports, 4).unwrap();
+    batch.absorb_all(&reports).unwrap();
     for threads in [1, 4] {
         let mut streamed = PtsAggregator::new(&pts);
         streamed
@@ -151,9 +165,9 @@ fn pts_ptj_hec_absorb_stream_match_batch() {
     }
 
     let ptj = Ptj::new(eps, domains).unwrap();
-    let reports = ptj.privatize_batch(&pairs, 7, 1).unwrap();
+    let reports = privatize_all(&pairs, 7, |p, rng| ptj.privatize(p, rng));
     let mut batch = PtjAggregator::new(&ptj);
-    batch.absorb_batch(&reports, 4).unwrap();
+    batch.absorb_all(&reports).unwrap();
     for threads in [1, 4] {
         let mut streamed = PtjAggregator::new(&ptj);
         streamed
@@ -164,9 +178,12 @@ fn pts_ptj_hec_absorb_stream_match_batch() {
     }
 
     let hec = Hec::new(eps, domains).unwrap();
-    let reports = hec.privatize_batch(0, &pairs, 9, 1).unwrap();
+    let mut user = 0..;
+    let reports = privatize_all(&pairs, 9, |p, rng| {
+        hec.privatize(user.next().unwrap(), p, rng)
+    });
     let mut batch = HecAggregator::new(&hec);
-    batch.absorb_batch(&reports, 4).unwrap();
+    batch.absorb_all(&reports).unwrap();
     for threads in [1, 4] {
         let mut streamed = HecAggregator::new(&hec);
         streamed

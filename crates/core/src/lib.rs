@@ -46,13 +46,11 @@ pub mod analysis;
 mod correlated;
 mod domain;
 pub mod frameworks;
-pub mod mean;
 mod validity;
 
 pub use correlated::{CorrelatedPerturbation, CpAggregator, CpReport};
 pub use domain::{Domains, FrequencyTable, LabelItem};
 pub use frameworks::{CommStats, EstimationResult, Framework};
-pub use mean::{LabelValue, MeanAggregator, MeanCp, MeanPts, NumericMechanism};
 pub use validity::{ValidityInput, ValidityPerturbation, VpAggregator};
 
 /// Re-export of the substrate crate for downstream convenience.

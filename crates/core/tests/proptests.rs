@@ -245,51 +245,3 @@ proptest! {
         }
     }
 }
-
-proptest! {
-    /// Mean estimators produce finite sums/means for arbitrary populations
-    /// and budget splits, under both recipes and both numeric mechanisms.
-    #[test]
-    fn mean_estimators_finite(
-        seed in any::<u64>(),
-        classes in 2u32..8,
-        n in 10usize..300,
-        eps_v in 0.2f64..6.0,
-    ) {
-        use mcim_core::mean::{LabelValue, MeanAggregator, MeanCp, MeanPts, NumericMechanism};
-        let mut rng = StdRng::seed_from_u64(seed);
-        let data: Vec<LabelValue> = (0..n)
-            .map(|i| {
-                use rand::Rng;
-                LabelValue::new((i as u32) % classes, rng.random_range(-1.0..1.0))
-            })
-            .collect();
-        let eps = Eps::new(eps_v).unwrap();
-        for mech_kind in [NumericMechanism::StochasticRounding, NumericMechanism::Piecewise] {
-            let pts = MeanPts::with_total(eps, classes, mech_kind).unwrap();
-            let cp = MeanCp::with_total(eps, classes, mech_kind).unwrap();
-            let mut pts_agg = MeanAggregator::for_pts(&pts);
-            let mut cp_agg = MeanAggregator::for_cp(&cp);
-            for lv in &data {
-                pts_agg.absorb(&pts.privatize(*lv, &mut rng).unwrap()).unwrap();
-                cp_agg.absorb(&cp.privatize(*lv, &mut rng).unwrap()).unwrap();
-            }
-            for c in 0..classes {
-                prop_assert!(pts_agg.estimate_class_sum(c).is_finite());
-                prop_assert!(cp_agg.estimate_class_sum(c).is_finite());
-                if let Some(m) = pts_agg.estimate_mean(c) {
-                    prop_assert!(m.is_finite());
-                }
-            }
-        }
-    }
-
-    /// MeanCp budget accounting: the three budgets always sum to the total.
-    #[test]
-    fn mean_cp_budget_sums(eps_v in 0.1f64..10.0) {
-        let eps = Eps::new(eps_v).unwrap();
-        let (e1, item) = eps.halve();
-        let (ef, ev) = item.halve();
-        prop_assert!((e1.value() + ef.value() + ev.value() - eps_v).abs() < 1e-12);
-    }
-}

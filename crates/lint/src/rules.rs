@@ -557,10 +557,7 @@ mod tests {
             classify("crates/dist/tests/reducer.rs"),
             Some(FileClass::TestLike)
         );
-        assert_eq!(
-            classify("tests/exec_equivalence.rs"),
-            Some(FileClass::TestLike)
-        );
+        assert_eq!(classify("tests/identity.rs"), Some(FileClass::TestLike));
         assert_eq!(
             classify("examples/quickstart.rs"),
             Some(FileClass::TestLike)
@@ -608,7 +605,7 @@ mod tests {
         let f = lib_findings("crates/obs/src/registry.rs", src);
         assert_eq!(rules_of(&f), ["clock-discipline"]);
         assert!(f[0].message.contains("clock seam"));
-        let t = check_file("tests/obs_equivalence.rs", src, FileClass::TestLike);
+        let t = check_file("tests/identity.rs", src, FileClass::TestLike);
         assert_eq!(rules_of(&t.findings), ["clock-discipline"]);
         // Tool crates (bench timing loops) stay free to read clocks.
         let b = check_file("crates/bench/benches/x.rs", src, FileClass::Tool);

@@ -66,7 +66,6 @@ mod bitvec;
 mod budget;
 mod error;
 mod grr;
-mod numeric;
 mod olh;
 mod oracle;
 mod ue;
@@ -85,7 +84,6 @@ pub use colsum::ColumnCounter;
 pub use error::Error;
 pub use exec::{Exec, Executor, FoldReport, InProcess};
 pub use grr::Grr;
-pub use numeric::{Piecewise, StochasticRounding};
 pub use olh::{Olh, OlhReport};
 pub use oracle::{Aggregator, Oracle, Report};
 pub use ue::UnaryEncoding;

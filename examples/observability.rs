@@ -5,7 +5,7 @@
 //!
 //! Collection is off by default and never changes estimates — the run
 //! below is bit-identical with `set_enabled(true)` removed (the
-//! metrics column of `tests/identity.rs` pins exactly that).
+//! recording column of `tests/obs_equivalence.rs` pins exactly that).
 //!
 //! Run: `cargo run --release --example observability`
 //! (writes `target/observability.prom`; CI runs this as its exposition

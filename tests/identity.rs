@@ -1,205 +1,13 @@
-//! The identity table: every pipeline's output is a pure function of its
-//! seed, whatever the thread count, chunk size, source kind or metrics
-//! recording.
-//!
-//! **Rows** are pipelines; each reduces its outcome to a `Vec<u64>`
-//! digest (every `f64` by its bits). **Columns** are [`plans`] (threads
-//! {1, 2, 4, `configured_threads()`} × chunk {1, shard−1, shard, shard+1,
-//! the whole source}, plus the default plan), sized and unsized sources
-//! where the entry point drains one, and metrics recording off and on.
-//! [`check_row`] runs every row in every column against that row's
-//! one-thread, default-chunk reference; aggregator rows take `absorb_all`
-//! over the same reports as theirs. Rows with noisy `f64` outputs also
-//! check that a second seed changes the digest.
-//!
-//! The metrics-on column carries the snapshot checks. In every column a
-//! run records a fold, times nothing under a manual clock at rest, and
-//! counts the same `mcim_pem_rounds_total`. In the snapshot row, a real
-//! and a manual clock agree on `Snapshot::without_timing`, and two
-//! manual-clock runs agree outright. Recording is process-wide, so every
-//! test holds an [`ObsGuard`]. The CI thread matrix runs this file under
-//! `MCIM_THREADS=1` and `=4`; the distributed matrix
-//! (`crates/cli/tests/dist_equivalence.rs`) extends the identity across
-//! worker processes.
+//! The identity table's snapshot row and the sized-source refusal. The
+//! table itself lives in `tests/common/mod.rs`; `determinism`,
+//! `exec_equivalence`, `obs_equivalence` and `streaming` check its other
+//! slices.
 
-use std::sync::{Mutex, MutexGuard};
+mod common;
 
-use multiclass_ldp::core::frameworks::{
-    Hec, HecAggregator, Ptj, PtjAggregator, Pts, PtsAggregator,
-};
-use multiclass_ldp::core::{CommStats, EstimationResult};
-use multiclass_ldp::obs;
+use common::{plans, recorded, source, ObsGuard, MANUAL, MONOTONIC, N};
 use multiclass_ldp::prelude::*;
-use multiclass_ldp::topk::{Pem, PemConfig, PemEngine};
-
-const SHARD: usize = parallel::SHARD_SIZE;
-/// Users per row: three whole shards, so two workers each take a
-/// different number of shards, plus a tail that a chunk boundary splits.
-const N: usize = 3 * SHARD + 537;
-const SEED: u64 = 0x1D_2026;
-
-static OBS_STATE: Mutex<()> = Mutex::new(());
-static MANUAL: obs::ManualClock = obs::ManualClock::new();
-static MONOTONIC: obs::MonotonicClock = obs::MonotonicClock::new();
-
-/// Serializes the process-wide metrics state. On drop, also when an
-/// assertion unwinds, it turns recording off, clears the registry and
-/// restores the real clock, so no test leaks state into the next.
-struct ObsGuard {
-    _lock: MutexGuard<'static, ()>,
-}
-
-impl ObsGuard {
-    fn take() -> Self {
-        ObsGuard {
-            _lock: OBS_STATE.lock().unwrap_or_else(|p| p.into_inner()),
-        }
-    }
-}
-
-impl Drop for ObsGuard {
-    fn drop(&mut self) {
-        obs::set_enabled(false);
-        obs::reset();
-        obs::set_clock(&MONOTONIC);
-    }
-}
-
-/// The one data helper: `n` users spread over every class and item.
-fn pairs(domains: Domains, n: usize) -> Vec<LabelItem> {
-    (0..n)
-        .map(|u| {
-            LabelItem::new(
-                (u % domains.classes() as usize) as u32,
-                ((u * 7919) % domains.items() as usize) as u32,
-            )
-        })
-        .collect()
-}
-
-/// PEM inputs: the items of [`pairs`], with class 0 standing for the
-/// invalid users.
-fn pem_items(n: usize) -> Vec<Option<u32>> {
-    pairs(Domains::new(5, 40).unwrap(), n)
-        .iter()
-        .map(|p| (p.label != 0).then_some(p.item))
-        .collect()
-}
-
-/// The one plan list: every thread count against every chunk size that
-/// splits, fills or overruns a shard, plus the default plan.
-fn plans(n: usize) -> Vec<Exec> {
-    let mut threads = vec![1, 2, 4, parallel::configured_threads()];
-    threads.sort_unstable();
-    threads.dedup();
-    let mut plans = vec![Exec::seeded(SEED)];
-    for t in threads {
-        for chunk in [1, SHARD - 1, SHARD, SHARD + 1, n] {
-            plans.push(Exec::seeded(SEED).threads(t).chunk_size(chunk));
-        }
-    }
-    plans
-}
-
-/// The one-thread, default-chunk plan every row's reference runs under.
-fn reference_plan(seed: u64) -> Exec {
-    Exec::seeded(seed).threads(1)
-}
-
-/// A slice source that hides its length when `sized` is false, like a
-/// socket or a pipe would.
-struct Source<'a, T> {
-    inner: SliceSource<'a, T>,
-    sized: bool,
-}
-
-fn source<T>(items: &[T], sized: bool) -> Source<'_, T> {
-    Source {
-        inner: SliceSource::new(items),
-        sized,
-    }
-}
-
-impl<T: Clone> ReportSource for Source<'_, T> {
-    type Item = T;
-    fn fill(&mut self, buf: &mut Vec<T>, max: usize) -> Result<usize> {
-        self.inner.fill(buf, max)
-    }
-    fn size_hint(&self) -> Option<u64> {
-        self.inner.size_hint().filter(|_| self.sized)
-    }
-}
-
-fn bits(xs: &[f64]) -> Vec<u64> {
-    xs.iter().map(|x| x.to_bits()).collect()
-}
-
-fn comm(c: CommStats) -> Vec<u64> {
-    vec![c.total_report_bits, c.users]
-}
-
-fn freq_digest(r: &EstimationResult) -> Vec<u64> {
-    [bits(r.table.values()), comm(r.comm)].concat()
-}
-
-/// Every `(label, item)` cell of `domains` through `count`.
-fn cells(domains: Domains, count: impl Fn(u32, u32) -> u64) -> Vec<u64> {
-    (0..domains.classes())
-        .flat_map(|l| (0..domains.items()).map(move |i| (l, i)))
-        .map(|(l, i)| count(l, i))
-        .collect()
-}
-
-/// Runs `f` with recording `on` under `clock`; returns its digest and
-/// the snapshot it left.
-fn recorded(
-    on: bool,
-    clock: &'static dyn obs::Clock,
-    f: impl FnOnce() -> Vec<u64>,
-) -> (Vec<u64>, obs::Snapshot) {
-    obs::set_clock(clock);
-    obs::reset();
-    obs::set_enabled(on);
-    let digest = f();
-    obs::set_enabled(false);
-    (digest, obs::snapshot())
-}
-
-/// Runs `row` in every column and checks it against `reference`: with
-/// recording off, which must leave no snapshot, and on under a manual
-/// clock at rest, which must see a fold and time nothing. `sources`
-/// lists the source kinds the row takes (`true` = sized). Returns
-/// `mcim_pem_rounds_total`, which must be equal in every column.
-fn check_row(
-    what: &str,
-    reference: &[u64],
-    n: usize,
-    sources: &[bool],
-    row: impl Fn(&Exec, bool) -> Vec<u64>,
-) -> Option<u64> {
-    let mut rounds = None;
-    for plan in plans(n) {
-        for &sized in sources {
-            let what = format!("{what} [{plan}] sized={sized}");
-            let (off, quiet) = recorded(false, &MANUAL, || row(&plan, sized));
-            let (on, snap) = recorded(true, &MANUAL, || row(&plan, sized));
-            assert!(off == reference, "{what}: diverged from the reference");
-            assert!(on == reference, "{what}: recording changed the output");
-            assert!(quiet.is_empty(), "{what}: recording off left a snapshot");
-            assert!(
-                snap.counters.contains_key("mcim_folds_total"),
-                "{what}: recording on saw no fold"
-            );
-            for (key, h) in &snap.histograms {
-                assert!(h.count > 0, "{what}: {key} observed nothing");
-                assert_eq!(h.sum, 0, "{what}: {key} timed a clock at rest");
-            }
-            let r = snap.counters.get("mcim_pem_rounds_total").copied();
-            assert_eq!(*rounds.get_or_insert(r), r, "{what}: PEM round count");
-        }
-    }
-    rounds.flatten()
-}
+use multiclass_ldp::topk::{Pem, PemConfig};
 
 /// The snapshot row of the metrics-on column, on PTS-CP: in every plan,
 /// a real and a manual clock agree beyond timing fields, and two
@@ -208,12 +16,12 @@ fn check_row(
 fn snapshots_are_reproducible() {
     let _obs = ObsGuard::take();
     let domains = Domains::new(3, 32).unwrap();
-    let data = pairs(domains, N);
+    let data = common::pairs(domains, N);
     let (fw, eps) = (Framework::PtsCp { label_frac: 0.5 }, Eps::new(2.0).unwrap());
     for plan in plans(N) {
         let run = |clock| {
             let out = || {
-                freq_digest(
+                common::freq_digest(
                     &fw.execute(eps, domains, &plan, source(&data, true))
                         .unwrap(),
                 )
@@ -230,205 +38,12 @@ fn snapshots_are_reproducible() {
     }
 }
 
-#[test]
-fn frameworks_are_a_function_of_the_seed() {
-    let _obs = ObsGuard::take();
-    let domains = Domains::new(3, 32).unwrap();
-    let data = pairs(domains, N);
-    let eps = Eps::new(2.0).unwrap();
-    for fw in Framework::fig6_set() {
-        let row = |plan: &Exec, sized: bool| {
-            freq_digest(
-                &fw.execute(eps, domains, plan, source(&data, sized))
-                    .unwrap(),
-            )
-        };
-        let reference = row(&reference_plan(SEED), true);
-        check_row(fw.name(), &reference, data.len(), &[true, false], row);
-        assert_ne!(
-            row(&reference_plan(SEED + 1), true),
-            reference,
-            "{}: a second seed left the table unchanged",
-            fw.name()
-        );
-    }
-}
-
-/// Privatizes every input from one seeded stream; `privatize` also gets
-/// the user's index.
-fn privatize_all<I: Copy, R>(
-    inputs: &[I],
-    seed: u64,
-    privatize: impl Fn(u32, I, &mut rand::rngs::StdRng) -> Result<R>,
-) -> Vec<R> {
-    let mut rng = parallel::shard_rng(seed, 0);
-    (0..)
-        .zip(inputs)
-        .map(|(u, &x)| privatize(u, x, &mut rng).unwrap())
-        .collect()
-}
-
-/// An aggregator row: `absorb_stream` in every column must equal
-/// `absorb_all` over the same reports.
-macro_rules! aggregator_row {
-    ($what:expr, $inputs:expr, $privatize:expr, $new:expr, $digest:expr) => {{
-        let inputs = $inputs;
-        let reports = privatize_all(&inputs, SEED, $privatize);
-        let absorb = |plan: Option<&Exec>, reports: &[_]| {
-            let mut agg = $new;
-            match plan {
-                Some(plan) => agg.absorb_stream(&mut SliceSource::new(reports), plan),
-                None => agg.absorb_all(reports),
-            }
-            .unwrap();
-            $digest(&agg)
-        };
-        let reference = absorb(None, &reports);
-        check_row($what, &reference, reports.len(), &[true], |plan, _| {
-            absorb(Some(plan), &reports)
-        });
-        let reseeded = privatize_all(&inputs, SEED + 1, $privatize);
-        assert_ne!(
-            absorb(None, &reseeded),
-            reference,
-            "{}: seed ignored",
-            $what
-        );
-    }};
-}
-
-#[test]
-fn aggregators_absorb_streams_like_slices() {
-    let _obs = ObsGuard::take();
-    let eps = Eps::new(1.0).unwrap();
-    for oracle in [
-        Oracle::grr(eps, 6).unwrap(),
-        Oracle::oue(eps, 200).unwrap(),
-        Oracle::olh(Eps::new(2.0).unwrap(), 32).unwrap(),
-    ] {
-        let d = oracle.domain_size();
-        aggregator_row!(
-            oracle.name(),
-            pairs(Domains::new(2, d).unwrap(), N),
-            |_, p: LabelItem, rng| oracle.privatize(p.item, rng),
-            Aggregator::new(&oracle),
-            |a: &Aggregator| [
-                a.raw_counts().to_vec(),
-                vec![a.report_count()],
-                bits(&a.estimate())
-            ]
-            .concat()
-        );
-    }
-
-    let vp = ValidityPerturbation::new(Eps::new(1.5).unwrap(), 96).unwrap();
-    aggregator_row!(
-        "VP",
-        pairs(Domains::new(4, 96).unwrap(), N),
-        |_, p: LabelItem, rng| vp.privatize(
-            match p.label {
-                0 => ValidityInput::Invalid,
-                _ => ValidityInput::Valid(p.item),
-            },
-            rng
-        ),
-        VpAggregator::new(&vp),
-        |a: &VpAggregator| {
-            let counts = vec![a.raw_flag_count(), a.report_count()];
-            [a.raw_counts().to_vec(), counts, bits(&a.estimate())].concat()
-        }
-    );
-
-    let domains = Domains::new(4, 48).unwrap();
-    let cp = CorrelatedPerturbation::with_total(Eps::new(2.0).unwrap(), domains).unwrap();
-    aggregator_row!(
-        "CP",
-        pairs(domains, N),
-        |_, p, rng| cp.privatize(p, rng),
-        CpAggregator::new(&cp),
-        |a: &CpAggregator| {
-            let labels = (0..domains.classes()).map(|l| a.raw_label_count(l));
-            let mut d = cells(domains, |l, i| a.raw_pair_count(l, i));
-            d.extend(labels.chain([a.report_count()]));
-            [d, bits(a.estimate().values())].concat()
-        }
-    );
-
-    let domains = Domains::new(3, 40).unwrap();
-    let eps = Eps::new(2.0).unwrap();
-    let pts = Pts::new(Eps::new(1.0).unwrap(), Eps::new(1.0).unwrap(), domains).unwrap();
-    aggregator_row!(
-        "PTS",
-        pairs(domains, N),
-        |_, p, rng| pts.privatize(p, rng),
-        PtsAggregator::new(&pts),
-        |a: &PtsAggregator| {
-            let mut d = cells(domains, |l, i| a.raw_pair_count(l, i));
-            d.push(a.report_count());
-            [d, bits(a.estimate().values())].concat()
-        }
-    );
-    let ptj = Ptj::new(eps, domains).unwrap();
-    aggregator_row!(
-        "PTJ",
-        pairs(domains, N),
-        |_, p, rng| ptj.privatize(p, rng),
-        PtjAggregator::new(&ptj),
-        |a: &PtjAggregator| [vec![a.report_count()], bits(a.estimate().values())].concat()
-    );
-    let hec = Hec::new(eps, domains).unwrap();
-    aggregator_row!(
-        "HEC",
-        pairs(domains, N),
-        |u, p, rng| hec.privatize(u64::from(u), p, rng),
-        HecAggregator::new(&hec),
-        |a: &HecAggregator| {
-            let table = a.estimate().unwrap();
-            [vec![a.report_count()], bits(table.values())].concat()
-        }
-    );
-}
-
-#[test]
-fn pem_is_a_function_of_the_seed() {
-    let _obs = ObsGuard::take();
-    let d = 128;
-    let items = pem_items(N);
-    let eps = Eps::new(4.0).unwrap();
-    for config in [PemConfig::new(4), PemConfig::new(4).with_validity()] {
-        let what = format!("PemEngine::execute_round validity={}", config.validity);
-        let row = |plan: &Exec, _| -> Vec<u64> {
-            let mut engine = PemEngine::new(d, config).unwrap();
-            let c = engine
-                .execute_round(eps, plan, SliceSource::new(&items))
-                .unwrap();
-            let prefix = [engine.prefix_len(), engine.candidates().len() as u32];
-            let ids = prefix.iter().chain(engine.candidates()).map(|&x| x as u64);
-            comm(c).into_iter().chain(ids).collect()
-        };
-        let reference = row(&reference_plan(SEED), true);
-        let rounds = check_row(&what, &reference, items.len(), &[true], row);
-        assert!(rounds > Some(0), "{what}: recorded no PEM round");
-
-        let what = format!("Pem::execute validity={}", config.validity);
-        let pem = Pem::new(d, config).unwrap();
-        let row = |plan: &Exec, sized: bool| -> Vec<u64> {
-            let out = pem.execute(eps, plan, source(&items, sized)).unwrap();
-            let top = out.top.iter().map(|&x| x as u64);
-            comm(out.comm).into_iter().chain(top).collect()
-        };
-        let reference = row(&reference_plan(SEED), true);
-        let rounds = check_row(&what, &reference, items.len(), &[true, false], row);
-        assert!(rounds > Some(0), "{what}: recorded no PEM round");
-    }
-}
-
 /// An explicit executor splits rounds up front and needs the source's
 /// size, while `Pem::execute` drains an unsized source first.
 #[test]
 fn pem_sharded_execute_requires_sized_source() {
     let _obs = ObsGuard::take();
-    let items = pem_items(100);
+    let items = common::pem_items(100);
     let pem = Pem::new(64, PemConfig::new(2)).unwrap();
     let (eps, plan) = (Eps::new(1.0).unwrap(), Exec::seeded(1));
     let err = pem
@@ -436,38 +51,4 @@ fn pem_sharded_execute_requires_sized_source() {
         .unwrap_err();
     assert!(matches!(err, Error::InvalidParameter { .. }));
     assert!(pem.execute(eps, &plan, source(&items, false)).is_ok());
-}
-
-#[test]
-fn topk_is_a_function_of_the_seed() {
-    let _obs = ObsGuard::take();
-    let domains = Domains::new(3, 64).unwrap();
-    let data = pairs(domains, 14_000);
-    let config = TopKConfig::new(3, Eps::new(6.0).unwrap());
-    for method in [
-        TopKMethod::Hec,
-        TopKMethod::PtjShuffled { validity: true },
-        TopKMethod::PtsPem {
-            validity: false,
-            global: true,
-        },
-        TopKMethod::PtsShuffled {
-            validity: true,
-            global: true,
-            correlated: true,
-        },
-    ] {
-        let row = |plan: &Exec, sized: bool| {
-            let out = execute(method, config, domains, plan, source(&data, sized)).unwrap();
-            let mut d = comm(out.comm);
-            d.push(out.broadcast_bits_per_user.to_bits());
-            for class in &out.per_class {
-                d.push(class.len() as u64);
-                d.extend(class.iter().map(|&x| x as u64));
-            }
-            d
-        };
-        let reference = row(&reference_plan(SEED), true);
-        check_row(&method.name(), &reference, data.len(), &[true, false], row);
-    }
 }

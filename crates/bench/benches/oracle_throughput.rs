@@ -41,6 +41,12 @@
 //! at the 257-, 201- and 41-bit report widths the PTS+Global+VP top-k
 //! miner runs — rounds the repo benchmark's layer replay never reaches.
 //!
+//! A `dist_chunk_codec` point prices the reducer's chunk codec alone, in
+//! ns per user over 16 `Chunk` frames of 65 536 pairs: encode is the
+//! coordinator's `Wire::put` per pair plus `write_chunk_frame`, decode the
+//! worker's `read_frame` plus `Vec::<LabelItem>::take`. `dist_reduce_w1`
+//! pays both once per user on top of the fold.
+//!
 //! Prints a table, saves `results/oracle_throughput.csv`, and emits the
 //! machine-readable baseline `results/BENCH_oracle_throughput.json` that
 //! the CI uploads so later PRs can track the perf trajectory.
@@ -60,8 +66,11 @@ use mcim_core::{
     CorrelatedPerturbation, CpAggregator, Domains, Framework, LabelItem, ValidityInput,
     ValidityPerturbation, VpAggregator,
 };
+use mcim_dist::proto::{read_frame, write_chunk_frame};
+use mcim_dist::Frame;
 use mcim_oracles::exec::{Exec, Stage};
 use mcim_oracles::stream::SliceSource;
+use mcim_oracles::wire::{Wire, WireReader};
 use mcim_oracles::{parallel, Aggregator, BitVec, Eps, Oracle, Report, UnaryEncoding};
 use mcim_topk::PemVpRoundStage;
 use rand::rngs::StdRng;
@@ -97,6 +106,51 @@ const PEM_ROUND_BITS: [usize; 3] = [257, 201, 41];
 const PEM_DOMAIN: u32 = 2048;
 /// Fragments of [`parallel::SHARD_SIZE`] users folded per PEM trial.
 const PEM_FRAGMENTS: u64 = 64;
+
+/// `Chunk` frames of the `dist_chunk_codec` point.
+const CODEC_FRAMES: usize = 16;
+/// Label-item pairs per `Chunk` frame: the default ingestion chunk.
+const CODEC_PAIRS: usize = 65_536;
+
+/// Best-of-[`SWEEP_TRIALS`] costs of encoding [`CODEC_FRAMES`] chunks of
+/// [`CODEC_PAIRS`] pairs into `Chunk` frames and of decoding them back, in
+/// ns per user each.
+fn chunk_codec_ns_per_user() -> (f64, f64) {
+    let pairs: Vec<LabelItem> = (0..(CODEC_FRAMES * CODEC_PAIRS) as u32)
+        .map(|u| LabelItem::new(u % 8, u.wrapping_mul(2_654_435_761) % 64))
+        .collect();
+    let mut encoded = Vec::new();
+    let mut wire = Vec::new();
+    let (encode_ms, wire_len) = time(SWEEP_TRIALS, || {
+        wire.clear();
+        for (i, chunk) in pairs.chunks(CODEC_PAIRS).enumerate() {
+            encoded.clear();
+            (chunk.len() as u32).put(&mut encoded);
+            for p in chunk {
+                p.put(&mut encoded);
+            }
+            write_chunk_frame(&mut wire, (i * CODEC_PAIRS) as u64, &encoded).unwrap();
+        }
+        wire.len()
+    });
+    std::hint::black_box(wire_len);
+    let (decode_ms, decoded) = time(SWEEP_TRIALS, || {
+        let mut reader = wire.as_slice();
+        let mut decoded = 0usize;
+        while let Some(frame) = read_frame(&mut reader).unwrap() {
+            let Frame::Chunk { items, .. } = frame else {
+                unreachable!("only Chunk frames were written");
+            };
+            let mut r = WireReader::new(&items);
+            decoded += std::hint::black_box(Vec::<LabelItem>::take(&mut r).unwrap()).len();
+            r.finish().unwrap();
+        }
+        decoded
+    });
+    assert_eq!(decoded, pairs.len(), "every pair decodes");
+    let per_user = 1e6 / pairs.len() as f64;
+    (encode_ms * per_user, decode_ms * per_user)
+}
 
 /// Best-of-[`SWEEP_TRIALS`] cost of folding a validity PEM round whose
 /// reports carry `bits` bits, in ns per user.
@@ -566,6 +620,13 @@ fn main() {
     }
     pem_table.print_and_save().expect("saving CSV");
 
+    // --------------------------------------------- dist chunk codec ----
+    let (codec_encode_ns, codec_decode_ns) = chunk_codec_ns_per_user();
+    let mut codec_table = Table::new("dist_chunk_codec", &["step", "ns_per_user"]);
+    codec_table.push(vec!["encode".into(), format!("{codec_encode_ns:.2}")]);
+    codec_table.push(vec!["decode".into(), format!("{codec_decode_ns:.2}")]);
+    codec_table.print_and_save().expect("saving CSV");
+
     // ------------------------------------------------------- results ----
     let mut table = Table::new("oracle_throughput", &["scenario", "ms", "reports_per_sec"]);
     for s in &scenarios {
@@ -699,6 +760,10 @@ fn main() {
         );
     }
     let _ = writeln!(json, "  ] }},");
+    let _ = writeln!(
+        json,
+        "  \"dist_chunk_codec\": {{ \"unit\": \"ns per user\", \"frames\": {CODEC_FRAMES}, \"pairs_per_frame\": {CODEC_PAIRS}, \"encode_ns_per_user\": {codec_encode_ns:.2}, \"decode_ns_per_user\": {codec_decode_ns:.2} }},"
+    );
     let _ = writeln!(
         json,
         "  \"pipeline\": {{ \"n\": {PIPELINE_N}, \"c\": 4, \"d\": 256, \"eps\": 2, \"threads\": 1, \"trials\": {PIPELINE_TRIALS}, \"scenarios\": ["

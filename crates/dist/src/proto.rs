@@ -174,7 +174,9 @@ pub enum Frame {
     },
     /// A run of consecutive stream items for the current job, starting at
     /// absolute position `first_abs`. `items` is a `Wire`-encoded
-    /// `Vec<Item>` of the job's item type.
+    /// `Vec<Item>` of the job's item type. On the wire it rides in the
+    /// `Vec<u8>` encoding; [`read_frame`] copies it out as one checked
+    /// slice ([`WireReader::take_prefixed_bytes`]), never byte by byte.
     Chunk {
         /// Absolute stream index of the first item.
         first_abs: u64,
@@ -267,16 +269,16 @@ impl Frame {
                 stage_seed: u64::take(r)?,
                 contract: u32::take(r)?,
                 kind: String::take(r)?,
-                payload: Vec::<u8>::take(r)?,
+                payload: r.take_prefixed_bytes()?.to_vec(),
                 shards: ShardAssignment::take(r)?,
             },
             TAG_CHUNK => Frame::Chunk {
                 first_abs: u64::take(r)?,
-                items: Vec::<u8>::take(r)?,
+                items: r.take_prefixed_bytes()?.to_vec(),
             },
             TAG_FLUSH => Frame::Flush,
             TAG_PARTIAL => Frame::Partial {
-                state: Vec::<u8>::take(r)?,
+                state: r.take_prefixed_bytes()?.to_vec(),
             },
             TAG_ERR => Frame::Err {
                 message: String::take(r)?,
@@ -339,6 +341,12 @@ pub fn write_chunk_frame(w: &mut impl Write, first_abs: u64, items: &[u8]) -> Re
 
 /// Reads one frame, or `None` on a clean end-of-stream at a frame
 /// boundary (the peer closed the connection between messages).
+///
+/// The body is read into one buffer; the byte payloads of `Job`, `Chunk`
+/// and `Partial` are then copied out of it as one checked slice each
+/// ([`WireReader::take_prefixed_bytes`]), so a `Chunk`'s items cost one
+/// `memcpy` between the socket and the item decode, and a declared length
+/// past the end of the body fails before anything is allocated.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>> {
     let mut len = [0u8; 4];
     // A clean close at a frame boundary yields zero bytes; anything

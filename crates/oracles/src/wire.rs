@@ -57,6 +57,7 @@ impl<'a> WireReader<'a> {
     }
 
     /// Takes `n` raw bytes.
+    #[inline]
     pub fn take_bytes(&mut self, n: usize) -> Result<&'a [u8]> {
         if n > self.remaining() {
             return Err(truncated());
@@ -64,6 +65,16 @@ impl<'a> WireReader<'a> {
         let out = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(out)
+    }
+
+    /// Takes a byte payload in the `Vec<u8>` encoding (a `u32` length,
+    /// then that many bytes) as one borrowed slice. The declared length is
+    /// checked against the remaining bytes before anything is allocated,
+    /// so the caller copies the payload once, as one checked slice, rather
+    /// than through `Vec::<u8>::take`'s per-byte decode.
+    pub fn take_prefixed_bytes(&mut self) -> Result<&'a [u8]> {
+        let len = u32::take(self)? as usize;
+        self.take_bytes(len)
     }
 
     /// Errors unless the payload was consumed exactly — trailing garbage in
@@ -103,9 +114,11 @@ pub trait Wire: Sized {
 macro_rules! wire_int {
     ($($t:ty),*) => {$(
         impl Wire for $t {
+            #[inline]
             fn put(&self, buf: &mut Vec<u8>) {
                 buf.extend_from_slice(&self.to_le_bytes());
             }
+            #[inline]
             fn take(r: &mut WireReader<'_>) -> Result<Self> {
                 let bytes = r.take_bytes(std::mem::size_of::<$t>())?;
                 // take_bytes returned exactly size_of bytes, so the

@@ -4,11 +4,12 @@
 //! Three phases, run low-memory-first so the `VmHWM` high-water mark
 //! cleanly attributes the RSS jump to materialization:
 //!
-//! 1. `absorb_stream` — 5M OUE reports (`d = 1024`, ~136 B each ≈ 680 MB
-//!    if materialized) privatized on the fly and absorbed through the
-//!    bounded-memory chunked runtime: memory stays `O(chunk)`.
-//! 2. `run_stream` — the PTS-CP pipeline end-to-end from a synthetic pair
-//!    generator (no input `Vec` at all).
+//! 1. `pts_run_stream` — the PTS pipeline over 5M users from a synthetic
+//!    pair generator: each user's OUE item report (`d = 1024`, ~136 B, so
+//!    ≈ 680 MB if materialized) is privatized and absorbed inside the
+//!    bounded-memory chunked fold: memory stays `O(chunk)`.
+//! 2. `pts_cp_run_stream` — the PTS-CP pipeline end-to-end from the same
+//!    kind of generator (no input `Vec` at all).
 //! 3. `absorb_all` over `min(n, 500k)` reports privatized into one `Vec`
 //!    first, to show the per-report RSS cost streaming avoids.
 //!
@@ -29,8 +30,7 @@ use mcim_bench::{results_dir, Table};
 use mcim_core::{Domains, Framework};
 use mcim_datasets::{SyntheticPairSource, SyntheticSourceConfig};
 use mcim_oracles::exec::Exec;
-use mcim_oracles::stream::ReportSource;
-use mcim_oracles::{parallel, Aggregator, Eps, Oracle, Report, Result};
+use mcim_oracles::{parallel, Aggregator, Eps, Oracle, Report};
 
 const D: u32 = 1024;
 
@@ -52,38 +52,6 @@ fn peak_rss_mib() -> f64 {
         }
     }
     0.0
-}
-
-/// Privatizes OUE reports on the fly, one fresh shard stream per pull —
-/// the "reports arriving from the network" simulation. Memory cost: none
-/// beyond the pull buffer.
-struct OueReportSource {
-    oracle: Oracle,
-    next_seed: u64,
-    emitted: u64,
-    remaining: u64,
-}
-
-impl ReportSource for OueReportSource {
-    type Item = Report;
-    fn fill(&mut self, buf: &mut Vec<Report>, max: usize) -> Result<usize> {
-        let take = (self.remaining).min(max as u64) as usize;
-        if take == 0 {
-            return Ok(0);
-        }
-        let mut rng = parallel::shard_rng(self.next_seed, 0);
-        for i in 0..take as u64 {
-            let value = (self.emitted + i) as u32 % D;
-            buf.push(self.oracle.privatize(value, &mut rng)?);
-        }
-        self.next_seed = self.next_seed.wrapping_add(1);
-        self.emitted += take as u64;
-        self.remaining -= take as u64;
-        Ok(take)
-    }
-    fn size_hint(&self) -> Option<u64> {
-        Some(self.remaining)
-    }
 }
 
 struct Phase {
@@ -129,31 +97,28 @@ fn main() {
         });
     };
 
-    // Phase 1: stream-absorb n OUE reports with bounded memory.
-    let oracle = Oracle::oue(eps, D).unwrap();
-    let mut agg = Aggregator::new(&oracle);
-    let mut source = OueReportSource {
-        oracle: oracle.clone(),
-        next_seed: 1,
-        emitted: 0,
-        remaining: n,
+    // Phases 1 and 2: PTS and PTS-CP end-to-end from generator sources,
+    // with bounded memory.
+    let domains = Domains::new(8, D).unwrap();
+    let synthetic = |users, seed| {
+        SyntheticPairSource::new(SyntheticSourceConfig {
+            classes: 8,
+            items: D,
+            users,
+            zipf_s: 1.5,
+            seed,
+        })
     };
     let start = Instant::now();
-    agg.absorb_stream(&mut source, &plan).unwrap();
-    record("oue_absorb_stream", n, start);
-    assert_eq!(agg.report_count(), n);
-    std::hint::black_box(agg.raw_counts().iter().sum::<u64>());
+    let result = Framework::Pts { label_frac: 0.5 }
+        .execute(eps, domains, &plan, &mut synthetic(n, 1))
+        .unwrap();
+    record("pts_run_stream", n, start);
+    assert_eq!(result.comm.users, n);
+    std::hint::black_box(result.table.get(0, 0));
 
-    // Phase 2: the PTS-CP pipeline end-to-end from a generator source.
     let n_freq = n.min(1_000_000);
-    let domains = Domains::new(8, D).unwrap();
-    let mut pairs = SyntheticPairSource::new(SyntheticSourceConfig {
-        classes: 8,
-        items: D,
-        users: n_freq,
-        zipf_s: 1.5,
-        seed: 2,
-    });
+    let mut pairs = synthetic(n_freq, 2);
     let start = Instant::now();
     let result = Framework::PtsCp { label_frac: 0.5 }
         .execute(eps, domains, &plan, &mut pairs)
@@ -164,6 +129,7 @@ fn main() {
     // Phase 3: the materialized batch path (the memory cost streaming
     // avoids) at a size that still fits CI.
     let n_batch = n.min(500_000);
+    let oracle = Oracle::oue(eps, D).unwrap();
     let start = Instant::now();
     let mut rng = parallel::shard_rng(4, 0);
     let reports: Vec<Report> = (0..n_batch)
@@ -199,7 +165,7 @@ fn main() {
     let stream_delta = phases[0].peak_rss_mib_after - rss_baseline;
     let batch_delta = phases[2].peak_rss_mib_after - phases[1].peak_rss_mib_after;
     println!(
-        "stream absorbed {n} reports within +{stream_delta:.0} MiB of RSS; \
+        "PTS streamed {n} users within +{stream_delta:.0} MiB of RSS; \
          materializing {n_batch} reports (~{:.0} MiB of report heap) grew peak RSS by +{batch_delta:.0} MiB",
         report_bytes as f64 / (1024.0 * 1024.0)
     );

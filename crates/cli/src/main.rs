@@ -610,8 +610,9 @@ mod tests {
             "freq", "--input", &pairs, "--eps", "2.0", "--seed", "5", "--output", &batch_out,
         ])
         .unwrap();
-        // Several chunk sizes, including one that splits shards mid-way.
-        for chunk in ["1000", "4096", "5000"] {
+        // Several chunk sizes, including one that splits shards mid-way
+        // and `usize::MAX`, which must not be reserved up front.
+        for chunk in ["1000", "4096", "5000", "18446744073709551615"] {
             let stream_out = tmp(&format!("stream_freq_{chunk}.csv"));
             run_cli(&[
                 "freq",

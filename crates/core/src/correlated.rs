@@ -29,7 +29,7 @@
 
 use rand::Rng;
 
-use mcim_oracles::{stream, BitVec, ColumnCounter, Eps, Error, Exec, Grr, Result};
+use mcim_oracles::{BitVec, ColumnCounter, Eps, Error, Grr, Result};
 
 use crate::validity::{ValidityInput, ValidityPerturbation};
 use crate::{Domains, FrequencyTable, LabelItem};
@@ -267,39 +267,6 @@ impl CpAggregator {
         outcome
     }
 
-    /// Absorbs every report pulled from `source` in bounded chunks, on up
-    /// to the plan's thread count of workers. Counts are bit-identical to
-    /// [`CpAggregator::absorb_all`] for every chunk size and thread count.
-    pub fn absorb_stream<S>(&mut self, source: &mut S, plan: &Exec) -> Result<()>
-    where
-        S: stream::ReportSource<Item = CpReport>,
-    {
-        let template = self.fresh();
-        let merged = stream::absorb_stream_with(
-            source,
-            plan,
-            &template,
-            |agg: &mut CpAggregator, chunk| agg.absorb_all(chunk),
-            |a, b| a.merge(b),
-        )?;
-        self.merge(&merged)
-    }
-
-    /// An empty aggregator with this one's mechanism parameters (the
-    /// per-worker accumulator of [`CpAggregator::absorb_stream`]).
-    fn fresh(&self) -> Self {
-        CpAggregator {
-            domains: self.domains,
-            p1: self.p1,
-            q1: self.q1,
-            p2: self.p2,
-            q2: self.q2,
-            pair_counts: vec![0; self.pair_counts.len()],
-            label_counts: vec![0; self.label_counts.len()],
-            n: 0,
-        }
-    }
-
     /// Merges another aggregator over the same domains (sharded aggregation
     /// across threads).
     pub fn merge(&mut self, other: &CpAggregator) -> Result<()> {
@@ -526,26 +493,19 @@ mod tests {
         for r in &reports {
             seq.absorb(r).unwrap();
         }
-        for threads in [1, 2, 8] {
+        for block in [reports.len(), 1000] {
             let mut batch = CpAggregator::new(&m);
-            batch
-                .absorb_stream(
-                    &mut stream::SliceSource::new(&reports),
-                    &Exec::new().threads(threads),
-                )
-                .unwrap();
-            assert_eq!(
-                batch.report_count(),
-                seq.report_count(),
-                "threads={threads}"
-            );
+            for part in reports.chunks(block) {
+                batch.absorb_all(part).unwrap();
+            }
+            assert_eq!(batch.report_count(), seq.report_count(), "block={block}");
             for label in 0..4u32 {
                 assert_eq!(batch.raw_label_count(label), seq.raw_label_count(label));
                 for item in 0..70u32 {
                     assert_eq!(
                         batch.raw_pair_count(label, item),
                         seq.raw_pair_count(label, item),
-                        "({label},{item}) threads={threads}"
+                        "({label},{item}) block={block}"
                     );
                 }
             }

@@ -12,7 +12,7 @@
 
 use rand::Rng;
 
-use mcim_oracles::{stream, Aggregator, Eps, Error, Exec, Oracle, Report, Result};
+use mcim_oracles::{Aggregator, Eps, Error, Oracle, Report, Result};
 
 use crate::{Domains, FrequencyTable, LabelItem};
 
@@ -136,37 +136,6 @@ impl HecAggregator {
             agg.absorb_all(bucket.iter().copied())?;
         }
         outcome
-    }
-
-    /// Absorbs every report pulled from `source` in bounded chunks, on up
-    /// to the plan's thread count of workers. Counts are bit-identical to
-    /// [`HecAggregator::absorb_all`] for every chunk size and thread count.
-    pub fn absorb_stream<S>(&mut self, source: &mut S, plan: &Exec) -> Result<()>
-    where
-        S: stream::ReportSource<Item = HecReport>,
-    {
-        let template = self.fresh();
-        let merged = stream::absorb_stream_with(
-            source,
-            plan,
-            &template,
-            |agg: &mut HecAggregator, chunk| agg.absorb_all(chunk),
-            |a, b| a.merge(b),
-        )?;
-        self.merge(&merged)
-    }
-
-    /// An empty aggregator with this one's group oracles (the per-worker
-    /// accumulator of [`HecAggregator::absorb_stream`]).
-    fn fresh(&self) -> Self {
-        HecAggregator {
-            domains: self.domains,
-            groups: self
-                .groups
-                .iter()
-                .map(|g| Aggregator::new(g.oracle()))
-                .collect(),
-        }
     }
 
     /// Merges another aggregator over the same framework (sharded

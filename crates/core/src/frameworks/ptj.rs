@@ -9,7 +9,7 @@
 
 use rand::Rng;
 
-use mcim_oracles::{Aggregator, Eps, Exec, Oracle, Report, Result};
+use mcim_oracles::{Aggregator, Eps, Oracle, Report, Result};
 
 use crate::{Domains, FrequencyTable, LabelItem};
 
@@ -77,16 +77,6 @@ impl PtjAggregator {
         I: IntoIterator<Item = &'a Report>,
     {
         self.inner.absorb_all(reports)
-    }
-
-    /// Absorbs every report pulled from `source` in bounded chunks (see
-    /// [`Aggregator::absorb_stream`]); counts are bit-identical to
-    /// [`PtjAggregator::absorb_all`] for every chunk size and thread count.
-    pub fn absorb_stream<S>(&mut self, source: &mut S, plan: &Exec) -> Result<()>
-    where
-        S: mcim_oracles::stream::ReportSource<Item = Report>,
-    {
-        self.inner.absorb_stream(source, plan)
     }
 
     /// Merges another aggregator over the same framework (sharded

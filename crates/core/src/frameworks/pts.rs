@@ -13,8 +13,7 @@
 use rand::Rng;
 
 use mcim_oracles::{
-    calibrate::unbiased_count, stream, BitVec, ColumnCounter, Eps, Error, Exec, Grr, Result,
-    UnaryEncoding,
+    calibrate::unbiased_count, BitVec, ColumnCounter, Eps, Error, Grr, Result, UnaryEncoding,
 };
 
 use crate::{Domains, FrequencyTable, LabelItem};
@@ -193,39 +192,6 @@ impl PtsAggregator {
             cc.drain_into(&mut self.pair_counts[label * d..(label + 1) * d]);
         }
         outcome
-    }
-
-    /// Absorbs every report pulled from `source` in bounded chunks, on up
-    /// to the plan's thread count of workers. Counts are bit-identical to
-    /// [`PtsAggregator::absorb_all`] for every chunk size and thread count.
-    pub fn absorb_stream<S>(&mut self, source: &mut S, plan: &Exec) -> Result<()>
-    where
-        S: stream::ReportSource<Item = PtsReport>,
-    {
-        let template = self.fresh();
-        let merged = stream::absorb_stream_with(
-            source,
-            plan,
-            &template,
-            |agg: &mut PtsAggregator, chunk| agg.absorb_all(chunk),
-            |a, b| a.merge(b),
-        )?;
-        self.merge(&merged)
-    }
-
-    /// An empty aggregator with this one's mechanism parameters (the
-    /// per-worker accumulator of [`PtsAggregator::absorb_stream`]).
-    fn fresh(&self) -> Self {
-        PtsAggregator {
-            domains: self.domains,
-            p1: self.p1,
-            q1: self.q1,
-            p2: self.p2,
-            q2: self.q2,
-            pair_counts: vec![0; self.pair_counts.len()],
-            label_counts: vec![0; self.label_counts.len()],
-            n: 0,
-        }
     }
 
     /// Merges another aggregator over the same domains (sharded aggregation
@@ -422,25 +388,18 @@ mod tests {
         for r in &reports {
             seq.absorb(r).unwrap();
         }
-        for threads in [1, 2, 8] {
+        for block in [reports.len(), 1000] {
             let mut batch = PtsAggregator::new(&fw);
-            batch
-                .absorb_stream(
-                    &mut stream::SliceSource::new(&reports),
-                    &Exec::new().threads(threads),
-                )
-                .unwrap();
-            assert_eq!(
-                batch.report_count(),
-                seq.report_count(),
-                "threads={threads}"
-            );
+            for part in reports.chunks(block) {
+                batch.absorb_all(part).unwrap();
+            }
+            assert_eq!(batch.report_count(), seq.report_count(), "block={block}");
             for label in 0..3u32 {
                 for item in 0..130u32 {
                     assert_eq!(
                         batch.raw_pair_count(label, item),
                         seq.raw_pair_count(label, item),
-                        "({label},{item})"
+                        "({label},{item}) block={block}"
                     );
                 }
             }

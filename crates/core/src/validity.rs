@@ -20,7 +20,7 @@
 
 use rand::Rng;
 
-use mcim_oracles::{stream, BitVec, ColumnCounter, Eps, Error, Exec, Result, UnaryEncoding};
+use mcim_oracles::{BitVec, ColumnCounter, Eps, Error, Result, UnaryEncoding};
 
 /// The validity perturbation mechanism over item domain `[0, d)`.
 ///
@@ -241,37 +241,6 @@ impl VpAggregator {
         });
         block.drain_into(self);
         outcome
-    }
-
-    /// Absorbs every report pulled from `source` in bounded chunks, on up
-    /// to the plan's thread count of workers. Counts are bit-identical to
-    /// [`VpAggregator::absorb_all`] for every chunk size and thread count.
-    pub fn absorb_stream<S>(&mut self, source: &mut S, plan: &Exec) -> Result<()>
-    where
-        S: stream::ReportSource<Item = BitVec>,
-    {
-        let template = self.fresh();
-        let merged = stream::absorb_stream_with(
-            source,
-            plan,
-            &template,
-            |agg: &mut VpAggregator, chunk| agg.absorb_all(chunk),
-            |a, b| a.merge(b),
-        )?;
-        self.merge(&merged)
-    }
-
-    /// An empty aggregator with this one's mechanism parameters (the
-    /// per-worker accumulator of [`VpAggregator::absorb_stream`]).
-    fn fresh(&self) -> Self {
-        VpAggregator {
-            d: self.d,
-            p: self.p,
-            q: self.q,
-            counts: vec![0; self.d as usize],
-            flag_count: 0,
-            n: 0,
-        }
     }
 
     /// Merges another aggregator over the same mechanism (sharded
@@ -517,19 +486,8 @@ mod tests {
         all.absorb_all(&reports).unwrap();
         assert_eq!(all.raw_counts(), seq.raw_counts());
         assert_eq!(all.raw_flag_count(), seq.raw_flag_count());
-        for threads in [1, 2, 8] {
-            let mut streamed = VpAggregator::new(&vp);
-            streamed
-                .absorb_stream(
-                    &mut stream::SliceSource::new(&reports),
-                    &Exec::new().threads(threads),
-                )
-                .unwrap();
-            assert_eq!(streamed.raw_counts(), seq.raw_counts(), "threads={threads}");
-            assert_eq!(streamed.raw_flag_count(), seq.raw_flag_count());
-            assert_eq!(streamed.report_count(), seq.report_count());
-            assert_eq!(streamed.estimate(), seq.estimate());
-        }
+        assert_eq!(all.report_count(), seq.report_count());
+        assert_eq!(all.estimate(), seq.estimate());
     }
 
     #[test]

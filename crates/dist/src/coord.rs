@@ -24,6 +24,9 @@
 //! coordinator [`rewind`](ReportSource::rewind)s the source, replays
 //! *only the lost assignment's shards* on a surviving worker (or
 //! in-process as the last resort), and merges the replacement partial.
+//! Both replays walk the rewound source the same way, one owned shard
+//! fragment at a time; the local one folds each fragment through the
+//! [`ShardCursor`] a worker would use.
 //! The recovered result is bit-identical to the unfailed run; the only
 //! observable difference is the fold's [`FoldReport`].
 //!
@@ -39,11 +42,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-use rand::rngs::StdRng;
-
 use mcim_oracles::exec::{check_contract, Exec, Executor, FoldReport, InProcess, Stage};
-use mcim_oracles::parallel::{shard_rng, SHARD_SIZE};
-use mcim_oracles::stream::ReportSource;
+use mcim_oracles::parallel::SHARD_SIZE;
+use mcim_oracles::stream::{chunk_buffer, fill_chunk, ReportSource, ShardCursor};
 use mcim_oracles::wire::{StageSpec, Wire, WireReader, WireState};
 use mcim_oracles::{Error, Result};
 
@@ -119,6 +120,8 @@ struct WorkerConn {
     stats: Arc<IoStats>,
     round_trips: u64,
     flushed: FlushedIo,
+    /// The reused encode buffer of outgoing Chunk payloads.
+    encoded: Vec<u8>,
     reader: BufReader<CountingReader<TcpStream>>,
     writer: BufWriter<CountingWriter<TcpStream>>,
 }
@@ -194,6 +197,7 @@ impl WorkerConn {
             index: 0,
             round_trips: 0,
             flushed: FlushedIo::default(),
+            encoded: Vec::new(),
             reader: BufReader::new(CountingReader::new(reader, Arc::clone(&stats))),
             writer: BufWriter::new(CountingWriter::new(stream, Arc::clone(&stats))),
             stats,
@@ -225,8 +229,17 @@ impl WorkerConn {
         write_frame(&mut self.writer, frame)
     }
 
-    fn send_chunk(&mut self, first_abs: u64, items: &[u8]) -> Result<()> {
-        write_chunk_frame(&mut self.writer, first_abs, items)
+    /// Sends `items` as one Chunk frame starting at `first_abs`. Its
+    /// payload (the `u32` count, then the items) is encoded into the
+    /// connection's reused buffer and goes straight into the buffered
+    /// socket writer, with no owned `Frame` round-trip.
+    fn send_chunk<T: Wire>(&mut self, first_abs: u64, items: &[T]) -> Result<()> {
+        self.encoded.clear();
+        (items.len() as u32).put(&mut self.encoded);
+        for item in items {
+            item.put(&mut self.encoded);
+        }
+        write_chunk_frame(&mut self.writer, first_abs, &self.encoded)
     }
 
     fn flush(&mut self) -> Result<()> {
@@ -309,6 +322,12 @@ enum ReplayFailure {
     /// A local failure (source error, merge error): the fold cannot
     /// complete at all.
     Fatal(Error),
+}
+
+impl From<Error> for ReplayFailure {
+    fn from(e: Error) -> Self {
+        ReplayFailure::Fatal(e)
+    }
 }
 
 /// One replay job's immutable inputs (bundled so the replay methods keep
@@ -537,54 +556,9 @@ impl Coordinator {
             shards: replay.assignment,
         })
         .map_err(ReplayFailure::Dead)?;
-        rewind_to_start(source, position).map_err(ReplayFailure::Fatal)?;
-
-        let shard_size = SHARD_SIZE as u64;
-        let chunk_items = self.plan.resolved_chunk_items();
-        let mut buf: Vec<St::Item> = Vec::with_capacity(chunk_items);
-        let mut encoded = Vec::new();
-        let mut counted = 0u64;
-        let mut last_counted: Option<u64> = None;
-        'stream: loop {
-            buf.clear();
-            loop {
-                let want = chunk_items - buf.len();
-                if want == 0 || source.fill(&mut buf, want).map_err(ReplayFailure::Fatal)? == 0 {
-                    break;
-                }
-            }
-            if buf.is_empty() {
-                break;
-            }
-            let mut offset = 0usize;
-            while offset < buf.len() {
-                let abs = *position + offset as u64;
-                let shard = abs / shard_size;
-                let end = (((shard + 1) * shard_size - *position) as usize).min(buf.len());
-                if replay.assignment.owns(shard) {
-                    encoded.clear();
-                    ((end - offset) as u32).put(&mut encoded);
-                    for item in &buf[offset..end] {
-                        item.put(&mut encoded);
-                    }
-                    conn.send_chunk(abs, &encoded)
-                        .map_err(ReplayFailure::Dead)?;
-                    if last_counted != Some(shard) {
-                        counted += 1;
-                        last_counted = Some(shard);
-                    }
-                }
-                offset = end;
-            }
-            *position += buf.len() as u64;
-            if let ShardAssignment::Range { end, .. } = replay.assignment {
-                // Every shard this assignment can own has streamed; the
-                // caller repositions the source afterwards.
-                if *position >= end * shard_size {
-                    break 'stream;
-                }
-            }
-        }
+        let counted = self.walk_owned(source, position, replay.assignment, |abs, items| {
+            conn.send_chunk(abs, items).map_err(ReplayFailure::Dead)
+        })?;
         conn.send(&Frame::Flush)
             .and_then(|()| conn.flush())
             .map_err(ReplayFailure::Dead)?;
@@ -594,10 +568,7 @@ impl Coordinator {
                 let mut reader = WireReader::new(&state);
                 match partial.load(&mut reader).and_then(|()| reader.finish()) {
                     Ok(()) => {
-                        replay
-                            .stage
-                            .merge(acc, &partial)
-                            .map_err(ReplayFailure::Fatal)?;
+                        replay.stage.merge(acc, &partial)?;
                         Ok(counted)
                     }
                     Err(e) => Err(ReplayFailure::Refused(e)),
@@ -617,9 +588,8 @@ impl Coordinator {
 
     /// Replays `replay.assignment` in-process from the rewound source —
     /// the last resort when no worker survives (or the re-route budget is
-    /// spent). Mirrors the worker's fold exactly: fresh
-    /// `shard_rng(stage_seed, shard)` at shard starts, carried RNG across
-    /// chunk-boundary fragments. Returns the shard count replayed.
+    /// spent). Folds through a [`ShardCursor`] exactly as a worker would.
+    /// Returns the shard count replayed.
     fn replay_local<S, St>(
         &self,
         source: &mut S,
@@ -631,45 +601,45 @@ impl Coordinator {
         S: ReportSource<Item = St::Item>,
         St: Stage,
     {
+        let mut cursor = ShardCursor::default();
+        self.walk_owned(source, position, replay.assignment, |abs, items| {
+            cursor.fold(replay.stage_seed, abs, items, |rng, abs, items| {
+                replay.stage.fold(rng, abs, items, acc)
+            })
+        })
+    }
+
+    /// The walk both replays share: rewinds `source` to the fold's start
+    /// and hands every run of items in `assignment`'s shards to
+    /// `run(abs, items)`, in stream order, one run per shard per chunk.
+    /// Stops once a `Range`'s last shard has streamed (the caller
+    /// repositions the source). Returns the number of distinct shards
+    /// handed out.
+    fn walk_owned<S, E>(
+        &self,
+        source: &mut S,
+        position: &mut u64,
+        assignment: ShardAssignment,
+        mut run: impl FnMut(u64, &[S::Item]) -> std::result::Result<(), E>,
+    ) -> std::result::Result<u64, E>
+    where
+        S: ReportSource,
+        E: From<Error>,
+    {
         rewind_to_start(source, position)?;
-        let shard_size = SHARD_SIZE as u64;
         let chunk_items = self.plan.resolved_chunk_items();
-        let mut buf: Vec<St::Item> = Vec::with_capacity(chunk_items);
-        let mut carry: Option<StdRng> = None;
+        let shard_size = SHARD_SIZE as u64;
+        let mut buf = chunk_buffer(chunk_items);
         let mut counted = 0u64;
         let mut last_counted: Option<u64> = None;
-        'stream: loop {
-            buf.clear();
-            loop {
-                let want = chunk_items - buf.len();
-                if want == 0 || source.fill(&mut buf, want)? == 0 {
-                    break;
-                }
-            }
-            if buf.is_empty() {
-                break;
-            }
+        while fill_chunk(source, &mut buf, chunk_items)? > 0 {
             let mut offset = 0usize;
             while offset < buf.len() {
                 let abs = *position + offset as u64;
                 let shard = abs / shard_size;
-                let shard_end = (shard + 1) * shard_size;
-                let end = ((shard_end - *position) as usize).min(buf.len());
-                if replay.assignment.owns(shard) {
-                    let mut rng = if abs % shard_size == 0 {
-                        shard_rng(replay.stage_seed, shard)
-                    } else {
-                        carry.take().ok_or_else(|| {
-                            Error::protocol(format!(
-                                "replaying shard {shard} locally (mid-shard fragment without \
-                                 carried RNG state)"
-                            ))
-                        })?
-                    };
-                    replay.stage.fold(&mut rng, abs, &buf[offset..end], acc)?;
-                    if *position + (end as u64) < shard_end {
-                        carry = Some(rng);
-                    }
+                let end = (((shard + 1) * shard_size - *position) as usize).min(buf.len());
+                if assignment.owns(shard) {
+                    run(abs, &buf[offset..end])?;
                     if last_counted != Some(shard) {
                         counted += 1;
                         last_counted = Some(shard);
@@ -678,9 +648,9 @@ impl Coordinator {
                 offset = end;
             }
             *position += buf.len() as u64;
-            if let ShardAssignment::Range { end, .. } = replay.assignment {
+            if let ShardAssignment::Range { end, .. } = assignment {
                 if *position >= end * shard_size {
-                    break 'stream;
+                    break;
                 }
             }
         }
@@ -849,28 +819,17 @@ impl Executor for Coordinator {
         // unfailed run), and their shards are already queued for replay.
         let shard_size = SHARD_SIZE as u64;
         let chunk_items = self.plan.resolved_chunk_items();
-        let mut buf: Vec<St::Item> = Vec::with_capacity(chunk_items);
-        let mut encoded = Vec::new();
+        let mut buf = chunk_buffer(chunk_items);
         let mut consumed = 0u64;
         let mut source_failure: Option<Error> = None;
         'stream: loop {
-            buf.clear();
-            loop {
-                let want = chunk_items - buf.len();
-                if want == 0 {
+            match fill_chunk(source, &mut buf, chunk_items) {
+                Ok(0) => break,
+                Ok(_) => {}
+                Err(e) => {
+                    source_failure = Some(e);
                     break;
                 }
-                match source.fill(&mut buf, want) {
-                    Ok(0) => break,
-                    Ok(_) => {}
-                    Err(e) => {
-                        source_failure = Some(e);
-                        break 'stream;
-                    }
-                }
-            }
-            if buf.is_empty() {
-                break;
             }
             let mut offset = 0usize;
             while offset < buf.len() {
@@ -898,14 +857,7 @@ impl Executor for Coordinator {
                     }
                 }
                 if alive[owner] {
-                    encoded.clear();
-                    ((end - offset) as u32).put(&mut encoded);
-                    for item in &buf[offset..end] {
-                        item.put(&mut encoded);
-                    }
-                    // Hot path: the chunk payload goes straight into the
-                    // buffered socket writer, no owned `Frame` round-trip.
-                    if let Err(e) = conns[owner].send_chunk(start_abs, &encoded) {
+                    if let Err(e) = conns[owner].send_chunk(start_abs, &buf[offset..end]) {
                         mark_lost(
                             owner,
                             e,

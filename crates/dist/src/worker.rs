@@ -4,12 +4,13 @@
 //! A worker is deliberately dumb: it holds no pipeline logic of its own.
 //! Every [`Job`](crate::proto::Frame::Job) frame names a stage kind; the
 //! [`Registry`] maps the kind to a monomorphized job runner that decodes
-//! the stage ([`StageDecode`]), folds the incoming item chunks with the
-//! exact per-shard RNG streams the in-process executor would use
-//! ([`shard_rng`]`(stage_seed, shard)`, carried state when a chunk
-//! boundary splits a shard), and ships the accumulator's
-//! [`WireState`](mcim_oracles::wire::WireState) back as one `Partial`
-//! frame.
+//! the stage ([`StageDecode`]), folds the incoming item chunks through
+//! the same [`ShardCursor`] as the in-process executor (so every shard
+//! fragment gets the RNG that executor would give it), and ships the
+//! accumulator's [`WireState`](mcim_oracles::wire::WireState) back as one
+//! `Partial` frame. Chunks outside the job's shards, or in an order no
+//! coordinator sends (a mid-shard start, a gap, a new shard while one is
+//! open), fail the job.
 //!
 //! If a stage fails mid-stream (out-of-domain item, mismatched report) the
 //! worker keeps draining frames until `Flush` and answers with an `Err`
@@ -20,10 +21,9 @@ use std::collections::BTreeMap;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 
-use rand::rngs::StdRng;
-
-use mcim_oracles::exec::{Stage, StageDecode, RNG_CONTRACT};
-use mcim_oracles::parallel::{shard_rng, SHARD_SIZE};
+use mcim_oracles::exec::{StageDecode, RNG_CONTRACT};
+use mcim_oracles::parallel::SHARD_SIZE;
+use mcim_oracles::stream::ShardCursor;
 use mcim_oracles::wire::{Wire, WireReader, WireState};
 use mcim_oracles::{Error, Result};
 
@@ -87,77 +87,6 @@ impl Registry {
     }
 }
 
-/// Tracks the fold position inside one job: the next expected absolute
-/// index while a shard is split across chunks, plus its carried RNG.
-struct FoldCursor {
-    carry: Option<(u64, StdRng)>,
-}
-
-impl FoldCursor {
-    fn new() -> Self {
-        FoldCursor { carry: None }
-    }
-
-    /// Folds one chunk's items, fragment by fragment, validating shard
-    /// ownership and mid-shard continuity.
-    fn fold_chunk<St: Stage>(
-        &mut self,
-        stage: &St,
-        stage_seed: u64,
-        shards: &ShardAssignment,
-        first_abs: u64,
-        items: &[St::Item],
-        acc: &mut St::Acc,
-    ) -> Result<()> {
-        let shard_size = SHARD_SIZE as u64;
-        let mut abs = first_abs;
-        let mut offset = 0usize;
-        while offset < items.len() {
-            let shard = abs / shard_size;
-            if !shards.owns(shard) {
-                return Err(Error::protocol(format!(
-                    "folding a chunk (shard {shard} routed to a worker that does not own it)"
-                )));
-            }
-            let shard_end = (shard + 1) * shard_size;
-            let take = ((shard_end - abs) as usize).min(items.len() - offset);
-            let mut rng = if abs % shard_size == 0 {
-                // Fresh shard; any previous shard must have been completed.
-                if self.carry.is_some() {
-                    return Err(Error::protocol(format!(
-                        "folding a chunk (shard {shard} started while the previous shard was \
-                         incomplete)"
-                    )));
-                }
-                shard_rng(stage_seed, shard)
-            } else {
-                match self.carry.take() {
-                    Some((expected, rng)) if expected == abs => rng,
-                    Some((expected, _)) => {
-                        return Err(Error::protocol(format!(
-                            "folding a chunk (expected continuation at item {expected}, got \
-                             {abs})"
-                        )))
-                    }
-                    None => {
-                        return Err(Error::protocol(format!(
-                            "folding a chunk (item {abs} is mid-shard but no RNG state is \
-                             carried)"
-                        )))
-                    }
-                }
-            };
-            stage.fold(&mut rng, abs, &items[offset..offset + take], acc)?;
-            abs += take as u64;
-            offset += take;
-            if abs < shard_end {
-                self.carry = Some((abs, rng));
-            }
-        }
-        Ok(())
-    }
-}
-
 /// One job: decode the stage, fold chunks until `Flush`, reply with the
 /// partial (or drain and reply with `Err`).
 fn run_job<St: StageDecode>(
@@ -179,7 +108,7 @@ fn run_job<St: StageDecode>(
         }
         Err(e) => Err(e),
     };
-    let mut cursor = FoldCursor::new();
+    let mut cursor = ShardCursor::default();
     loop {
         match conn.read()? {
             Frame::Chunk { first_abs, items } => {
@@ -188,7 +117,16 @@ fn run_job<St: StageDecode>(
                         let mut reader = WireReader::new(&items);
                         let decoded = Vec::<St::Item>::take(&mut reader)?;
                         reader.finish()?;
-                        cursor.fold_chunk(stage, stage_seed, &shards, first_abs, &decoded, acc)
+                        cursor.fold(stage_seed, first_abs, &decoded, |rng, abs, items| {
+                            let shard = abs / SHARD_SIZE as u64;
+                            if !shards.owns(shard) {
+                                return Err(Error::protocol(format!(
+                                    "folding a chunk (shard {shard} routed to a worker that \
+                                     does not own it)"
+                                )));
+                            }
+                            stage.fold(rng, abs, items, acc)
+                        })
                     })();
                     if let Err(e) = outcome {
                         // Keep draining (the coordinator is still

@@ -2,7 +2,8 @@
 //! of `Job`, `Chunk` and `Partial` with lying length prefixes, and a real
 //! full-size `Chunk` cut short. Every case must fail with
 //! [`Error::Transport`], never panic, and never allocate the size a
-//! hostile prefix declares.
+//! hostile prefix declares. Well-formed `Chunk` frames in an impossible
+//! order must be refused by the worker with an `Err` reply.
 //!
 //! The binary runs under an allocator probe that records, per thread, the
 //! largest allocation requested and whether any request had exactly one
@@ -12,11 +13,14 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use mcim_core::LabelItem;
+use mcim_core::frameworks::stages::{FwStage, PtsArm};
+use mcim_core::{Domains, LabelItem};
 use mcim_dist::proto::{read_frame, write_chunk_frame, write_frame};
-use mcim_dist::{Frame, ShardAssignment, MAX_FRAME};
+use mcim_dist::{builtin_worker, Frame, ShardAssignment, MAX_FRAME, PROTOCOL_VERSION};
+use mcim_oracles::exec::Stage;
+use mcim_oracles::parallel::SHARD_SIZE;
 use mcim_oracles::wire::Wire;
-use mcim_oracles::Error;
+use mcim_oracles::{Eps, Error};
 
 thread_local! {
     static PEAK: Cell<usize> = const { Cell::new(0) };
@@ -155,4 +159,77 @@ fn full_chunk_truncated_anywhere_errors() {
         panic!("expected a Chunk frame");
     };
     assert_eq!(got, items);
+}
+
+/// One session against the built-in worker: a `fw/pts` job owning shards
+/// 0 and 1 per entry of `jobs`, each streaming Chunks at the given
+/// `(first_abs, len)` positions, then Flush. Returns the worker's reply
+/// to every job.
+fn serve_jobs(jobs: &[&[(u64, u32)]]) -> Vec<Frame> {
+    let eps = Eps::new(1.0).unwrap();
+    let arm = PtsArm::new(eps, eps, Domains::new(2, 8).unwrap()).unwrap();
+    let spec = FwStage::new(arm)
+        .spec()
+        .expect("PTS stages are distributable");
+    let mut wire = Vec::new();
+    let mut send = |frame: &Frame| write_frame(&mut wire, frame).expect("encode");
+    send(&Frame::Hello {
+        version: PROTOCOL_VERSION,
+    });
+    for chunks in jobs {
+        send(&Frame::Job {
+            stage_seed: 3,
+            contract: spec.contract,
+            kind: spec.kind.to_string(),
+            payload: spec.payload.clone(),
+            shards: ShardAssignment::Range { first: 0, end: 2 },
+        });
+        for &(first_abs, len) in *chunks {
+            let pairs: Vec<LabelItem> = (0..len).map(|u| LabelItem::new(u % 2, u % 8)).collect();
+            let mut items = Vec::new();
+            pairs.put(&mut items);
+            send(&Frame::Chunk { first_abs, items });
+        }
+        send(&Frame::Flush);
+    }
+    send(&Frame::Shutdown);
+
+    let mut replies = Vec::new();
+    builtin_worker()
+        .serve_io(&wire[..], &mut replies)
+        .expect("the session survives refused jobs");
+    let mut replies = &replies[..];
+    let hello = read_frame(&mut replies).expect("decode").expect("a Hello");
+    assert!(matches!(hello, Frame::Hello { .. }), "got {}", hello.name());
+    std::iter::from_fn(|| read_frame(&mut replies).expect("decode")).collect()
+}
+
+/// Chunk sequences no coordinator sends: an unowned shard, a first Chunk
+/// mid-shard, a gap inside a shard, and a new shard while the previous
+/// one is still open. Each job is answered with `Err` at Flush, and the
+/// same connection then folds a good job.
+#[test]
+fn worker_refuses_impossible_chunk_sequences() {
+    let shard = SHARD_SIZE as u64;
+    let good: &[(u64, u32)] = &[(0, 100)];
+    let cases: [(&str, &[(u64, u32)]); 4] = [
+        ("a shard the job does not own", &[(5 * shard, 10)]),
+        ("a first Chunk mid-shard", &[(100, 10)]),
+        ("a gap inside a shard", &[(0, 100), (200, 10)]),
+        ("a new shard while one is open", &[(0, 100), (shard, 10)]),
+    ];
+    for (what, chunks) in cases {
+        let replies = serve_jobs(&[chunks, good]);
+        assert_eq!(replies.len(), 2, "{what}: one reply per job");
+        assert!(
+            matches!(replies[0], Frame::Err { .. }),
+            "{what}: got {}",
+            replies[0].name()
+        );
+        assert!(
+            matches!(replies[1], Frame::Partial { .. }),
+            "{what}: the next job got {}",
+            replies[1].name()
+        );
+    }
 }

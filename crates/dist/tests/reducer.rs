@@ -70,7 +70,9 @@ fn framework_fold_is_bit_identical_over_sockets() {
     let fw = Framework::PtsCp { label_frac: 0.5 };
 
     for workers in [1, 2, 3] {
-        for chunk in [4096 - 1, 3 * 4096] {
+        // usize::MAX: an unvalidated chunk size must not be reserved up
+        // front.
+        for chunk in [4096 - 1, 3 * 4096, usize::MAX] {
             let plan = Exec::seeded(42).threads(2).chunk_size(chunk);
             let reference = fw
                 .execute_on(&plan.in_process(), eps, domains, SliceSource::new(&data))

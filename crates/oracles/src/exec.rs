@@ -571,6 +571,8 @@ mod tests {
             Exec::new().threads(1).chunk_size(parallel::SHARD_SIZE + 1),
             Exec::new().threads(4).chunk_size(parallel::SHARD_SIZE - 1),
             Exec::new().threads(2).chunk_size(999),
+            // An unvalidated chunk size must not be reserved up front.
+            Exec::new().threads(2).chunk_size(usize::MAX),
         ] {
             assert_eq!(fold(plan), reference, "{plan}");
         }

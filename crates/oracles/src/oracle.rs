@@ -11,7 +11,7 @@ use rand::Rng;
 
 use crate::calibrate::unbiased_count;
 use crate::colsum::ColumnCounter;
-use crate::{stream, BitVec, Eps, Error, Exec, Grr, Olh, OlhReport, Result, UnaryEncoding};
+use crate::{BitVec, Eps, Error, Grr, Olh, OlhReport, Result, UnaryEncoding};
 
 /// A frequency oracle: one of the concrete LDP mechanisms.
 #[derive(Debug, Clone)]
@@ -254,29 +254,6 @@ impl Aggregator {
         Ok(())
     }
 
-    /// Absorbs every report pulled from `source` in bounded chunks, on up
-    /// to the plan's thread count of workers.
-    ///
-    /// Memory stays `O(chunk + threads × shard)` regardless of the stream
-    /// length, and the final counts are bit-identical to
-    /// [`Aggregator::absorb_all`] over the same reports for every chunk
-    /// size and thread count (absorption is a counter sum — associative
-    /// and commutative).
-    pub fn absorb_stream<S>(&mut self, source: &mut S, plan: &Exec) -> Result<()>
-    where
-        S: stream::ReportSource<Item = Report>,
-    {
-        let template = Aggregator::new(&self.oracle);
-        let merged = stream::absorb_stream_with(
-            source,
-            plan,
-            &template,
-            |agg: &mut Aggregator, chunk| agg.absorb_all(chunk),
-            |a, b| a.merge(b),
-        )?;
-        self.merge(&merged)
-    }
-
     /// The oracle this aggregator matches.
     #[inline]
     pub fn oracle(&self) -> &Oracle {
@@ -449,18 +426,7 @@ mod tests {
             all.absorb_all(&reports).unwrap();
             assert_eq!(all.raw_counts(), seq.raw_counts(), "{}", oracle.name());
             assert_eq!(all.report_count(), seq.report_count());
-            for threads in [1, 2, 8] {
-                let mut streamed = Aggregator::new(&oracle);
-                streamed
-                    .absorb_stream(
-                        &mut stream::SliceSource::new(&reports),
-                        &Exec::new().threads(threads),
-                    )
-                    .unwrap();
-                assert_eq!(streamed.raw_counts(), seq.raw_counts(), "threads={threads}");
-                assert_eq!(streamed.report_count(), seq.report_count());
-                assert_eq!(streamed.estimate(), seq.estimate(), "{}", oracle.name());
-            }
+            assert_eq!(all.estimate(), seq.estimate(), "{}", oracle.name());
         }
     }
 

@@ -17,14 +17,14 @@
 //! so shard boundaries land at the same places regardless of the chunk
 //! size. Shard `s` is always processed with the deterministic RNG
 //! [`shard_rng`]`(base_seed, s)`; when a chunk boundary splits a shard,
-//! the partially-advanced RNG is carried to the next chunk and the shard's
-//! remaining items continue the same stream. Consequently `fold_stream`
-//! produces bit-identical results to a sequential shard-by-shard scan for
-//! **every** chunk size and thread count, provided the fold function is
-//! prefix-composable (processing a shard in two fragments with a carried
-//! RNG equals processing it at once — true for every privatize+absorb loop
-//! in this workspace) and the merge is commutative and associative (true
-//! for counter sums).
+//! a [`ShardCursor`] carries the partially-advanced RNG to the next chunk
+//! and the shard's remaining items continue the same stream.
+//! Consequently `fold_stream` produces bit-identical results to a
+//! sequential shard-by-shard scan for **every** chunk size and thread
+//! count, provided the fold function is prefix-composable (processing a
+//! shard in two fragments with a carried RNG equals processing it at once
+//! — true for every privatize+absorb loop in this workspace) and the
+//! merge is commutative and associative (true for counter sums).
 //!
 //! ## RNG contract v4: one sampler stream for every plan
 //!
@@ -37,7 +37,8 @@
 //!    [`shard_rng`]`(stage_seed, s)` (splitmix64 over a salted shard
 //!    index, seeding a `StdRng`). Fragments of a split shard continue the
 //!    carried RNG state in order, including on distributed workers and
-//!    their recovery replays.
+//!    their recovery replays. [`ShardCursor`] is this rule's one
+//!    implementation; every fold picks its fragments' RNGs through it.
 //! 2. **One plane sampler, everywhere.** Unary-encoding noise planes are
 //!    drawn through `UnaryEncoding::fill_plane`: geometric skipping below
 //!    `UnaryEncoding::WORDWISE_MIN_Q` = 1/64, and otherwise (`q ≥ 1/64`)
@@ -272,17 +273,96 @@ impl<S: ReportSource> ReportSource for Take<'_, S> {
     }
 }
 
+/// Clears `buf` and refills it from `source` until it holds `chunk_items`
+/// items or the source is exhausted; returns how many it holds (`0` once
+/// the source is drained). Every chunked fold pulls through this one loop.
+pub fn fill_chunk<S: ReportSource>(
+    source: &mut S,
+    buf: &mut Vec<S::Item>,
+    chunk_items: usize,
+) -> Result<usize> {
+    buf.clear();
+    loop {
+        let want = chunk_items - buf.len();
+        if want == 0 || source.fill(buf, want)? == 0 {
+            return Ok(buf.len());
+        }
+    }
+}
+
+/// An empty chunk buffer for `chunk_items`-item pulls. The up-front
+/// reservation is capped at [`DEFAULT_CHUNK_ITEMS`] (a caller-supplied
+/// chunk size is unvalidated); a larger chunk grows the buffer as items
+/// actually arrive.
+pub fn chunk_buffer<T>(chunk_items: usize) -> Vec<T> {
+    Vec::with_capacity(chunk_items.min(DEFAULT_CHUNK_ITEMS))
+}
+
+/// Picks the RNG of every shard fragment of a fold: contract point 1's
+/// one implementation, shared by the in-process executor, distributed
+/// workers and the coordinator's local replays.
+///
+/// A fragment that starts on a shard boundary gets a fresh
+/// [`shard_rng`]`(seed, s)`; a fragment that starts exactly where the
+/// previous one stopped mid-shard continues its carried RNG. Any other
+/// position is a protocol error: a mid-shard start with nothing carried,
+/// or a start anywhere but the carried position.
+#[derive(Debug, Default)]
+pub struct ShardCursor {
+    /// Where the open shard continues, and its RNG.
+    carry: Option<(u64, StdRng)>,
+}
+
+impl ShardCursor {
+    /// Cuts `items`, which start at absolute stream index `abs`, into
+    /// shard fragments and calls `f(rng, abs, fragment)` once per
+    /// fragment, in order.
+    pub fn fold<T, F>(&mut self, seed: u64, mut abs: u64, mut items: &[T], mut f: F) -> Result<()>
+    where
+        F: FnMut(&mut StdRng, u64, &[T]) -> Result<()>,
+    {
+        let shard_size = SHARD_SIZE as u64;
+        while !items.is_empty() {
+            let shard = abs / shard_size;
+            let shard_end = (shard + 1) * shard_size;
+            let mut rng = match self.carry.take() {
+                Some((at, rng)) if at == abs => rng,
+                Some((at, _)) => {
+                    return Err(Error::protocol(format!(
+                        "folding shard {shard} (expected the open shard to continue at item \
+                         {at}, got {abs})"
+                    )))
+                }
+                None if abs % shard_size == 0 => shard_rng(seed, shard),
+                None => {
+                    return Err(Error::protocol(format!(
+                        "folding shard {shard} (item {abs} is mid-shard but no RNG state is \
+                         carried)"
+                    )))
+                }
+            };
+            let take = ((shard_end - abs) as usize).min(items.len());
+            let (fragment, rest) = items.split_at(take);
+            f(&mut rng, abs, fragment)?;
+            abs += take as u64;
+            items = rest;
+            if abs < shard_end {
+                self.carry = Some((abs, rng));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Drains `source` in chunks of `plan`'s resolved chunk size, folding
 /// every item into an accumulator with shard-deterministic RNG streams.
 ///
 /// `f(rng, abs_index, items, acc)` processes one shard *fragment*: a run
 /// of consecutive items that all belong to the same absolute shard,
-/// starting at stream position `abs_index`. The RNG is positioned exactly
-/// where a sequential shard scan would have it: fresh [`shard_rng`]`(base_seed, s)` at
-/// a shard's first item, carried state mid-shard. Fragments of distinct
-/// shards run on up to the plan's resolved thread count of workers, each
-/// folding into its own clone
-/// of `template`; partials are combined with `merge`.
+/// starting at stream position `abs_index`, with the RNG a
+/// [`ShardCursor`] picks for it. Fragments of distinct shards run on up
+/// to the plan's resolved thread count of workers, each folding into its
+/// own clone of `template`; partials are combined with `merge`.
 ///
 /// Memory: one chunk-sized input buffer plus one accumulator clone per
 /// worker — independent of the stream length. The plan's seed is unused:
@@ -306,98 +386,70 @@ where
     let chunk_items = plan.resolved_chunk_items();
     let threads = plan.resolved_threads();
     let mut acc = template.clone();
-    let mut buf: Vec<S::Item> = Vec::with_capacity(chunk_items);
+    let mut buf = chunk_buffer(chunk_items);
     let mut abs: u64 = 0;
-    // RNG of the shard currently split across chunk boundaries.
-    let mut carry: Option<StdRng> = None;
+    // Carries the RNG of a shard split across chunk boundaries.
+    let mut cursor = ShardCursor::default();
     // Telemetry: locals accumulate for free and flush once at the end,
     // so the instrumented loop costs nothing beyond three integer adds.
     let obs_span = mcim_obs::span("mcim_fold_duration_seconds");
     let (mut obs_chunks, mut obs_reports, mut obs_fragments) = (0u64, 0u64, 0u64);
 
-    loop {
-        buf.clear();
-        loop {
-            let want = chunk_items - buf.len();
-            if want == 0 || source.fill(&mut buf, want)? == 0 {
-                break;
-            }
-        }
-        if buf.is_empty() {
-            break;
-        }
+    while fill_chunk(source, &mut buf, chunk_items)? > 0 {
         obs_chunks += 1;
         obs_reports += buf.len() as u64;
 
-        // Head fragment: finish the shard the previous chunk started.
-        let mut offset = 0usize;
-        let into_shard = (abs % SHARD_SIZE as u64) as usize;
-        if into_shard != 0 {
-            obs_fragments += 1;
-            let head = (SHARD_SIZE - into_shard).min(buf.len());
-            let mut rng = carry
-                .take()
-                // mcim-lint: allow(panic-freedom, invariant: carry is set whenever abs stops mid-shard, restored below)
-                .expect("mid-shard position implies a carried RNG");
-            f(&mut rng, abs, &buf[..head], &mut acc)?;
-            if into_shard + head < SHARD_SIZE {
-                carry = Some(rng); // chunk ended inside the same shard
-            }
-            offset = head;
-        }
-
-        // Whole shards, fanned out across workers.
-        let body = &buf[offset..];
-        let full = body.len() / SHARD_SIZE * SHARD_SIZE;
-        let first_shard = (abs + offset as u64) / SHARD_SIZE as u64;
-        if full > 0 {
-            let shards: Vec<&[S::Item]> = body[..full].chunks(SHARD_SIZE).collect();
-            obs_fragments += shards.len() as u64;
-            if threads <= 1 || shards.len() <= 1 {
-                for (i, chunk) in shards.iter().enumerate() {
-                    let s = first_shard + i as u64;
-                    let mut rng = shard_rng(base_seed, s);
-                    f(&mut rng, s * SHARD_SIZE as u64, chunk, &mut acc)?;
-                }
-            } else {
-                let workers = threads.min(shards.len());
-                let partials = std::thread::scope(|scope| {
-                    let mut handles = Vec::with_capacity(workers);
-                    for range in crate::parallel::ranges(shards.len(), workers) {
-                        let shards = &shards;
-                        let f = &f;
-                        let mut local = template.clone();
-                        handles.push(scope.spawn(move || -> Result<A> {
-                            for i in range {
-                                let s = first_shard + i as u64;
-                                let mut rng = shard_rng(base_seed, s);
-                                f(&mut rng, s * SHARD_SIZE as u64, shards[i], &mut local)?;
-                            }
+        // Head: the rest of the shard the previous chunk left open. Body:
+        // whole shards. Tail: the start of a shard the next chunk ends.
+        let head = (SHARD_SIZE - (abs % SHARD_SIZE as u64) as usize) % SHARD_SIZE;
+        let head = head.min(buf.len());
+        let shards = (buf.len() - head) / SHARD_SIZE;
+        if threads <= 1 || shards <= 1 {
+            cursor.fold(base_seed, abs, &buf, |rng, at, items| {
+                obs_fragments += 1;
+                f(rng, at, items, &mut acc)
+            })?;
+        } else {
+            let (head_items, rest) = buf.split_at(head);
+            let (body, tail) = rest.split_at(shards * SHARD_SIZE);
+            cursor.fold(base_seed, abs, head_items, |rng, at, items| {
+                obs_fragments += 1;
+                f(rng, at, items, &mut acc)
+            })?;
+            obs_fragments += shards as u64;
+            let body_abs = abs + head as u64;
+            let partials = std::thread::scope(|scope| {
+                let handles: Vec<_> = crate::parallel::ranges(shards, threads)
+                    .map(|range| {
+                        let (f, mut local) = (&f, template.clone());
+                        let items = &body[range.start * SHARD_SIZE..range.end * SHARD_SIZE];
+                        let at = body_abs + (range.start * SHARD_SIZE) as u64;
+                        scope.spawn(move || -> Result<A> {
+                            ShardCursor::default().fold(
+                                base_seed,
+                                at,
+                                items,
+                                |rng, at, items| f(rng, at, items, &mut local),
+                            )?;
                             Ok(local)
-                        }));
-                    }
-                    handles
-                        .into_iter()
-                        // mcim-lint: allow(panic-freedom, join only fails if a worker panicked; re-raising that panic is the scoped-thread idiom)
-                        .map(|h| h.join().expect("stream worker panicked"))
-                        .collect::<Vec<_>>()
-                });
-                for partial in partials {
-                    merge(&mut acc, &partial?)?;
-                }
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    // mcim-lint: allow(panic-freedom, join only fails if a worker panicked; re-raising that panic is the scoped-thread idiom)
+                    .map(|h| h.join().expect("stream worker panicked"))
+                    .collect::<Vec<_>>()
+            });
+            for partial in partials {
+                merge(&mut acc, &partial?)?;
             }
+            let tail_abs = body_abs + body.len() as u64;
+            cursor.fold(base_seed, tail_abs, tail, |rng, at, items| {
+                obs_fragments += 1;
+                f(rng, at, items, &mut acc)
+            })?;
         }
-
-        // Tail fragment: start a new shard and carry its RNG.
-        let tail = offset + full;
-        if tail < buf.len() {
-            obs_fragments += 1;
-            let s = (abs + tail as u64) / SHARD_SIZE as u64;
-            let mut rng = shard_rng(base_seed, s);
-            f(&mut rng, abs + tail as u64, &buf[tail..], &mut acc)?;
-            carry = Some(rng);
-        }
-
         abs += buf.len() as u64;
     }
     if mcim_obs::enabled() {
@@ -408,33 +460,6 @@ where
     }
     obs_span.finish();
     Ok(acc)
-}
-
-/// [`fold_stream`] for pure server-side absorption (no RNG): drains a
-/// source of already privatized reports into per-worker accumulators. The
-/// backbone of every aggregator's `absorb_stream`.
-pub fn absorb_stream_with<S, A, F, M>(
-    source: &mut S,
-    plan: &Exec,
-    template: &A,
-    absorb: F,
-    merge: M,
-) -> Result<A>
-where
-    S: ReportSource,
-    S::Item: Sync,
-    A: Clone + Send,
-    F: Fn(&mut A, &[S::Item]) -> Result<()> + Sync,
-    M: Fn(&mut A, &A) -> Result<()>,
-{
-    fold_stream(
-        source,
-        plan,
-        0, // RNG stream unused by pure absorption
-        template,
-        |_rng, _abs, items, acc| absorb(acc, items),
-        merge,
-    )
 }
 
 /// The size a sized source must declare; errors otherwise. Used by
@@ -596,6 +621,32 @@ mod tests {
             }
             assert_eq!(next, n as u64);
         }
+    }
+
+    #[test]
+    fn shard_cursor_refuses_a_mid_shard_start_with_nothing_carried() {
+        let err = ShardCursor::default()
+            .fold(1, 100, &[0u32; 10], |_, _, _| Ok(()))
+            .unwrap_err();
+        assert!(matches!(err, Error::Transport { .. }), "{err}");
+    }
+
+    #[test]
+    fn shard_cursor_refuses_a_continuation_at_the_wrong_index() {
+        let items = [0u32; 100];
+        // A gap inside the open shard, and a new shard while it is open.
+        for next in [200, SHARD_SIZE as u64] {
+            let mut cursor = ShardCursor::default();
+            cursor.fold(1, 0, &items, |_, _, _| Ok(())).unwrap();
+            let err = cursor
+                .fold(1, next, &items[..10], |_, _, _| Ok(()))
+                .unwrap_err();
+            assert!(matches!(err, Error::Transport { .. }), "next={next}: {err}");
+        }
+        // The carried position itself continues.
+        let mut cursor = ShardCursor::default();
+        cursor.fold(1, 0, &items, |_, _, _| Ok(())).unwrap();
+        cursor.fold(1, 100, &items, |_, _, _| Ok(())).unwrap();
     }
 
     #[test]

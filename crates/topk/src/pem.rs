@@ -126,8 +126,7 @@ pub struct PemVpRoundStage {
 
 impl PemVpRoundStage {
     /// Builds the stage, constructing the VP mechanism for the candidate
-    /// count (deterministic — a rebuilt mechanism is interchangeable with
-    /// a cached one).
+    /// count.
     ///
     /// # Errors
     /// [`Error::InvalidParameter`] when `domain` is 0 or `prefix_len`
@@ -135,26 +134,15 @@ impl PemVpRoundStage {
     pub fn new(eps: Eps, domain: u32, prefix_len: u32, candidates: Vec<u32>) -> Result<Self> {
         check_round(domain, prefix_len)?;
         let vp = ValidityPerturbation::new(eps, candidates.len() as u32)?;
-        Ok(Self::with_mech(eps, domain, prefix_len, candidates, vp))
-    }
-
-    fn with_mech(
-        eps: Eps,
-        domain: u32,
-        prefix_len: u32,
-        candidates: Vec<u32>,
-        vp: ValidityPerturbation,
-    ) -> Self {
-        let index = CandIndex::new(&candidates);
-        PemVpRoundStage {
+        Ok(PemVpRoundStage {
             eps,
             domain,
             prefix_len,
+            index: CandIndex::new(&candidates),
             candidates,
             code: PrefixCode::for_domain(domain),
-            index,
             vp,
-        }
+        })
     }
 
     fn classify(&self, item: Option<u32>) -> ValidityInput {
@@ -249,26 +237,15 @@ impl PemOracleRoundStage {
     pub fn new(eps: Eps, domain: u32, prefix_len: u32, candidates: Vec<u32>) -> Result<Self> {
         check_round(domain, prefix_len)?;
         let oracle = Oracle::adaptive(eps, candidates.len() as u32)?;
-        Ok(Self::with_mech(eps, domain, prefix_len, candidates, oracle))
-    }
-
-    fn with_mech(
-        eps: Eps,
-        domain: u32,
-        prefix_len: u32,
-        candidates: Vec<u32>,
-        oracle: Oracle,
-    ) -> Self {
-        let index = CandIndex::new(&candidates);
-        PemOracleRoundStage {
+        Ok(PemOracleRoundStage {
             eps,
             domain,
             prefix_len,
+            index: CandIndex::new(&candidates),
             candidates,
             code: PrefixCode::for_domain(domain),
-            index,
             oracle,
-        }
+        })
     }
 }
 
@@ -340,49 +317,6 @@ impl StageDecode for PemOracleRoundStage {
     }
 }
 
-/// Round-to-round cache of derived mechanisms, keyed by
-/// `(ε bit pattern, candidate count)`.
-///
-/// Every PEM round used to rebuild a fresh [`ValidityPerturbation`] (or
-/// adaptive [`Oracle`]) even though middle rounds repeat the same candidate
-/// count (`keep_factor·k·2^m`), so deep tries paid the calibration constant
-/// (`exp`, probability derivation, allocation) once per round. The cache
-/// makes the rebuild a hit whenever `(ε, |candidates|)` repeats; mechanism
-/// construction draws no randomness, so caching cannot change any stream.
-#[derive(Debug, Clone, Default)]
-struct MechCache {
-    vp: Option<(u64, u32, ValidityPerturbation)>,
-    oracle: Option<(u64, u32, Oracle)>,
-}
-
-impl MechCache {
-    /// The validity-perturbation mechanism for `(eps, n_cands)`.
-    fn vp(&mut self, eps: Eps, n_cands: u32) -> Result<ValidityPerturbation> {
-        let key = (eps.value().to_bits(), n_cands);
-        if let Some((k0, k1, vp)) = &self.vp {
-            if (*k0, *k1) == key {
-                return Ok(vp.clone());
-            }
-        }
-        let vp = ValidityPerturbation::new(eps, n_cands)?;
-        self.vp = Some((key.0, key.1, vp.clone()));
-        Ok(vp)
-    }
-
-    /// The adaptive oracle for `(eps, n_cands)`.
-    fn oracle(&mut self, eps: Eps, n_cands: u32) -> Result<Oracle> {
-        let key = (eps.value().to_bits(), n_cands);
-        if let Some((k0, k1, oracle)) = &self.oracle {
-            if (*k0, *k1) == key {
-                return Ok(oracle.clone());
-            }
-        }
-        let oracle = Oracle::adaptive(eps, n_cands)?;
-        self.oracle = Some((key.0, key.1, oracle.clone()));
-        Ok(oracle)
-    }
-}
-
 /// PEM tuning parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct PemConfig {
@@ -426,8 +360,6 @@ pub struct PemEngine {
     /// Scores of `candidates` from the most recent round.
     last_scores: Vec<f64>,
     finished: bool,
-    /// Mechanism reuse across rounds (see [`MechCache`]).
-    cache: MechCache,
 }
 
 impl PemEngine {
@@ -455,7 +387,6 @@ impl PemEngine {
             prefix_len: gamma0,
             last_scores: Vec::new(),
             finished: false,
-            cache: MechCache::default(),
         })
     }
 
@@ -481,7 +412,6 @@ impl PemEngine {
             prefix_len,
             last_scores: Vec::new(),
             finished: false,
-            cache: MechCache::default(),
         })
     }
 
@@ -570,26 +500,14 @@ impl PemEngine {
             });
         }
         mcim_obs::counter_add("mcim_pem_rounds_total", 1);
-        let n_cands = self.candidates.len() as u32;
+        let (domain, candidates) = (self.code.domain(), self.candidates.clone());
 
         let (scores, comm) = if self.config.validity {
-            let stage = PemVpRoundStage::with_mech(
-                eps,
-                self.code.domain(),
-                self.prefix_len,
-                self.candidates.clone(),
-                self.cache.vp(eps, n_cands)?,
-            );
+            let stage = PemVpRoundStage::new(eps, domain, self.prefix_len, candidates)?;
             let (agg, comm) = executor.fold(source, stage_seed, &stage)?;
             (agg.raw_counts().iter().map(|&c| c as f64).collect(), comm)
         } else {
-            let stage = PemOracleRoundStage::with_mech(
-                eps,
-                self.code.domain(),
-                self.prefix_len,
-                self.candidates.clone(),
-                self.cache.oracle(eps, n_cands)?,
-            );
+            let stage = PemOracleRoundStage::new(eps, domain, self.prefix_len, candidates)?;
             let (agg, comm) = executor.fold(source, stage_seed, &stage)?;
             (agg.estimate(), comm)
         };

@@ -9,8 +9,7 @@
 //! unsized sources where the entry point drains one, metrics recording
 //! on, a rerun of the reference and a second seed. [`check_row`] checks
 //! a row in the groups it is given against that row's one-thread,
-//! default-chunk reference; aggregator rows take `absorb_all` over the
-//! same reports as theirs.
+//! default-chunk reference.
 //!
 //! The test targets `determinism`, `exec_equivalence`, `obs_equivalence`,
 //! `streaming` and `identity` each check their slice of the table; the
@@ -25,9 +24,6 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use multiclass_ldp::core::frameworks::{
-    Hec, HecAggregator, Ptj, PtjAggregator, Pts, PtsAggregator,
-};
 use multiclass_ldp::core::{CommStats, EstimationResult};
 use multiclass_ldp::obs;
 use multiclass_ldp::prelude::*;
@@ -191,14 +187,6 @@ pub fn freq_digest(r: &EstimationResult) -> Vec<u64> {
     [bits(r.table.values()), comm(r.comm)].concat()
 }
 
-/// Every `(label, item)` cell of `domains` through `count`.
-fn cells(domains: Domains, count: impl Fn(u32, u32) -> u64) -> Vec<u64> {
-    (0..domains.classes())
-        .flat_map(|l| (0..domains.items()).map(move |i| (l, i)))
-        .map(|(l, i)| count(l, i))
-        .collect()
-}
-
 /// Runs `f` with recording `on` under `clock`; returns its digest and
 /// the snapshot it left.
 pub fn recorded(
@@ -274,156 +262,6 @@ pub fn frameworks(groups: &[Cols]) {
         let reference = row(&reference_plan(SEED), true);
         check_row(fw.name(), &reference, data.len(), groups, row);
     }
-}
-
-/// Privatizes every input from one seeded stream; `privatize` also gets
-/// the user's index.
-fn privatize_all<I: Copy, R>(
-    inputs: &[I],
-    seed: u64,
-    privatize: impl Fn(u32, I, &mut rand::rngs::StdRng) -> Result<R>,
-) -> Vec<R> {
-    let mut rng = parallel::shard_rng(seed, 0);
-    (0..)
-        .zip(inputs)
-        .map(|(u, &x)| privatize(u, x, &mut rng).unwrap())
-        .collect()
-}
-
-/// An aggregator row: `absorb_stream` in every column of `$groups` must
-/// equal `absorb_all` over the same reports, and reports privatized
-/// under a second seed must change the digest.
-macro_rules! aggregator_row {
-    ($what:expr, $groups:expr, $inputs:expr, $privatize:expr, $new:expr, $digest:expr) => {{
-        let inputs = $inputs;
-        let reports = privatize_all(&inputs, SEED, $privatize);
-        let absorb = |plan: Option<&Exec>, reports: &[_]| {
-            let mut agg = $new;
-            match plan {
-                Some(plan) => agg.absorb_stream(&mut SliceSource::new(reports), plan),
-                None => agg.absorb_all(reports),
-            }
-            .unwrap();
-            $digest(&agg)
-        };
-        let reference = absorb(None, &reports);
-        check_row($what, &reference, reports.len(), $groups, |plan, _| {
-            absorb(Some(plan), &reports)
-        });
-        let reseeded = privatize_all(&inputs, SEED + 1, $privatize);
-        assert_ne!(
-            absorb(None, &reseeded),
-            reference,
-            "{}: seed ignored",
-            $what
-        );
-    }};
-}
-
-/// The `Aggregator` rows for GRR, OUE and OLH.
-pub fn oracle_aggregators(groups: &[Cols]) {
-    let eps = Eps::new(1.0).unwrap();
-    for oracle in [
-        Oracle::grr(eps, 6).unwrap(),
-        Oracle::oue(eps, 200).unwrap(),
-        Oracle::olh(Eps::new(2.0).unwrap(), 32).unwrap(),
-    ] {
-        let d = oracle.domain_size();
-        aggregator_row!(
-            oracle.name(),
-            groups,
-            pairs(Domains::new(2, d).unwrap(), N),
-            |_, p: LabelItem, rng| oracle.privatize(p.item, rng),
-            Aggregator::new(&oracle),
-            |a: &Aggregator| [
-                a.raw_counts().to_vec(),
-                vec![a.report_count()],
-                bits(&a.estimate())
-            ]
-            .concat()
-        );
-    }
-}
-
-/// The `VpAggregator` row.
-pub fn vp_aggregator(groups: &[Cols]) {
-    let vp = ValidityPerturbation::new(Eps::new(1.5).unwrap(), 96).unwrap();
-    aggregator_row!(
-        "VP",
-        groups,
-        pairs(Domains::new(4, 96).unwrap(), N),
-        |_, p: LabelItem, rng| vp.privatize(
-            match p.label {
-                0 => ValidityInput::Invalid,
-                _ => ValidityInput::Valid(p.item),
-            },
-            rng
-        ),
-        VpAggregator::new(&vp),
-        |a: &VpAggregator| {
-            let counts = vec![a.raw_flag_count(), a.report_count()];
-            [a.raw_counts().to_vec(), counts, bits(&a.estimate())].concat()
-        }
-    );
-}
-
-/// The `CpAggregator` row.
-pub fn cp_aggregator(groups: &[Cols]) {
-    let domains = Domains::new(4, 48).unwrap();
-    let cp = CorrelatedPerturbation::with_total(Eps::new(2.0).unwrap(), domains).unwrap();
-    aggregator_row!(
-        "CP",
-        groups,
-        pairs(domains, N),
-        |_, p, rng| cp.privatize(p, rng),
-        CpAggregator::new(&cp),
-        |a: &CpAggregator| {
-            let labels = (0..domains.classes()).map(|l| a.raw_label_count(l));
-            let mut d = cells(domains, |l, i| a.raw_pair_count(l, i));
-            d.extend(labels.chain([a.report_count()]));
-            [d, bits(a.estimate().values())].concat()
-        }
-    );
-}
-
-/// The PTS, PTJ and HEC aggregator rows, each over every cell.
-pub fn pts_ptj_hec_aggregators(groups: &[Cols]) {
-    let domains = Domains::new(3, 40).unwrap();
-    let eps = Eps::new(2.0).unwrap();
-    let pts = Pts::new(Eps::new(1.0).unwrap(), Eps::new(1.0).unwrap(), domains).unwrap();
-    aggregator_row!(
-        "PTS",
-        groups,
-        pairs(domains, N),
-        |_, p, rng| pts.privatize(p, rng),
-        PtsAggregator::new(&pts),
-        |a: &PtsAggregator| {
-            let mut d = cells(domains, |l, i| a.raw_pair_count(l, i));
-            d.push(a.report_count());
-            [d, bits(a.estimate().values())].concat()
-        }
-    );
-    let ptj = Ptj::new(eps, domains).unwrap();
-    aggregator_row!(
-        "PTJ",
-        groups,
-        pairs(domains, N),
-        |_, p, rng| ptj.privatize(p, rng),
-        PtjAggregator::new(&ptj),
-        |a: &PtjAggregator| [vec![a.report_count()], bits(a.estimate().values())].concat()
-    );
-    let hec = Hec::new(eps, domains).unwrap();
-    aggregator_row!(
-        "HEC",
-        groups,
-        pairs(domains, N),
-        |u, p, rng| hec.privatize(u64::from(u), p, rng),
-        HecAggregator::new(&hec),
-        |a: &HecAggregator| {
-            let table = a.estimate().unwrap();
-            [vec![a.report_count()], bits(table.values())].concat()
-        }
-    );
 }
 
 /// Asserts the PEM rounds a row recorded when `groups` record any.

@@ -30,9 +30,3 @@ fn topk_mining_identical_for_identical_seeds() {
     let _obs = ObsGuard::take();
     common::topk(&[Cols::Rerun]);
 }
-
-#[test]
-fn vp_batch_thread_matrix_is_bit_identical() {
-    let _obs = ObsGuard::take();
-    common::vp_aggregator(&[Cols::Threads]);
-}

@@ -1,5 +1,6 @@
-//! **Design ablation (DESIGN.md §4)** — the two forms of Algorithm 2's
-//! noise test, on SYN3 with growing class counts (ε = 4, k = 20).
+//! **Design ablation (README "Deviations from the paper")** — the two
+//! forms of Algorithm 2's noise test, on SYN3 with growing class counts
+//! (ε = 4, k = 20).
 //!
 //! The paper's printed test `|D_C| > b·|D'_C|` never trips for uniform
 //! classes, so the final CP round runs even when the routed groups are

@@ -52,7 +52,7 @@ fn main() {
         "Note: the `n` column matches the paper to display precision; the\n\
          f(C,I) and N columns deviate ~10-40% because Eq. (5) omits the\n\
          f̃–n̂ covariance the paper's numerical estimate appears to include\n\
-         (DESIGN.md §4). All coefficients fall sharply with ε, reproducing\n\
-         the paper's qualitative conclusion."
+         (README \"Deviations from the paper\"). All coefficients fall\n\
+         sharply with ε, reproducing the paper's qualitative conclusion."
     );
 }

@@ -3,9 +3,9 @@
 //! Dataset generators for the paper's evaluation (§VII-A): the exact
 //! synthetic constructions SYN1–SYN4 and seeded simulations of the four
 //! Kaggle datasets (Diabetes, Heart Disease, MyAnimeList, JD Contest) whose
-//! originals cannot be downloaded in this environment — see DESIGN.md §2.4
-//! for the substitution rationale and the statistics each simulation
-//! preserves.
+//! originals an offline build cannot download — see README "Deviations
+//! from the paper" for the substitution and the statistics each
+//! simulation preserves.
 //!
 //! ```
 //! use mcim_datasets::{synthetic, SynLargeConfig};

@@ -1,10 +1,11 @@
 //! Simulated stand-ins for the paper's four real-world datasets (§VII-A).
 //!
-//! The originals are Kaggle downloads unavailable in this environment; per
-//! DESIGN.md §2.4 each generator reproduces every statistic the paper
-//! reports (user counts, class structure, domain sizes, skew, global-item
-//! overlap) so the LDP pipelines exercise the same code paths and exhibit
-//! the same utility orderings. All generators are seed-deterministic.
+//! The originals are Kaggle downloads an offline build cannot fetch; as
+//! README "Deviations from the paper" records, each generator reproduces
+//! every statistic the paper reports (user counts, class structure,
+//! domain sizes, skew, global-item overlap) so the LDP pipelines exercise
+//! the same code paths and exhibit the same utility orderings. All
+//! generators are seed-deterministic.
 
 use mcim_core::{Domains, LabelItem};
 use rand::rngs::StdRng;

@@ -49,7 +49,9 @@ use mcim_oracles::wire::{StageSpec, Wire, WireReader, WireState};
 use mcim_oracles::{Error, Result};
 
 use crate::proto::count::{CountingReader, CountingWriter, IoStats};
-use crate::proto::{expect_frame, write_chunk_frame, write_frame, Frame, ShardAssignment};
+use crate::proto::{
+    expect_frame, write_chunk_frame, write_frame, Frame, ShardAssignment, MAX_CHUNK_PAYLOAD,
+};
 use crate::spawn::{spawn_local_workers, SpawnedWorkers};
 use crate::PROTOCOL_VERSION;
 
@@ -229,17 +231,20 @@ impl WorkerConn {
         write_frame(&mut self.writer, frame)
     }
 
-    /// Sends `items` as one Chunk frame starting at `first_abs`. Its
-    /// payload (the `u32` count, then the items) is encoded into the
-    /// connection's reused buffer and goes straight into the buffered
-    /// socket writer, with no owned `Frame` round-trip.
+    /// Sends `items` as Chunk frames starting at `first_abs`: one frame,
+    /// unless that would pass [`MAX_CHUNK_PAYLOAD`] (see
+    /// [`encode_chunks`]). Each payload is encoded into the connection's
+    /// reused buffer and goes straight into the buffered socket writer,
+    /// with no owned `Frame` round-trip.
     fn send_chunk<T: Wire>(&mut self, first_abs: u64, items: &[T]) -> Result<()> {
-        self.encoded.clear();
-        (items.len() as u32).put(&mut self.encoded);
-        for item in items {
-            item.put(&mut self.encoded);
-        }
-        write_chunk_frame(&mut self.writer, first_abs, &self.encoded)
+        let writer = &mut self.writer;
+        encode_chunks(
+            first_abs,
+            items,
+            MAX_CHUNK_PAYLOAD,
+            &mut self.encoded,
+            |abs, payload| write_chunk_frame(writer, abs, payload),
+        )
     }
 
     fn flush(&mut self) -> Result<()> {
@@ -703,6 +708,46 @@ fn rewind_to_start<S: ReportSource>(source: &mut S, position: &mut u64) -> Resul
     Ok(())
 }
 
+/// Encodes `items`, which start at absolute index `first_abs`, into Chunk
+/// payloads (the `u32` count, then the items) of at most `budget` bytes,
+/// and hands each to `emit(first_abs, payload)` in order. A payload is cut
+/// only at a shard boundary, so a split run still travels as whole shards.
+/// `Wire` items have no fixed width, so each shard is encoded first and
+/// the cut decided from the encoded length. A lone shard over `budget`
+/// still goes out whole, for the frame writer to refuse.
+fn encode_chunks<T: Wire>(
+    first_abs: u64,
+    items: &[T],
+    budget: usize,
+    buf: &mut Vec<u8>,
+    mut emit: impl FnMut(u64, &[u8]) -> Result<()>,
+) -> Result<()> {
+    const COUNT: usize = std::mem::size_of::<u32>();
+    let shard_size = SHARD_SIZE as u64;
+    buf.clear();
+    buf.resize(COUNT, 0);
+    // `items[start..next]` is encoded in `buf`, after the count slot.
+    let mut start = 0usize;
+    let mut next = 0usize;
+    while next < items.len() {
+        let shard = (first_abs + next as u64) / shard_size;
+        let shard_end = (((shard + 1) * shard_size - first_abs) as usize).min(items.len());
+        let cut = buf.len();
+        for item in &items[next..shard_end] {
+            item.put(buf);
+        }
+        if buf.len() > budget && next > start {
+            buf[..COUNT].copy_from_slice(&((next - start) as u32).to_le_bytes());
+            emit(first_abs + start as u64, &buf[..cut])?;
+            buf.drain(COUNT..cut);
+            start = next;
+        }
+        next = shard_end;
+    }
+    buf[..COUNT].copy_from_slice(&((items.len() - start) as u32).to_le_bytes());
+    emit(first_abs + start as u64, buf)
+}
+
 /// Finds which assignment owns `shard`, if any.
 fn owner_of(assignments: &[ShardAssignment], shard: u64) -> Option<usize> {
     assignments.iter().position(|a| a.owns(shard))
@@ -813,7 +858,8 @@ impl Executor for Coordinator {
         }
 
         // Stream the source out in shard-aligned runs: consecutive items
-        // that land in one worker's shards travel as one Chunk frame.
+        // that land in one worker's shards travel as one Chunk frame, or
+        // as several of whole shards when one would pass `MAX_FRAME`.
         // Sends to workers already marked dead are skipped — their items
         // are still consumed (the position accounting must match the
         // unfailed run), and their shards are already queued for replay.
@@ -1100,5 +1146,61 @@ impl Executor for Coordinator {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .clone()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Runs `encode_chunks` and returns each payload with its first index.
+    fn payloads(first_abs: u64, items: &[u32], budget: usize) -> Vec<(u64, Vec<u8>)> {
+        let mut out = Vec::new();
+        encode_chunks(first_abs, items, budget, &mut Vec::new(), |abs, payload| {
+            out.push((abs, payload.to_vec()));
+            Ok(())
+        })
+        .unwrap();
+        out
+    }
+
+    fn decode(payload: &[u8]) -> Vec<u32> {
+        let mut r = WireReader::new(payload);
+        let items = Vec::<u32>::take(&mut r).unwrap();
+        r.finish().unwrap();
+        items
+    }
+
+    #[test]
+    fn runs_split_into_whole_shards_under_the_budget() {
+        let shard = SHARD_SIZE as u64;
+        // A run from mid-shard 3 into shard 8; two and a half shards of
+        // u32s fit the budget, so every cut lands on a shard boundary.
+        let first_abs = 3 * shard + 100;
+        let items: Vec<u32> = (0..5 * SHARD_SIZE as u32).collect();
+        let budget = 4 + 10 * SHARD_SIZE;
+        let frames = payloads(first_abs, &items, budget);
+        let starts: Vec<u64> = frames.iter().map(|(abs, _)| *abs).collect();
+        assert_eq!(starts, [first_abs, 5 * shard, 7 * shard]);
+        assert!(frames.iter().all(|(_, p)| p.len() <= budget));
+        let rejoined: Vec<u32> = frames.iter().flat_map(|(_, p)| decode(p)).collect();
+        assert_eq!(rejoined, items);
+        // Under the frame bound the same run is one payload, byte for
+        // byte the unsplit encoding.
+        let mut whole = Vec::new();
+        items.put(&mut whole);
+        assert_eq!(
+            payloads(first_abs, &items, MAX_CHUNK_PAYLOAD),
+            [(first_abs, whole)]
+        );
+    }
+
+    #[test]
+    fn a_shard_over_the_budget_travels_alone() {
+        let items: Vec<u32> = (0..2 * SHARD_SIZE as u32).collect();
+        let frames = payloads(0, &items, 8);
+        let starts: Vec<u64> = frames.iter().map(|(abs, _)| *abs).collect();
+        assert_eq!(starts, [0, SHARD_SIZE as u64]);
+        assert_eq!(decode(&frames[1].1), &items[SHARD_SIZE..]);
     }
 }

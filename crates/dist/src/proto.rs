@@ -61,6 +61,11 @@ pub const PROTOCOL_VERSION: u32 = 2;
 /// refusing allocator would mind).
 pub const MAX_FRAME: u32 = 64 << 20;
 
+/// The largest item payload (the `u32` count, then the items) one Chunk
+/// frame carries: [`MAX_FRAME`] less the tag, `first_abs` and the
+/// payload's byte-length prefix. The coordinator splits longer runs.
+pub const MAX_CHUNK_PAYLOAD: usize = MAX_FRAME as usize - (1 + 8 + 4);
+
 /// Which absolute shards a worker owns for one job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardAssignment {
@@ -463,11 +468,19 @@ mod tests {
         let mut fast = Vec::new();
         write_chunk_frame(&mut fast, 0xABCD_EF01, &items).unwrap();
         assert_eq!(fast, slow);
-        // And the cap applies to the fast path too.
+        // And the cap applies to the fast path too, exactly at the
+        // payload bound the coordinator splits runs against.
         let mut sink = Vec::new();
-        let huge = vec![0u8; MAX_FRAME as usize + 1];
+        let mut huge = vec![0u8; MAX_CHUNK_PAYLOAD + 1];
         assert!(write_chunk_frame(&mut sink, 0, &huge).is_err());
         assert!(sink.is_empty());
+        huge.pop();
+        write_chunk_frame(&mut sink, 0, &huge).unwrap();
+        assert_eq!(
+            sink.len(),
+            4 + MAX_FRAME as usize,
+            "a full frame, length prefix included"
+        );
     }
 
     #[test]

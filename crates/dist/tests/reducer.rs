@@ -8,8 +8,10 @@ use std::net::TcpListener;
 use std::thread::JoinHandle;
 
 use mcim_core::{Domains, Framework, LabelItem};
+use mcim_dist::proto::MAX_CHUNK_PAYLOAD;
 use mcim_dist::{builtin_worker, Coordinator};
 use mcim_oracles::exec::{Exec, Executor, FnStage, Stage};
+use mcim_oracles::parallel::SHARD_SIZE;
 use mcim_oracles::stream::{ReportSource, SliceSource};
 use mcim_oracles::wire::StageSpec;
 use mcim_oracles::{Eps, Error, Result};
@@ -549,6 +551,44 @@ fn pem_rounds_with_overlong_prefixes_are_refused() {
         }
     }
     assert_eq!(read_frame(&mut replies).unwrap(), None);
+}
+
+/// A run of one worker's shards one shard past what fits a Chunk frame
+/// splits into frame-sized Chunks of whole shards: the worker stays
+/// healthy, nothing replays in-process, and the estimate is bit-identical.
+/// Ignored by default: it holds ~70 MB of pairs (CI runs it by name).
+#[test]
+#[ignore]
+fn oversized_run_splits_into_frame_sized_chunks() {
+    // Each pair encodes as 8 bytes after the payload's `u32` count.
+    let shards_per_frame = (MAX_CHUNK_PAYLOAD - 4) / 8 / SHARD_SIZE;
+    let n = (shards_per_frame + 1) * SHARD_SIZE;
+    let domains = Domains::new(2, 16).unwrap();
+    let data = pairs(n, domains);
+    let eps = Eps::new(2.0).unwrap();
+    let fw = Framework::Pts { label_frac: 0.5 };
+    // One chunk holds the whole source, so the lone worker's run spans it.
+    let plan = Exec::seeded(21).threads(1).chunk_size(n);
+    let reference = fw
+        .execute_on(&plan.in_process(), eps, domains, SliceSource::new(&data))
+        .unwrap();
+    let cluster = TestWorkers::start(1, 1);
+    let coordinator = Coordinator::connect(&plan, &cluster.addrs).unwrap();
+    let distributed = fw
+        .execute_on(&coordinator, eps, domains, SliceSource::new(&data))
+        .unwrap();
+    let report = coordinator.last_fold_report().unwrap();
+    assert_eq!(report.workers_lost, 0, "{report:?}");
+    assert_eq!(report.local_shards, 0, "{report:?}");
+    assert_eq!(report.workers_used, 1, "{report:?}");
+    assert_eq!(distributed.comm, reference.comm);
+    for label in 0..domains.classes() {
+        for item in 0..domains.items() {
+            assert!(distributed.table.get(label, item) == reference.table.get(label, item));
+        }
+    }
+    drop(coordinator);
+    cluster.join();
 }
 
 /// Zero workers is an immediate configuration error.

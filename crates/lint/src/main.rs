@@ -15,20 +15,17 @@
 //! ```text
 //! cargo run -p mcim-lint                      # human output, exit 1 on violations
 //! cargo run -p mcim-lint -- --format=json     # machine output for CI
-//! cargo run -p mcim-lint -- --deny-stale      # stale baseline entries also fail
-//! cargo run -p mcim-lint -- --write-baseline  # regenerate lint-baseline.toml
-//! cargo run -p mcim-lint -- --check-shrink old.toml    # baseline grew? fail
 //! cargo run -p mcim-lint -- --write-schema-lock        # regenerate wire-schema.lock
 //! cargo run -p mcim-lint -- --schema-compat old.lock   # unbumped dist drift? fail
 //! ```
 //!
-//! Exit codes: `0` clean, `1` violations (or stale entries under
-//! `--deny-stale`, baseline growth under `--check-shrink`, unbumped dist
+//! Exit codes: `0` clean (or `--help`), `1` any finding (or unbumped dist
 //! drift under `--schema-compat` / `--write-schema-lock`), `2` usage or
-//! I/O error. Inline allowances use `// mcim-lint: allow(rule, reason)`;
-//! see README "Static analysis". Schema findings (`schema-drift`,
-//! `schema-lock`, `protocol-version`) have no pragma or baseline escape —
-//! the only way through is `--write-schema-lock`, which itself refuses
+//! I/O error. The only escape from a per-file finding is an inline
+//! `// mcim-lint: allow(rule, reason)` pragma, visible in review; see
+//! README "Static analysis". Schema findings (`schema-drift`,
+//! `schema-lock`, `protocol-version`) have no escape at all — the only
+//! way through is `--write-schema-lock`, which itself refuses
 //! dist-reachable drift without a `PROTOCOL_VERSION` bump.
 
 use std::fmt::Write as _;
@@ -37,23 +34,23 @@ use std::process::ExitCode;
 
 use mcim_lint::rules::{classify, Finding};
 use mcim_lint::symbols::SymbolIndex;
-use mcim_lint::{baseline, rules, schema};
+use mcim_lint::{rules, schema};
+
+const USAGE: &str = "usage: mcim-lint [--root DIR] [--schema-lock FILE] [--format=human|json] \
+                     [--write-schema-lock] [--schema-compat FILE] [--list-rules]";
 
 #[derive(Debug, Default)]
 struct Args {
     root: Option<PathBuf>,
-    baseline: Option<PathBuf>,
     schema_lock: Option<PathBuf>,
     json: bool,
-    deny_stale: bool,
-    write_baseline: bool,
     write_schema_lock: bool,
-    check_shrink: Option<PathBuf>,
     schema_compat: Option<PathBuf>,
     list_rules: bool,
 }
 
-fn parse_args(argv: &[String]) -> Result<Args, String> {
+/// Parses the command line; `Ok(None)` means `--help` was asked for.
+fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
     let mut args = Args::default();
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
@@ -64,27 +61,17 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         };
         match arg.as_str() {
             "--root" => args.root = Some(path_value("--root")?),
-            "--baseline" => args.baseline = Some(path_value("--baseline")?),
             "--schema-lock" => args.schema_lock = Some(path_value("--schema-lock")?),
-            "--check-shrink" => args.check_shrink = Some(path_value("--check-shrink")?),
             "--schema-compat" => args.schema_compat = Some(path_value("--schema-compat")?),
             "--format=json" => args.json = true,
             "--format=human" => args.json = false,
-            "--deny-stale" => args.deny_stale = true,
-            "--write-baseline" => args.write_baseline = true,
             "--write-schema-lock" => args.write_schema_lock = true,
             "--list-rules" => args.list_rules = true,
-            "--help" | "-h" => {
-                return Err("usage: mcim-lint [--root DIR] [--baseline FILE] \
-                            [--schema-lock FILE] [--format=human|json] [--deny-stale] \
-                            [--write-baseline] [--write-schema-lock] \
-                            [--check-shrink FILE] [--schema-compat FILE] [--list-rules]"
-                    .to_string())
-            }
+            "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown argument `{other}` (try --help)")),
         }
     }
-    Ok(args)
+    Ok(Some(args))
 }
 
 /// Finds the workspace root: `--root`, or walk up from cwd looking for a
@@ -158,16 +145,15 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-fn finding_json(f: &Finding, baselined: bool) -> String {
+fn finding_json(f: &Finding) -> String {
     format!(
         "{{\"rule\":\"{}\",\"file\":\"{}\",\"line\":{},\"col\":{},\"token\":\"{}\",\
-         \"baselined\":{},\"message\":\"{}\"}}",
+         \"message\":\"{}\"}}",
         f.rule,
         json_escape(&f.file),
         f.line,
         f.col,
         json_escape(&f.token),
-        baselined,
         json_escape(&f.message)
     )
 }
@@ -180,7 +166,10 @@ fn read_lock(path: &Path) -> Result<schema::Lock, String> {
 
 fn run() -> Result<ExitCode, String> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = parse_args(&argv)?;
+    let Some(args) = parse_args(&argv)? else {
+        println!("{USAGE}");
+        return Ok(ExitCode::SUCCESS);
+    };
 
     if args.list_rules {
         for rule in rules::RULE_IDS {
@@ -190,45 +179,14 @@ fn run() -> Result<ExitCode, String> {
     }
 
     let root = find_root(args.root.clone())?;
-    let baseline_path = args
-        .baseline
-        .clone()
-        .unwrap_or_else(|| root.join("lint-baseline.toml"));
     let lock_path = args
         .schema_lock
         .clone()
         .unwrap_or_else(|| root.join("wire-schema.lock"));
     let lock_rel = rel_path(&root, &lock_path);
-    let previous = if baseline_path.is_file() {
-        let text = std::fs::read_to_string(&baseline_path)
-            .map_err(|e| format!("reading {}: {e}", baseline_path.display()))?;
-        baseline::parse(&text).map_err(|e| format!("{}: {e}", baseline_path.display()))?
-    } else {
-        baseline::Baseline::default()
-    };
 
-    // The shrink guard needs no source scan: it compares baselines.
-    if let Some(ref_path) = &args.check_shrink {
-        let text = std::fs::read_to_string(ref_path)
-            .map_err(|e| format!("reading {}: {e}", ref_path.display()))?;
-        let reference =
-            baseline::parse(&text).map_err(|e| format!("{}: {e}", ref_path.display()))?;
-        return Ok(match baseline::check_shrink(&previous, &reference) {
-            Ok(()) => {
-                println!("baseline is shrink-only relative to {}", ref_path.display());
-                ExitCode::SUCCESS
-            }
-            Err(growth) => {
-                for g in growth {
-                    eprintln!("error: {g}");
-                }
-                ExitCode::FAILURE
-            }
-        });
-    }
-
-    // Neither does the schema-compat guard: it compares two lock files
-    // (the committed lock vs the merge-base copy).
+    // The schema-compat guard needs no source scan: it compares two lock
+    // files (the committed lock vs the merge-base copy).
     if let Some(ref_path) = &args.schema_compat {
         let current = read_lock(&lock_path)?;
         let reference = read_lock(ref_path)?;
@@ -251,8 +209,8 @@ fn run() -> Result<ExitCode, String> {
     }
 
     // Scan the tree: per-file rules plus the workspace symbol index.
-    let mut all_kept: Vec<Finding> = Vec::new();
-    let mut all_allowed: Vec<Finding> = Vec::new();
+    let mut violations: Vec<Finding> = Vec::new();
+    let mut pragma_allowed = 0usize;
     let mut files_checked = 0usize;
     let mut index = SymbolIndex::default();
     for path in collect_files(&root)? {
@@ -267,10 +225,9 @@ fn run() -> Result<ExitCode, String> {
             index.add_file(&rel, &source);
         }
         let report = rules::check_file(&rel, &source, class);
-        let (kept, allowed, dead) = rules::apply_pragmas(report, &rel);
-        all_kept.extend(kept);
-        all_kept.extend(dead);
-        all_allowed.extend(allowed);
+        let (found, allowed) = rules::apply_pragmas(report, &rel);
+        violations.extend(found);
+        pragma_allowed += allowed.len();
     }
     let entries = schema::compute(&index);
 
@@ -287,35 +244,16 @@ fn run() -> Result<ExitCode, String> {
         std::fs::write(&lock_path, schema::render(&entries))
             .map_err(|e| format!("writing {}: {e}", lock_path.display()))?;
         println!("wrote {} ({} entries)", lock_path.display(), entries.len());
-        if !args.write_baseline {
-            return Ok(ExitCode::SUCCESS);
-        }
-    }
-
-    if args.write_baseline {
-        let fresh = baseline::from_findings(&all_kept, &previous);
-        for note in baseline::shrink_notes(&previous, &fresh) {
-            println!("note: {note}");
-        }
-        std::fs::write(&baseline_path, baseline::render(&fresh))
-            .map_err(|e| format!("writing {}: {e}", baseline_path.display()))?;
-        println!(
-            "wrote {} ({} entries)",
-            baseline_path.display(),
-            fresh.entries.len()
-        );
         return Ok(ExitCode::SUCCESS);
     }
 
-    // Schema findings: never baselineable or pragma-allowable — appended
-    // after baseline application.
-    let schema_findings = if lock_path.is_file() {
+    // Schema findings: never pragma-allowable, so they join the
+    // violations after the per-file pass.
+    if lock_path.is_file() {
         let lock = read_lock(&lock_path)?;
-        schema::check(&entries, &lock, &lock_rel)
-    } else if entries.is_empty() {
-        Vec::new()
-    } else {
-        vec![Finding {
+        violations.extend(schema::check(&entries, &lock, &lock_rel));
+    } else if !entries.is_empty() {
+        violations.push(Finding {
             rule: "schema-lock",
             file: lock_rel.clone(),
             line: 1,
@@ -326,76 +264,32 @@ fn run() -> Result<ExitCode, String> {
                  `--write-schema-lock` and commit it",
                 entries.len()
             ),
-        }]
-    };
-
-    let mut matched = baseline::apply(all_kept, &previous);
-    matched.violations.extend(schema_findings);
-    let stale_fails = args.deny_stale && !matched.stale.is_empty();
-    let ok = matched.violations.is_empty() && !stale_fails;
+        });
+    }
+    let ok = violations.is_empty();
 
     if args.json {
-        let mut items: Vec<String> = matched
-            .violations
-            .iter()
-            .map(|f| finding_json(f, false))
-            .chain(matched.baselined.iter().map(|f| finding_json(f, true)))
-            .collect();
+        let mut items: Vec<String> = violations.iter().map(finding_json).collect();
         items.sort();
-        let stale: Vec<String> = matched
-            .stale
-            .iter()
-            .map(|(e, remaining)| {
-                format!(
-                    "{{\"rule\":\"{}\",\"file\":\"{}\",\"token\":\"{}\",\"allowed\":{},\
-                     \"found\":{}}}",
-                    e.rule,
-                    json_escape(&e.file),
-                    json_escape(&e.token),
-                    e.count,
-                    remaining
-                )
-            })
-            .collect();
         println!(
             "{{\"ok\":{ok},\"files_checked\":{files_checked},\"violations\":{},\
-             \"baselined\":{},\"pragma_allowed\":{},\"schema_entries\":{},\
-             \"findings\":[{}],\"stale_baseline\":[{}]}}",
-            matched.violations.len(),
-            matched.baselined.len(),
-            all_allowed.len(),
+             \"pragma_allowed\":{pragma_allowed},\"schema_entries\":{},\"findings\":[{}]}}",
+            violations.len(),
             entries.len(),
-            items.join(","),
-            stale.join(",")
+            items.join(",")
         );
     } else {
-        for f in &matched.violations {
+        for f in &violations {
             println!(
                 "{}:{}:{}: [{}] {}",
                 f.file, f.line, f.col, f.rule, f.message
             );
         }
-        for (e, remaining) in &matched.stale {
-            let verb = if args.deny_stale { "error" } else { "note" };
-            println!(
-                "{verb}: stale baseline entry ({}, {}, {}): allows {} but only {} remain — \
-                 shrink it",
-                e.rule, e.file, e.token, e.count, remaining
-            );
-        }
         println!(
-            "mcim-lint: {} files, {} violation(s), {} baselined, {} pragma-allowed, \
-             {} schema entr(ies){}",
-            files_checked,
-            matched.violations.len(),
-            matched.baselined.len(),
-            all_allowed.len(),
-            entries.len(),
-            if matched.stale.is_empty() {
-                String::new()
-            } else {
-                format!(", {} stale baseline entr(ies)", matched.stale.len())
-            }
+            "mcim-lint: {files_checked} files, {} violation(s), {pragma_allowed} \
+             pragma-allowed, {} schema entr(ies)",
+            violations.len(),
+            entries.len()
         );
     }
 
@@ -430,21 +324,35 @@ mod tests {
             "--root",
             "/x",
             "--format=json",
-            "--deny-stale",
-            "--baseline",
-            "b.toml",
             "--schema-lock",
             "w.lock",
         ]))
+        .unwrap()
         .unwrap();
         assert_eq!(a.root.as_deref(), Some(Path::new("/x")));
-        assert!(a.json && a.deny_stale);
-        assert_eq!(a.baseline.as_deref(), Some(Path::new("b.toml")));
+        assert!(a.json);
         assert_eq!(a.schema_lock.as_deref(), Some(Path::new("w.lock")));
-        let b = parse_args(&argv(&["--write-schema-lock", "--schema-compat", "r.lock"])).unwrap();
+        let b = parse_args(&argv(&["--write-schema-lock", "--schema-compat", "r.lock"]))
+            .unwrap()
+            .unwrap();
         assert!(b.write_schema_lock);
         assert_eq!(b.schema_compat.as_deref(), Some(Path::new("r.lock")));
+        // Help is a successful parse that asks for the usage text.
+        for help in ["--help", "-h"] {
+            assert!(parse_args(&argv(&["--format=json", help]))
+                .unwrap()
+                .is_none());
+        }
         assert!(parse_args(&argv(&["--bogus"])).is_err());
+        // The flags of the deleted baseline subsystem are unknown now.
+        for gone in [
+            &["--deny-stale"][..],
+            &["--write-baseline"],
+            &["--baseline", "b.toml"],
+            &["--check-shrink", "b.toml"],
+        ] {
+            assert!(parse_args(&argv(gone)).is_err(), "{gone:?}");
+        }
         assert!(parse_args(&argv(&["--root"])).is_err(), "missing value");
         assert!(parse_args(&argv(&["--schema-compat"])).is_err());
     }
@@ -465,9 +373,10 @@ mod tests {
             token: "unwrap".into(),
             message: "msg".into(),
         };
-        let j = finding_json(&f, true);
-        assert!(j.contains("\"rule\":\"panic-freedom\""));
-        assert!(j.contains("\"line\":3"));
-        assert!(j.contains("\"baselined\":true"));
+        assert_eq!(
+            finding_json(&f),
+            "{\"rule\":\"panic-freedom\",\"file\":\"crates/a/src/x.rs\",\"line\":3,\"col\":7,\
+             \"token\":\"unwrap\",\"message\":\"msg\"}"
+        );
     }
 }

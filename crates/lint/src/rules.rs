@@ -21,8 +21,12 @@
 //! The three `schema-*`/`protocol-version` rules are produced by the
 //! workspace pass ([`crate::schema`]), not per-file checks; they are
 //! listed here so `--list-rules` and pragma validation know them —
-//! schema findings are never baselineable or pragma-allowable, so a
-//! pragma naming them is reported dead.
+//! schema findings are never pragma-allowable, so a pragma naming them
+//! is reported dead.
+//!
+//! Every finding fails the run. The one escape from a per-file finding
+//! is an inline `// mcim-lint: allow(rule, reason)` pragma on or directly
+//! above the line, so each exception is visible in review.
 
 use crate::lexer::{scrub, tokenize, Pragma, Tok};
 use crate::symbols::WIRE_TRAITS;
@@ -95,7 +99,7 @@ pub struct Finding {
     pub line: usize,
     /// 1-based column.
     pub col: usize,
-    /// The offending token (baseline matching key).
+    /// The offending token.
     pub token: String,
     /// Human explanation.
     pub message: String,
@@ -253,7 +257,7 @@ const CLOCK_HOME_FILES: &[&str] = &["crates/obs/src/clock.rs"];
 
 /// Everything the engine knows about one analyzed file.
 pub struct FileReport {
-    /// All findings, before pragma/baseline filtering.
+    /// All findings, before pragma filtering.
     pub findings: Vec<Finding>,
     /// Pragmas seen in the file (consumed ones and not).
     pub pragmas: Vec<Pragma>,
@@ -485,12 +489,13 @@ pub fn check_file(rel: &str, source: &str, class: FileClass) -> FileReport {
     }
 }
 
-/// Splits findings into (kept, allowed) by applying the file's pragmas,
-/// and reports pragmas that allowed nothing (dead pragmas rot).
-pub fn apply_pragmas(report: FileReport, rel: &str) -> (Vec<Finding>, Vec<Finding>, Vec<Finding>) {
+/// Splits findings into (violations, allowed) by applying the file's
+/// pragmas. A pragma that allowed nothing (dead pragmas rot) or names an
+/// unknown rule is itself a violation.
+pub fn apply_pragmas(report: FileReport, rel: &str) -> (Vec<Finding>, Vec<Finding>) {
     let FileReport { findings, pragmas } = report;
     let mut used = vec![false; pragmas.len()];
-    let mut kept = Vec::new();
+    let mut violations = Vec::new();
     let mut allowed = Vec::new();
     for f in findings {
         let covering = pragmas.iter().enumerate().find(|(_, p)| {
@@ -506,14 +511,13 @@ pub fn apply_pragmas(report: FileReport, rel: &str) -> (Vec<Finding>, Vec<Findin
                 used[i] = true;
                 allowed.push(f);
             }
-            None => kept.push(f),
+            None => violations.push(f),
         }
     }
-    let mut dead = Vec::new();
     for (p, used) in pragmas.iter().zip(&used) {
         let unknown_rule = !RULE_IDS.contains(&p.rule.as_str());
         if !used || unknown_rule {
-            dead.push(Finding {
+            violations.push(Finding {
                 rule: "pragma-syntax",
                 file: rel.to_string(),
                 line: p.line,
@@ -531,7 +535,7 @@ pub fn apply_pragmas(report: FileReport, rel: &str) -> (Vec<Finding>, Vec<Findin
             });
         }
     }
-    (kept, allowed, dead)
+    (violations, allowed)
 }
 
 #[cfg(test)]
@@ -768,11 +772,10 @@ mod tests {
                    b.expect(\"x\");\n\
                    c.unwrap();\n}\n";
         let report = check_file("crates/oracles/src/x.rs", src, FileClass::Lib);
-        let (kept, allowed, dead) = apply_pragmas(report, "crates/oracles/src/x.rs");
-        assert_eq!(kept.len(), 1, "{kept:?}");
-        assert_eq!(kept[0].line, 5);
+        let (violations, allowed) = apply_pragmas(report, "crates/oracles/src/x.rs");
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert_eq!(violations[0].line, 5);
         assert_eq!(allowed.len(), 2);
-        assert!(dead.is_empty());
     }
 
     #[test]
@@ -780,9 +783,9 @@ mod tests {
         let src = "// mcim-lint: allow(panic-freedom, nothing here)\nfn f() {}\n\
                    fn g() {} // mcim-lint: allow(no-such-rule, reason)\n";
         let report = check_file("crates/oracles/src/x.rs", src, FileClass::Lib);
-        let (kept, _, dead) = apply_pragmas(report, "crates/oracles/src/x.rs");
-        assert!(kept.is_empty());
-        assert_eq!(dead.len(), 2);
+        let (dead, allowed) = apply_pragmas(report, "crates/oracles/src/x.rs");
+        assert!(allowed.is_empty());
+        assert_eq!(rules_of(&dead), ["pragma-syntax", "pragma-syntax"]);
         assert!(dead[0].message.contains("matches no finding"));
         assert!(dead[1].message.contains("unknown rule"));
     }

@@ -523,7 +523,7 @@ pub fn render(entries: &[LockEntry]) -> String {
     out
 }
 
-/// Parses the lock format (same tiny TOML subset as the baseline).
+/// Parses the lock format (a tiny TOML subset: `[[entry]]` tables).
 pub fn parse(text: &str) -> Result<Lock, String> {
     let mut lock = Lock::default();
     let mut current: Option<BTreeMap<String, String>> = None;

@@ -67,8 +67,8 @@ fn clean_workspace_json_is_pinned_exactly() {
     assert!(ok, "stderr: {stderr}");
     assert_eq!(
         stdout,
-        "{\"ok\":true,\"files_checked\":1,\"violations\":0,\"baselined\":0,\
-         \"pragma_allowed\":0,\"schema_entries\":0,\"findings\":[],\"stale_baseline\":[]}\n",
+        "{\"ok\":true,\"files_checked\":1,\"violations\":0,\"pragma_allowed\":0,\
+         \"schema_entries\":0,\"findings\":[]}\n",
         "JSON envelope changed — CI parses these fields by name"
     );
 }
@@ -91,15 +91,13 @@ fn violation_finding_json_is_pinned_exactly() {
     let (ok, stdout, _) = lint(&root, &["--format=json"]);
     assert!(!ok, "the unwrap must fail the run");
     let expected_finding = "{\"rule\":\"panic-freedom\",\"file\":\"crates/demo/src/bad.rs\",\
-         \"line\":2,\"col\":7,\"token\":\"unwrap\",\"baselined\":false,\
-         \"message\":\"`unwrap` can panic; library code must propagate `Error` (or document \
+         \"line\":2,\"col\":7,\"token\":\"unwrap\",\"message\":\"`unwrap` can panic; library code must propagate `Error` (or document \
          the infallible pattern with `// mcim-lint: allow(panic-freedom, \u{2026})`)\"}";
     assert_eq!(
         stdout,
         format!(
-            "{{\"ok\":false,\"files_checked\":2,\"violations\":1,\"baselined\":0,\
-             \"pragma_allowed\":0,\"schema_entries\":0,\"findings\":[{expected_finding}],\
-             \"stale_baseline\":[]}}\n"
+            "{{\"ok\":false,\"files_checked\":2,\"violations\":1,\"pragma_allowed\":0,\
+             \"schema_entries\":0,\"findings\":[{expected_finding}]}}\n"
         ),
         "finding shape changed — CI parses these fields by name"
     );
@@ -108,7 +106,7 @@ fn violation_finding_json_is_pinned_exactly() {
 #[test]
 fn schema_entries_count_and_lock_finding_appear_in_json() {
     // One wire impl and no lock: schema_entries counts it and the missing
-    // lock surfaces as a non-baselineable schema-lock finding.
+    // lock surfaces as a schema-lock finding no pragma can allow.
     let root = fixture(
         "golden-schema",
         &[(
@@ -127,4 +125,56 @@ fn schema_entries_count_and_lock_finding_appear_in_json() {
     let (ok, stdout, _) = lint(&root, &["--format=json"]);
     assert!(ok, "{stdout}");
     assert!(stdout.contains("\"ok\":true"), "{stdout}");
+}
+
+#[test]
+fn a_grandfathering_baseline_file_no_longer_excuses_a_finding() {
+    // This `lint-baseline.toml` entry once grandfathered the unwrap. The
+    // file is no longer read, so the finding fails the run.
+    let root = fixture(
+        "golden-no-baseline",
+        &[
+            (
+                "crates/demo/src/lib.rs",
+                "#![forbid(unsafe_code)]\npub mod bad;\n",
+            ),
+            (
+                "crates/demo/src/bad.rs",
+                "pub fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n",
+            ),
+            (
+                "lint-baseline.toml",
+                "[[allow]]\nrule = \"panic-freedom\"\nfile = \"crates/demo/src/bad.rs\"\n\
+                 token = \"unwrap\"\ncount = 1\nreason = \"legacy\"\n",
+            ),
+        ],
+    );
+    let (ok, stdout, stderr) = lint(&root, &["--format=json"]);
+    assert!(!ok, "stdout: {stdout}\nstderr: {stderr}");
+    assert!(stdout.starts_with("{\"ok\":false,"), "{stdout}");
+    assert!(stdout.contains("\"violations\":1,"), "{stdout}");
+    assert!(
+        stdout.contains(
+            "{\"rule\":\"panic-freedom\",\"file\":\"crates/demo/src/bad.rs\",\"line\":2,"
+        ),
+        "{stdout}"
+    );
+}
+
+#[test]
+fn help_exits_zero_and_a_removed_flag_exits_two() {
+    let run = |arg: &str| {
+        Command::new(env!("CARGO_BIN_EXE_mcim-lint"))
+            .arg(arg)
+            .output()
+            .expect("spawn mcim-lint")
+    };
+    let help = run("--help");
+    assert_eq!(help.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&help.stdout);
+    assert!(stdout.starts_with("usage: mcim-lint "), "{stdout}");
+    assert!(help.stderr.is_empty());
+    let gone = run("--deny-stale");
+    assert_eq!(gone.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&gone.stderr).contains("unknown argument"));
 }

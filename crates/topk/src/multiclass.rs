@@ -43,7 +43,8 @@ pub enum NoiseTest {
     /// The test's stated intent (default): fall back when the label-flip
     /// noise in the routed group exceeds `b ×` its valid mass `p₁·n̂_C`.
     /// Equivalent on imbalanced classes; additionally trips for many
-    /// uniform classes where `p₁` collapses (DESIGN.md §4).
+    /// uniform classes where `p₁` collapses (README "Deviations from the
+    /// paper").
     #[default]
     NoiseToValid,
 }
@@ -772,8 +773,8 @@ fn pts_shuffled<E: Executor>(
             engine.complete_round(&view, &scores, 2 * k);
         }
         // Algorithm 2 line 8: the `b` noise test, in the configured form
-        // (see `NoiseTest` and DESIGN.md §4 for why the default deviates
-        // from the printed formula).
+        // (see `NoiseTest` and README "Deviations from the paper" for why
+        // the default deviates from the printed formula).
         let cp_feasible = match config.noise_test {
             NoiseTest::PaperRatio => {
                 (group.len() as f64) <= config.noise_factor * estimated_class_sizes[class].max(1.0)

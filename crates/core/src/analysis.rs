@@ -25,12 +25,14 @@ impl Probs {
         }
     }
 
-    /// GRR probabilities for budget ε over domain size `d`.
+    /// GRR probabilities for budget ε over domain size `d` (`p = 1` once
+    /// `e^ε` overflows, as in `Grr::new`).
     pub fn grr(eps: Eps, d: u32) -> Self {
         let e = eps.exp();
+        let denom = e + d as f64 - 1.0;
         Probs {
-            p: e / (e + d as f64 - 1.0),
-            q: 1.0 / (e + d as f64 - 1.0),
+            p: if e.is_finite() { e / denom } else { 1.0 },
+            q: 1.0 / denom,
         }
     }
 }

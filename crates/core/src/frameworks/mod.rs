@@ -289,6 +289,25 @@ mod tests {
     }
 
     #[test]
+    fn huge_budgets_give_finite_estimates() {
+        // Past ε ≈ 709.8 GRR's e^ε overflows, past ε ≈ 1419.6 so does the
+        // half budget's; the mechanisms take their p = 1, q = 0 limits.
+        let (domains, data) = dataset(2_000);
+        for e in [44.5, 710.0, 1420.0, f64::MAX] {
+            for fw in Framework::fig6_set() {
+                let res = fw
+                    .execute(eps(e), domains, &Exec::seeded(3), SliceSource::new(&data))
+                    .unwrap();
+                assert!(
+                    res.table.values().iter().all(|v| v.is_finite()),
+                    "{} at ε={e}",
+                    fw.name()
+                );
+            }
+        }
+    }
+
+    #[test]
     fn batch_execute_is_thread_count_invariant_and_accurate() {
         let n = 30_000;
         let (domains, data) = dataset(n);

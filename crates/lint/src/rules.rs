@@ -209,7 +209,7 @@ fn is_wire_sensitive(rel: &str, toks: &[Tok]) -> bool {
 }
 
 /// The raw Bernoulli fillers. Under the RNG contract every noise plane
-/// must be drawn through `UnaryEncoding`'s private `fill_plane` sampler —
+/// must be drawn through `UnaryEncoding`'s private `PlaneSampler` —
 /// a pipeline call site reaching these directly forks the noise stream
 /// (the wordwise/geometric branch point would no longer be
 /// mode-invariant). Call sites (`.name(` / `::name(`) are flagged;
@@ -217,7 +217,7 @@ fn is_wire_sensitive(rel: &str, toks: &[Tok]) -> bool {
 const RAW_SAMPLERS: &[&str] = &["fill_bernoulli", "fill_bernoulli_wordwise"];
 
 /// The sampler module itself: where the fillers live (`bitvec.rs`) and
-/// the one sanctioned chooser between them (`ue.rs`'s `fill_plane`).
+/// the one sanctioned chooser between them (`ue.rs`'s `PlaneSampler`).
 const SAMPLER_HOME_FILES: &[&str] = &["crates/oracles/src/bitvec.rs", "crates/oracles/src/ue.rs"];
 
 /// RNG-stream constructors. Under the RNG contract every stream a
@@ -427,7 +427,7 @@ pub fn check_file(rel: &str, source: &str, class: FileClass) -> FileReport {
                 id,
                 format!(
                     "`{id}` bypasses the RNG-contract sampler; draw noise planes through \
-                     `UnaryEncoding` (its `fill_plane` picks the wordwise/geometric path \
+                     `UnaryEncoding` (its `PlaneSampler` picks the wordwise/geometric path \
                      from the mechanism parameters alone, keeping every execution mode on \
                      one stream)"
                 ),

@@ -217,40 +217,15 @@ impl BitVec {
     /// per set bit, i.e. `O(64·q)` per word — cheaper only for sparse fills
     /// (small `q`). `UnaryEncoding`'s plane sampler picks between the two
     /// by `q`; both are exact, they only consume the RNG stream differently.
+    ///
+    /// Each call plans its constants from `q` (the expansion and the step
+    /// masks), then fills; `UnaryEncoding` keeps one plan per mechanism
+    /// and fills through it, drawing exactly the same words.
     pub fn fill_bernoulli_wordwise<R: Rng + ?Sized>(&mut self, q: f64, rng: &mut R) {
-        if self.len == 0 || q.is_nan() || q <= 0.0 || q >= 1.0 {
+        match WordwisePlan::new(q) {
+            Some(plan) => plan.fill(self, rng),
             // Degenerate probabilities: delegate for the constant fills.
-            self.fill_bernoulli(if q >= 1.0 { 1.0 } else { 0.0 }, rng);
-            return;
-        }
-        let q = Expansion::new(q);
-        let head = q.window(WORDWISE_STEPS);
-        // Step j's lane mask: all ones where q's bit j is 1.
-        let steps: [u64; WORDWISE_STEPS as usize] = std::array::from_fn(|j| {
-            0u64.wrapping_sub((head >> (WORDWISE_STEPS as usize - 1 - j)) & 1)
-        });
-        let n_words = self.words.len();
-        for (idx, w) in self.words.iter_mut().enumerate() {
-            let live = if idx + 1 < n_words || self.len % 64 == 0 {
-                u64::MAX
-            } else {
-                (1u64 << (self.len % 64)) - 1
-            };
-            let mut result = 0u64;
-            let mut undecided = live;
-            for &q_bit in &steps {
-                let r = rng.next_u64();
-                result |= undecided & !r & q_bit;
-                undecided &= !(r ^ q_bit);
-            }
-            while undecided != 0 {
-                let lane = undecided.trailing_zeros();
-                undecided &= undecided - 1;
-                if q.tail_below(rng) {
-                    result |= 1 << lane;
-                }
-            }
-            *w = result;
+            None => self.fill_bernoulli(if q >= 1.0 { 1.0 } else { 0.0 }, rng),
         }
     }
 
@@ -311,6 +286,91 @@ impl BitVec {
 /// word before settling the lanes still undecided one by one. A constant
 /// of the RNG contract since v3: changing it changes every seeded output.
 pub const WORDWISE_STEPS: u32 = 8;
+
+/// The constants [`BitVec::fill_bernoulli_wordwise`] derives from `q`,
+/// computed once: `q`'s exact binary expansion and the
+/// [`WORDWISE_STEPS`] step masks (step `j`'s mask is all ones where `q`'s
+/// bit `j` is 1). Filling through one plan draws exactly what a fresh
+/// `fill_bernoulli_wordwise(q, rng)` call draws.
+#[derive(Debug, Clone)]
+pub(crate) struct WordwisePlan {
+    q: Expansion,
+    steps: [u64; WORDWISE_STEPS as usize],
+}
+
+impl WordwisePlan {
+    /// Plans Bernoulli(`q`) fills; `None` unless `q ∈ (0, 1)` (the constant
+    /// fills draw nothing and need no plan).
+    pub(crate) fn new(q: f64) -> Option<Self> {
+        if q.is_nan() || q <= 0.0 || q >= 1.0 {
+            return None;
+        }
+        let q = Expansion::new(q);
+        let head = q.window(WORDWISE_STEPS);
+        let steps = std::array::from_fn(|j| {
+            0u64.wrapping_sub((head >> (WORDWISE_STEPS as usize - 1 - j)) & 1)
+        });
+        Some(WordwisePlan { q, steps })
+    }
+
+    /// Overwrites `bits` with an i.i.d. Bernoulli(`q`) plane in the
+    /// contract's word-parallel draw order.
+    pub(crate) fn fill<R: Rng + ?Sized>(&self, bits: &mut BitVec, rng: &mut R) {
+        let tail = bits.len % 64;
+        let n_words = bits.words.len();
+        for (idx, w) in bits.words.iter_mut().enumerate() {
+            let live = if idx + 1 < n_words || tail == 0 {
+                u64::MAX
+            } else {
+                (1u64 << tail) - 1
+            };
+            let mut result = 0u64;
+            let mut undecided = live;
+            for &q_bit in &self.steps {
+                let r = rng.next_u64();
+                result |= undecided & !r & q_bit;
+                undecided &= !(r ^ q_bit);
+            }
+            while undecided != 0 {
+                let lane = undecided.trailing_zeros();
+                undecided &= undecided - 1;
+                if self.q.tail_below(rng) {
+                    result |= 1 << lane;
+                }
+            }
+            *w = result;
+        }
+    }
+}
+
+/// A Bernoulli(`p`) draw from one RNG word, planned once:
+/// `t = ⌈p·2⁵³⌉`, and a draw is `(next_u64() >> 11) < t`.
+///
+/// This decides exactly what `rng.random_bool(p)` decides from the same
+/// word: that compares `x·2⁻⁵³ < p` for the 53-bit integer `x`, `p·2⁵³`
+/// is exact (a power-of-two scaling of `p ∈ [0, 1]`), and for an integer
+/// `x`, `x < p·2⁵³` exactly when `x < ⌈p·2⁵³⌉`. So the single-bit draws
+/// of UE's hot bit and GRR's keep decision cost one integer compare.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Threshold(u64);
+
+impl Threshold {
+    /// Plans Bernoulli(`p`) draws.
+    ///
+    /// # Panics
+    /// Panics unless `0 ≤ p ≤ 1`, as `random_bool` does (a NaN `p` would
+    /// otherwise plan a draw that never keeps).
+    pub(crate) fn new(p: f64) -> Self {
+        assert!((0.0..=1.0).contains(&p), "p={p} is not a probability");
+        Threshold((p * (1u64 << 53) as f64).ceil() as u64)
+    }
+
+    /// One Bernoulli(`p`) draw: consumes one RNG word.
+    #[inline]
+    pub(crate) fn draw<R: Rng + ?Sized>(self, rng: &mut R) -> bool {
+        (rng.next_u64() >> 11) < self.0
+    }
+}
 
 /// A probability `q ∈ (0, 1)` as its exact binary expansion `q = m·2⁻ˢ`,
 /// read off the `f64` bits.
@@ -398,7 +458,7 @@ impl Iterator for IterOnes<'_> {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::{RngCore, SeedableRng};
+    use rand::{Rng, RngCore, SeedableRng};
 
     #[test]
     fn zeros_is_empty_of_ones() {
@@ -530,7 +590,8 @@ mod tests {
     /// draw by draw: every lane's `U` is its K sliced bits followed by its
     /// fix-up words, every output bit is exactly `[U < q]`, and the
     /// sampler consumes exactly K words per output word plus one per
-    /// fix-up draw.
+    /// fix-up draw. Each `q` is planned once and its plan fills every
+    /// length, as `UnaryEncoding`'s plane sampler does.
     #[test]
     fn fill_bernoulli_wordwise_is_exactly_u_below_q() {
         const K: usize = WORDWISE_STEPS as usize;
@@ -550,6 +611,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2024);
         let mut total_fixups = 0usize;
         for q in qs {
+            let plan = WordwisePlan::new(q).expect("q is in (0, 1)");
             let q_bits = expansion_bits(q, 1100);
             let q_len = q_bits.iter().rposition(|&b| b).map_or(0, |i| i + 1);
             if q == long {
@@ -558,7 +620,7 @@ mod tests {
             for len in [1usize, 63, 64, 65, 1024] {
                 let mut replay = rng.clone();
                 let mut v = BitVec::zeros(len);
-                v.fill_bernoulli_wordwise(q, &mut rng);
+                plan.fill(&mut v, &mut rng);
 
                 let (mut draws, mut fixups) = (0usize, 0usize);
                 for word in 0..len.div_ceil(64) {
@@ -602,6 +664,80 @@ mod tests {
             }
         }
         assert!(total_fixups > 0, "the fix-up path was never exercised");
+    }
+
+    #[test]
+    fn one_plan_reused_matches_fresh_fills() {
+        // A plan kept across many planes draws exactly what a fresh
+        // `fill_bernoulli_wordwise` call per plane draws: same words, same
+        // RNG state after every plane.
+        let oue = |e: f64| 1.0 / (e.exp() + 1.0);
+        for q in [
+            0.5,
+            0.75,
+            oue(1.0),
+            oue(3.0),
+            1.0 / 64.0,
+            (1.0 / 3.0) * 2f64.powi(-30),
+        ] {
+            let plan = WordwisePlan::new(q).expect("q is in (0, 1)");
+            for len in [1usize, 63, 64, 65, 1024] {
+                let mut planned_rng = StdRng::seed_from_u64(41);
+                let mut fresh_rng = StdRng::seed_from_u64(41);
+                let (mut planned, mut fresh) = (BitVec::zeros(len), BitVec::zeros(len));
+                for plane in 0..40 {
+                    plan.fill(&mut planned, &mut planned_rng);
+                    fresh.fill_bernoulli_wordwise(q, &mut fresh_rng);
+                    assert_eq!(planned, fresh, "q={q} len={len} plane {plane}");
+                    assert_eq!(planned_rng, fresh_rng, "q={q} len={len} plane {plane}");
+                }
+            }
+        }
+        for q in [f64::NAN, -0.5, 0.0, 1.0, 2.0] {
+            assert!(WordwisePlan::new(q).is_none(), "q={q} is a constant fill");
+        }
+    }
+
+    /// An RNG that returns one fixed word.
+    struct Fixed(u64);
+
+    impl RngCore for Fixed {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    #[test]
+    fn threshold_decides_exactly_what_random_bool_decides() {
+        use crate::{Eps, Grr, UnaryEncoding};
+        let two53 = 1u64 << 53;
+        let mut ps = vec![0.0, f64::from_bits(1), 0.5, 1.0 - 2f64.powi(-53), 1.0];
+        for e in [0.5, 1.0, 3.0] {
+            let eps = Eps::new(e).unwrap();
+            ps.push(UnaryEncoding::symmetric(eps, 4).unwrap().p());
+            ps.push(Grr::new(eps, 10).unwrap().p());
+        }
+        for p in ps {
+            let threshold = Threshold::new(p);
+            let t = threshold.0;
+            assert!(t <= two53, "p={p}: t={t}");
+            let xs = [
+                Some(0),
+                t.checked_sub(1),
+                Some(t),
+                Some(t + 1),
+                Some(two53 - 1),
+            ];
+            for x in xs.into_iter().flatten().filter(|&x| x < two53) {
+                let below = (x as f64) * (1.0 / two53 as f64) < p;
+                // The 11 low bits are discarded by both draws.
+                for low in [0, 0x7ff] {
+                    let word = (x << 11) | low;
+                    assert_eq!(threshold.draw(&mut Fixed(word)), below, "p={p} x={x}");
+                    assert_eq!(Fixed(word).random_bool(p), below, "p={p} x={x}");
+                }
+            }
+        }
     }
 
     #[test]

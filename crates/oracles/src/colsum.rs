@@ -5,15 +5,27 @@
 //! loop — scan each report's set bits and increment `counts[i]` — touches
 //! `O(len·q)` scattered counters per report. [`ColumnCounter`] instead
 //! treats a block of reports as a bit matrix and adds whole 64-bit words at
-//! a time with a *bit-sliced* (carry-save) adder: plane `p` holds bit `p`
-//! of 64 independent per-column counters, so adding one report costs a
-//! handful of XOR/AND ops per word regardless of how many bits are set.
+//! a time, 64 independent per-column counters per word:
 //!
-//! Counters are `PLANES` (8) bits wide; after [`ColumnCounter::MAX_BLOCK`]
-//! rows the planes are transposed ("flushed") into the wide `u64` totals.
-//! The amortized flush cost is ~2 ops per word-row, so the per-report cost
-//! is `O(len/64)` word operations — for OUE at `d = 1024`, ε = 1 this
-//! replaces ~276 scattered increments with ~16 word additions.
+//! 1. **Stage.** Rows are copied into a stage of `STAGE` = 16 rows.
+//! 2. **Carry-save tree.** A full stage is reduced column word by column
+//!    word with a Harley–Seal tree of 15 full adders (carry-save adders:
+//!    three input words of one weight become a sum word of that weight and
+//!    a carry word of the next). Its output is the stage's 5-bit
+//!    per-column count, bit-sliced: word `k` holds bit `k` of 64 counts.
+//! 3. **Planes.** One ripple adds that 5-bit count into the 8 bit-sliced
+//!    planes, where plane `p` holds bit `p` of the 64 in-flight counters.
+//! 4. **Transpose.** Before another stage could carry a counter past
+//!    [`ColumnCounter::MAX_BLOCK`], the planes are transposed ("flushed")
+//!    into the wide `u64` totals.
+//!
+//! Per 16 rows and column word that is ~75 bitwise ops for the tree and
+//! ~40 for the ripple, ~7 ops per word-row, with no data-dependent
+//! branch; the transpose adds ~2 ops per word-row. For OUE at `d = 1024`,
+//! ε = 1 this replaces ~276 scattered increments per report with ~16
+//! column words of straight-line adds. A partial stage (at a drain, or
+//! when [`ColumnCounter::totals`] is read) is zero-padded and goes through
+//! the same tree, so there is one adder path.
 //!
 //! The counter is purely data-parallel state: shard a report stream across
 //! threads, give each shard its own `ColumnCounter`, and add the per-shard
@@ -25,6 +37,9 @@ use crate::BitVec;
 /// Bit width of the in-flight per-column counters (one plane per bit).
 const PLANES: usize = 8;
 
+/// Rows per stage: one carry-save tree reduces this many rows at once.
+const STAGE: usize = 16;
+
 /// Accumulates per-column (per-bit-position) counts over a stream of
 /// equal-length packed bit rows.
 #[derive(Debug, Clone)]
@@ -33,10 +48,14 @@ pub struct ColumnCounter {
     len: usize,
     /// Words per row.
     cols: usize,
-    /// Bit-sliced pending counters, layout `[col * PLANES + plane]`.
-    planes: Vec<u64>,
-    /// Rows added since the last flush (kept `< MAX_BLOCK`… `== MAX_BLOCK`
-    /// triggers a flush on the next add).
+    /// Staged rows, one array per column word; rows at and past `staged`
+    /// are stale until the stage is reduced.
+    stage: Vec<[u64; STAGE]>,
+    /// Rows in the stage.
+    staged: usize,
+    /// Bit-sliced pending counters, one array of planes per column word.
+    planes: Vec<[u64; PLANES]>,
+    /// Rows reduced into the planes since the last transpose.
     pending: u32,
     /// Flushed wide totals, one per column.
     totals: Vec<u64>,
@@ -54,7 +73,9 @@ impl ColumnCounter {
         ColumnCounter {
             len,
             cols,
-            planes: vec![0; cols * PLANES],
+            stage: vec![[0; STAGE]; cols],
+            staged: 0,
+            planes: vec![[0; PLANES]; cols],
             pending: 0,
             totals: vec![0; len],
             rows: 0,
@@ -83,15 +104,12 @@ impl ColumnCounter {
     /// 0). Bits beyond `len` must be zero — [`BitVec`] maintains exactly
     /// that invariant.
     ///
-    /// The hot loop is 4-way unrolled: four word-columns ripple their
-    /// carries through the planes as independent chains per pass, so the
-    /// adder is bound by instruction throughput instead of the
-    /// load→xor→store latency of one chain at a time (a single chain's
-    /// early exit saved plane work but serialized every word on its
-    /// predecessor's carry test).
+    /// The row is staged; every 16th row reduces the stage into
+    /// the planes.
     ///
     /// # Panics
     /// Panics if `words.len()` does not match the row width.
+    #[inline]
     pub fn add(&mut self, words: &[u64]) {
         assert_eq!(
             words.len(),
@@ -100,64 +118,14 @@ impl ColumnCounter {
             words.len(),
             self.cols
         );
-        if self.pending == Self::MAX_BLOCK {
-            self.flush();
+        for (column, &word) in self.stage.iter_mut().zip(words) {
+            column[self.staged] = word;
         }
-        let mut quads = words.chunks_exact(4);
-        let mut plane_quads = self.planes.chunks_exact_mut(4 * PLANES);
-        for (quad, lanes) in (&mut quads).zip(&mut plane_quads) {
-            let (mut c0, mut c1, mut c2, mut c3) = (quad[0], quad[1], quad[2], quad[3]);
-            if c0 | c1 | c2 | c3 == 0 {
-                continue;
-            }
-            let (l0, rest) = lanes.split_at_mut(PLANES);
-            let (l1, rest) = rest.split_at_mut(PLANES);
-            let (l2, l3) = rest.split_at_mut(PLANES);
-            for p in 0..PLANES {
-                // Shared early exit: carry chains are short (the joint
-                // chain ends when the longest of the four does).
-                if c0 | c1 | c2 | c3 == 0 {
-                    break;
-                }
-                let s0 = l0[p] ^ c0;
-                c0 &= l0[p];
-                l0[p] = s0;
-                let s1 = l1[p] ^ c1;
-                c1 &= l1[p];
-                l1[p] = s1;
-                let s2 = l2[p] ^ c2;
-                c2 &= l2[p];
-                l2[p] = s2;
-                let s3 = l3[p] ^ c3;
-                c3 &= l3[p];
-                l3[p] = s3;
-            }
-            // No carry survives the last plane: counters max out at
-            // MAX_BLOCK rows and we flushed above.
-            debug_assert_eq!(c0 | c1 | c2 | c3, 0, "bit-sliced counter overflow");
-        }
-        // Remainder columns (row width not a multiple of 256 bits) keep the
-        // scalar chain.
-        let rem_start = self.cols / 4 * 4;
-        for (col, &word) in quads.remainder().iter().enumerate() {
-            let mut carry = word;
-            if carry == 0 {
-                continue;
-            }
-            let col = rem_start + col;
-            let lanes = &mut self.planes[col * PLANES..(col + 1) * PLANES];
-            for lane in lanes {
-                let sum = *lane ^ carry;
-                carry &= *lane;
-                *lane = sum;
-                if carry == 0 {
-                    break;
-                }
-            }
-            debug_assert_eq!(carry, 0, "bit-sliced counter overflow");
-        }
-        self.pending += 1;
+        self.staged += 1;
         self.rows += 1;
+        if self.staged == STAGE {
+            self.reduce_stage();
+        }
     }
 
     /// Adds one [`BitVec`] row.
@@ -170,28 +138,69 @@ impl ColumnCounter {
         self.add(bits.words());
     }
 
-    /// Transposes the pending bit-sliced block into the wide totals.
-    fn flush(&mut self) {
+    /// Reduces the stage into the planes: per column word, the carry-save
+    /// tree's 5-bit count rippled into the 8 planes. Rows past `staged`
+    /// are zeroed first, so a partial stage takes the same path.
+    fn reduce_stage(&mut self) {
+        if self.staged == 0 {
+            return;
+        }
+        if self.pending + STAGE as u32 > Self::MAX_BLOCK {
+            self.transpose();
+        }
+        for (column, lanes) in self.stage.iter_mut().zip(&mut self.planes) {
+            column[self.staged..].fill(0);
+            let count = stage_count(column);
+            let mut carry = 0u64;
+            for (p, lane) in lanes.iter_mut().enumerate() {
+                let a = count.get(p).copied().unwrap_or(0);
+                let half = *lane ^ a;
+                let next = (*lane & a) | (half & carry);
+                *lane = half ^ carry;
+                carry = next;
+            }
+            // No carry survives the last plane: the planes were transposed
+            // above whenever this stage could push a counter past MAX_BLOCK.
+            debug_assert_eq!(carry, 0, "bit-sliced counter overflow");
+        }
+        self.pending += self.staged as u32;
+        self.staged = 0;
+    }
+
+    /// Transposes the planes into the wide totals.
+    fn transpose(&mut self) {
         if self.pending == 0 {
             return;
         }
-        for col in 0..self.cols {
-            let lanes = &self.planes[col * PLANES..(col + 1) * PLANES];
+        for (col, lanes) in self.planes.iter().enumerate() {
             if lanes.iter().all(|&l| l == 0) {
                 continue;
             }
             let limit = 64.min(self.len - col * 64);
             let out = &mut self.totals[col * 64..col * 64 + limit];
-            for (j, total) in out.iter_mut().enumerate() {
-                let mut c = 0u64;
+            // Eight columns at a time: byte `p` of `x` is plane `p`'s bits
+            // for the eight columns, an 8×8 bit matrix whose transpose has
+            // each column's 8-bit count in one byte.
+            for (g, totals) in out.chunks_mut(8).enumerate() {
+                let mut x = 0u64;
                 for (p, &lane) in lanes.iter().enumerate() {
-                    c |= ((lane >> j) & 1) << p;
+                    x |= ((lane >> (8 * g)) & 0xff) << (8 * p);
                 }
-                *total += c;
+                let x = transpose8(x);
+                for (b, total) in totals.iter_mut().enumerate() {
+                    *total += (x >> (8 * b)) & 0xff;
+                }
             }
         }
-        self.planes.fill(0);
+        self.planes.fill([0; PLANES]);
         self.pending = 0;
+    }
+
+    /// Reduces any partial stage and transposes the planes, so the totals
+    /// hold every row added.
+    fn flush(&mut self) {
+        self.reduce_stage();
+        self.transpose();
     }
 
     /// Flushes and adds the first `out.len()` column totals into `out`,
@@ -225,6 +234,52 @@ impl ColumnCounter {
     }
 }
 
+/// Transposes the 8×8 bit matrix held in `x` (row `i` in byte `i`, column
+/// `j` in bit `j` of each byte) with three delta swaps (Hacker's Delight
+/// §7-3).
+#[inline(always)]
+fn transpose8(x: u64) -> u64 {
+    let t = (x ^ (x >> 7)) & 0x00AA_00AA_00AA_00AA;
+    let x = x ^ t ^ (t << 7);
+    let t = (x ^ (x >> 14)) & 0x0000_CCCC_0000_CCCC;
+    let x = x ^ t ^ (t << 14);
+    let t = (x ^ (x >> 28)) & 0x0000_0000_F0F0_F0F0;
+    x ^ t ^ (t << 28)
+}
+
+/// One carry-save (full) adder over bit-sliced words: per lane,
+/// `a + b + c = sum + 2·carry`.
+#[inline(always)]
+fn csa(a: u64, b: u64, c: u64) -> (u64, u64) {
+    let u = a ^ b;
+    (u ^ c, (a & b) | (u & c))
+}
+
+/// The Harley–Seal tree: reduces 16 words of weight 1 to their per-lane
+/// count `Σ rows = c₀ + 2c₁ + 4c₂ + 8c₃ + 16c₄`, returned as
+/// `[c₀, c₁, c₂, c₃, c₄]`, with 15 full adders (8 on weight 1, 4 on
+/// weight 2, 2 on weight 4, 1 on weight 8; a zero third input makes one a
+/// half adder).
+#[inline(always)]
+fn stage_count(r: &[u64; STAGE]) -> [u64; 5] {
+    let (ones, twos_a) = csa(r[0], r[1], r[2]);
+    let (ones, twos_b) = csa(ones, r[3], r[4]);
+    let (twos, fours_a) = csa(twos_a, twos_b, 0);
+    let (ones, twos_a) = csa(ones, r[5], r[6]);
+    let (ones, twos_b) = csa(ones, r[7], r[8]);
+    let (twos, fours_b) = csa(twos, twos_a, twos_b);
+    let (fours, eights_a) = csa(fours_a, fours_b, 0);
+    let (ones, twos_a) = csa(ones, r[9], r[10]);
+    let (ones, twos_b) = csa(ones, r[11], r[12]);
+    let (twos, fours_a) = csa(twos, twos_a, twos_b);
+    let (ones, twos_a) = csa(ones, r[13], r[14]);
+    let (ones, twos_b) = csa(ones, r[15], 0);
+    let (twos, fours_b) = csa(twos, twos_a, twos_b);
+    let (fours, eights_b) = csa(fours, fours_a, fours_b);
+    let (eights, sixteens) = csa(eights_a, eights_b, 0);
+    [ones, twos, fours, eights, sixteens]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,44 +297,89 @@ mod tests {
         counts
     }
 
+    /// `n` random rows of `len` bits, drawn at a density that varies by
+    /// row so columns see both sparse and dense stretches.
+    fn random_rows(rng: &mut StdRng, len: usize, n: usize) -> Vec<BitVec> {
+        (0..n)
+            .map(|i| {
+                let mut b = BitVec::zeros(len);
+                b.fill_bernoulli([0.05, 0.5, 0.95][i % 3], rng);
+                b
+            })
+            .collect()
+    }
+
+    /// Row counts around every boundary of the adder: one stage (16), the
+    /// transpose point (240 = 15 stages, the last that fit MAX_BLOCK = 255)
+    /// and several transpose cycles.
+    const ROW_COUNTS: [usize; 10] = [1, 15, 16, 17, 239, 240, 241, 255, 256, 3 * 255 + 17];
+    const WIDTHS: [usize; 6] = [1, 63, 64, 65, 257, 1024];
+
     #[test]
     fn matches_reference_on_random_rows() {
         let mut rng = StdRng::seed_from_u64(1);
-        // Lengths straddling both the 4-word unrolled path (≥ 256 bits)
-        // and the scalar remainder (width % 256 ≠ 0).
-        for len in [1usize, 63, 64, 65, 130, 257, 320, 1024] {
-            for q in [0.05, 0.5, 0.95] {
-                let rows: Vec<BitVec> = (0..300)
-                    .map(|_| {
-                        let mut b = BitVec::zeros(len);
-                        b.fill_bernoulli(q, &mut rng);
-                        b
-                    })
-                    .collect();
+        for len in WIDTHS {
+            for n in ROW_COUNTS {
+                let rows = random_rows(&mut rng, len, n);
                 let mut cc = ColumnCounter::new(len);
                 for r in &rows {
                     cc.add_bits(r);
                 }
-                assert_eq!(cc.rows(), 300);
-                assert_eq!(cc.totals(), reference_counts(&rows, len), "len={len} q={q}");
+                assert_eq!(cc.rows(), n as u64, "len={len} n={n}");
+                assert_eq!(cc.totals(), reference_counts(&rows, len), "len={len} n={n}");
             }
         }
     }
 
     #[test]
     fn survives_many_flush_cycles() {
-        // > MAX_BLOCK rows of all-ones: every column counts every row.
-        let len = 70;
-        let mut ones = BitVec::zeros(len);
-        for i in 0..len {
-            ones.set(i, true);
+        // All-ones rows push every counter to its limit: each column
+        // counts every row, across stages and transposes.
+        for len in WIDTHS {
+            let mut ones = BitVec::zeros(len);
+            ones.toggle_all();
+            for n in ROW_COUNTS {
+                let mut cc = ColumnCounter::new(len);
+                for _ in 0..n {
+                    cc.add_bits(&ones);
+                }
+                assert!(
+                    cc.totals().iter().all(|&c| c == n as u64),
+                    "len={len} n={n}"
+                );
+            }
         }
-        let n = 3 * ColumnCounter::MAX_BLOCK as u64 + 17;
-        let mut cc = ColumnCounter::new(len);
-        for _ in 0..n {
-            cc.add_bits(&ones);
+    }
+
+    #[test]
+    fn drain_mid_stage_then_reuse_matches_reference() {
+        // Drain after `first` rows (mid-stage for most counts), reuse the
+        // counter for `second` more, drain again: each drain holds exactly
+        // its own rows, on the full width and on a one-column-short prefix.
+        let mut rng = StdRng::seed_from_u64(9);
+        for len in WIDTHS {
+            for (first, second) in [(1, 16), (15, 17), (17, 239), (241, 5), (256, 3 * 255 + 17)] {
+                let rows = random_rows(&mut rng, len, first + second);
+                let (a, b) = rows.split_at(first);
+                let mut cc = ColumnCounter::new(len);
+                for prefix in [len, len - 1] {
+                    for part in [a, b] {
+                        for r in part {
+                            cc.add_bits(r);
+                        }
+                        assert_eq!(cc.rows(), part.len() as u64);
+                        let mut out = vec![7u64; prefix];
+                        cc.drain_into(&mut out);
+                        let want: Vec<u64> = reference_counts(part, len)[..prefix]
+                            .iter()
+                            .map(|c| c + 7)
+                            .collect();
+                        assert_eq!(out, want, "len={len} rows={} prefix={prefix}", part.len());
+                        assert_eq!(cc.rows(), 0, "drain resets the row count");
+                    }
+                }
+            }
         }
-        assert!(cc.totals().iter().all(|&c| c == n));
     }
 
     #[test]

@@ -13,6 +13,7 @@
 
 use rand::Rng;
 
+use crate::bitvec::Threshold;
 use crate::{Eps, Error, Result};
 
 /// The Generalized Random Response mechanism over the domain `[0, d)`.
@@ -22,23 +23,29 @@ pub struct Grr {
     eps: Eps,
     p: f64,
     q: f64,
+    /// The keep decision's Bernoulli(`p`) draw.
+    keep: Threshold,
 }
 
 impl Grr {
     /// Creates a GRR mechanism for domain size `d ≥ 1`.
     ///
     /// With `d == 1` the output is constant (and trivially private).
+    /// Past ε ≈ 709.8, `e^ε` overflows and `p`'s formula is `∞/∞`; the
+    /// mechanism then takes its limit `p = 1` (`q = 1/∞ = 0` already).
     pub fn new(eps: Eps, d: u32) -> Result<Self> {
         if d == 0 {
             return Err(Error::EmptyDomain);
         }
         let e = eps.exp();
         let denom = e + d as f64 - 1.0;
+        let p = if e.is_finite() { e / denom } else { 1.0 };
         Ok(Grr {
             d,
             eps,
-            p: e / denom,
+            p,
             q: 1.0 / denom,
+            keep: Threshold::new(p),
         })
     }
 
@@ -84,7 +91,7 @@ impl Grr {
         if self.d == 1 {
             return Ok(0);
         }
-        if rng.random_bool(self.p) {
+        if self.keep.draw(rng) {
             Ok(v)
         } else {
             // Uniform over the d−1 values ≠ v: draw in [0, d−1) and skip v.

@@ -40,8 +40,11 @@ impl Olh {
             return Err(Error::EmptyDomain);
         }
         // Guard the cast: beyond ~2^31, g stops mattering and GRR would be
-        // chosen by the adaptive rule anyway.
-        let g = (eps.exp().floor() as u64 + 1).min(u32::MAX as u64) as u32;
+        // chosen by the adaptive rule anyway. The `as` cast saturates at
+        // u64::MAX (ε ≥ 64·ln 2), so the `+ 1` saturates too.
+        let g = (eps.exp().floor() as u64)
+            .saturating_add(1)
+            .min(u32::MAX as u64) as u32;
         let g = g.max(2);
         Ok(Olh {
             d,
@@ -198,6 +201,12 @@ mod tests {
     fn g_matches_formula() {
         assert_eq!(Olh::new(eps(1.0), 100).unwrap().g(), 3); // floor(e)+1
         assert_eq!(Olh::new(eps(2.0), 100).unwrap().g(), 8); // floor(e²)+1
+
+        // ⌊e^ε⌋ passes u64::MAX from ε = 64·ln 2 ≈ 44.4 on: the `+ 1`
+        // saturates and g stays at its u32 cap instead of wrapping to 2.
+        for e in [44.0, 44.5, 710.0, f64::MAX] {
+            assert_eq!(Olh::new(eps(e), 100).unwrap().g(), u32::MAX, "ε={e}");
+        }
     }
 
     #[test]

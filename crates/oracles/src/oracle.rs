@@ -334,6 +334,51 @@ mod tests {
         assert_eq!(large.name(), "OUE", "d=11 > {threshold}");
     }
 
+    /// Budgets past where `e^ε` (ε ≈ 709.8) or `e^{ε/2}` (ε ≈ 1419.6)
+    /// overflows, and past where OLH's `⌊e^ε⌋ + 1` leaves `u64`
+    /// (ε ≈ 44.4): every mechanism keeps probabilities in `[0, 1]`, takes
+    /// the limit `p = 1` where its formula for `p` overflowed, and gives
+    /// finite estimates.
+    #[test]
+    fn huge_budgets_keep_probabilities_and_estimates_finite() {
+        for e in [44.5, 710.0, 1420.0, f64::MAX] {
+            // Each oracle with the budget from which its `p` is 1 (OUE's
+            // p is 1/2 at every budget).
+            let oracles = [
+                (Oracle::grr(eps(e), 8).unwrap(), 710.0),
+                (Oracle::oue(eps(e), 8).unwrap(), f64::INFINITY),
+                (
+                    Oracle::Ue(UnaryEncoding::symmetric(eps(e), 8).unwrap()),
+                    1420.0,
+                ),
+                (Oracle::olh(eps(e), 8).unwrap(), 710.0),
+            ];
+            for (oracle, p_is_one_from) in oracles {
+                let (p, q) = (oracle.p(), oracle.q());
+                assert!(
+                    (0.0..=1.0).contains(&p) && (0.0..=1.0).contains(&q),
+                    "{} at ε={e}: p={p} q={q}",
+                    oracle.name()
+                );
+                if e >= p_is_one_from {
+                    assert_eq!(p, 1.0, "{} at ε={e}", oracle.name());
+                }
+                let mut agg = Aggregator::new(&oracle);
+                let mut rng = StdRng::seed_from_u64(5);
+                for u in 0..200u32 {
+                    agg.absorb(&oracle.privatize(u % 3, &mut rng).unwrap())
+                        .unwrap();
+                }
+                let est = agg.estimate();
+                assert!(
+                    est.iter().all(|v| v.is_finite()),
+                    "{} at ε={e}: {est:?}",
+                    oracle.name()
+                );
+            }
+        }
+    }
+
     #[test]
     fn grr_roundtrip_estimation() {
         let oracle = Oracle::grr(eps(2.0), 6).unwrap();

@@ -40,12 +40,15 @@
 //!    their recovery replays. [`ShardCursor`] is this rule's one
 //!    implementation; every fold picks its fragments' RNGs through it.
 //! 2. **One plane sampler, everywhere.** Unary-encoding noise planes are
-//!    drawn through `UnaryEncoding::fill_plane`: geometric skipping below
-//!    `UnaryEncoding::WORDWISE_MIN_Q` = 1/64, and otherwise (`q ≥ 1/64`)
-//!    the word-parallel [`crate::BitVec::fill_bernoulli_wordwise`]. The
-//!    branch depends only on mechanism parameters, never on the execution
-//!    plan, so `privatize`, `privatize_into` and `perturb_bits` consume
-//!    the RNG stream identically wherever they run.
+//!    drawn through the `PlaneSampler` each `UnaryEncoding` plans when it
+//!    is built: geometric skipping below `UnaryEncoding::WORDWISE_MIN_Q`
+//!    = 1/64, and otherwise (`q ≥ 1/64`) the word-parallel draw order of
+//!    [`crate::BitVec::fill_bernoulli_wordwise`]. The branch depends only
+//!    on mechanism parameters, never on the execution plan, so
+//!    `privatize`, `privatize_into` and `perturb_bits` consume the RNG
+//!    stream identically wherever they run. A single Bernoulli(`p`) bit
+//!    (UE's hot bit, GRR's keep decision) is one word `x = next_u64()`,
+//!    set iff `x >> 11 < ⌈p·2⁵³⌉`, exactly `random_bool(p)`'s decision.
 //! 3. **The word-parallel draw order.** For each 64-bit output word, in
 //!    word order: exactly [`crate::WORDWISE_STEPS`]` = 8` draws,
 //!    draw `j` supplying bit `j` (MSB first) of every lane's uniform `U`;

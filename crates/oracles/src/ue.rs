@@ -18,6 +18,7 @@
 
 use rand::Rng;
 
+use crate::bitvec::{Threshold, WordwisePlan};
 use crate::{BitVec, Eps, Error, Result};
 
 /// Which UE parameterization to use.
@@ -37,37 +38,45 @@ pub struct UnaryEncoding {
     kind: UeKind,
     p: f64,
     q: f64,
+    /// The Bernoulli(`q`) noise-plane sampler, planned at construction.
+    plane: PlaneSampler,
+    /// The hot bit's Bernoulli(`p`) draw.
+    hot: Threshold,
 }
 
 impl UnaryEncoding {
-    /// Creates an **OUE** mechanism (`p = 1/2`, `q = 1/(e^ε+1)`).
-    pub fn optimized(eps: Eps, d: u32) -> Result<Self> {
+    fn new(eps: Eps, d: u32, kind: UeKind, p: f64, q: f64) -> Result<Self> {
         if d == 0 {
             return Err(Error::EmptyDomain);
         }
         Ok(UnaryEncoding {
             d,
             eps,
-            kind: UeKind::Optimized,
-            p: 0.5,
-            q: 1.0 / (eps.exp() + 1.0),
+            kind,
+            p,
+            q,
+            plane: PlaneSampler::new(q),
+            hot: Threshold::new(p),
         })
     }
 
+    /// Creates an **OUE** mechanism (`p = 1/2`, `q = 1/(e^ε+1)`).
+    pub fn optimized(eps: Eps, d: u32) -> Result<Self> {
+        Self::new(eps, d, UeKind::Optimized, 0.5, 1.0 / (eps.exp() + 1.0))
+    }
+
     /// Creates a **SUE** mechanism (`p = e^{ε/2}/(e^{ε/2}+1)`, `q = 1 − p`).
+    ///
+    /// Past ε ≈ 1419.6, `e^{ε/2}` overflows and the formula is `∞/∞`; the
+    /// mechanism then takes its limit `p = 1`, `q = 0`.
     pub fn symmetric(eps: Eps, d: u32) -> Result<Self> {
-        if d == 0 {
-            return Err(Error::EmptyDomain);
-        }
         let half = (eps.value() / 2.0).exp();
-        let p = half / (half + 1.0);
-        Ok(UnaryEncoding {
-            d,
-            eps,
-            kind: UeKind::Symmetric,
-            p,
-            q: 1.0 - p,
-        })
+        let p = if half.is_finite() {
+            half / (half + 1.0)
+        } else {
+            1.0
+        };
+        Self::new(eps, d, UeKind::Symmetric, p, 1.0 - p)
     }
 
     /// Domain size.
@@ -111,26 +120,6 @@ impl UnaryEncoding {
         self.d as usize
     }
 
-    /// Fills `out` with an i.i.d. Bernoulli(`prob`) plane — **the**
-    /// RNG-contract sampler every UE path shares.
-    ///
-    /// Word-parallel ([`BitVec::fill_bernoulli_wordwise`]) when `prob` is
-    /// dense enough for the bit-sliced sampler to beat geometric skipping,
-    /// geometric ([`BitVec::fill_bernoulli`]) below
-    /// [`UnaryEncoding::WORDWISE_MIN_Q`]. Because the cross-over depends
-    /// only on `prob` (a mechanism parameter, never on data), every
-    /// execution mode picks the same branch and consumes the RNG stream
-    /// identically — this is what keeps single-report, streamed and
-    /// distributed outputs bit-identical.
-    #[inline]
-    fn fill_plane<R: Rng + ?Sized>(&self, prob: f64, out: &mut BitVec, rng: &mut R) {
-        if prob >= Self::WORDWISE_MIN_Q {
-            out.fill_bernoulli_wordwise(prob, rng);
-        } else {
-            out.fill_bernoulli(prob, rng);
-        }
-    }
-
     /// Encodes and perturbs item `v`.
     ///
     /// Draws its Bernoulli(`q`) noise plane through the shared contract
@@ -172,8 +161,8 @@ impl UnaryEncoding {
         if out.len() != self.d as usize {
             *out = BitVec::zeros(self.d as usize);
         }
-        self.fill_plane(self.q, out, rng);
-        out.set(v as usize, rng.random_bool(self.p));
+        self.plane.fill(out, rng);
+        out.set(v as usize, self.hot.draw(rng));
         Ok(())
     }
 
@@ -229,22 +218,22 @@ impl UnaryEncoding {
             });
         }
         let mut out = BitVec::zeros(encoded.len());
-        self.fill_plane(self.q, &mut out, rng);
+        self.plane.fill(&mut out, rng);
         let ones = encoded.count_ones();
         // The mask samples ~len·min(p, 1−p) effective density; the
         // per-bit path draws exactly `ones`.
         let mask_cost = encoded.len() as f64 * self.p.min(1.0 - self.p);
         if (ones as f64) <= mask_cost {
             for i in encoded.iter_ones() {
-                out.set(i, rng.random_bool(self.p));
+                out.set(i, self.hot.draw(rng));
             }
         } else {
             let mut keep = BitVec::zeros(encoded.len());
             if self.p <= 0.5 {
-                self.fill_plane(self.p, &mut keep, rng);
+                PlaneSampler::new(self.p).fill(&mut keep, rng);
             } else {
                 // Sample the (rarer) drops and complement.
-                self.fill_plane(1.0 - self.p, &mut keep, rng);
+                PlaneSampler::new(1.0 - self.p).fill(&mut keep, rng);
                 keep.toggle_all();
             }
             out.merge_masked(encoded, &keep);
@@ -264,6 +253,42 @@ impl UnaryEncoding {
             prob *= if bit { keep_prob } else { 1.0 - keep_prob };
         }
         prob
+    }
+}
+
+/// A Bernoulli(`q`) plane sampler planned once — **the** RNG-contract
+/// sampler every UE path shares.
+///
+/// Word-parallel ([`BitVec::fill_bernoulli_wordwise`]'s draw order, its
+/// expansion and step masks computed here once) when `q` is dense enough
+/// for the bit-sliced sampler to beat geometric skipping, geometric
+/// ([`BitVec::fill_bernoulli`]) below [`UnaryEncoding::WORDWISE_MIN_Q`].
+/// Because the cross-over depends only on `q` (a mechanism parameter,
+/// never on data), every execution mode picks the same branch and
+/// consumes the RNG stream identically — this is what keeps
+/// single-report, streamed and distributed outputs bit-identical.
+#[derive(Debug, Clone)]
+enum PlaneSampler {
+    Wordwise(WordwisePlan),
+    /// `q` below the cross-over, or a constant fill (`q ≤ 0`, `q ≥ 1`).
+    Geometric(f64),
+}
+
+impl PlaneSampler {
+    fn new(q: f64) -> Self {
+        match WordwisePlan::new(q) {
+            Some(plan) if q >= UnaryEncoding::WORDWISE_MIN_Q => PlaneSampler::Wordwise(plan),
+            _ => PlaneSampler::Geometric(q),
+        }
+    }
+
+    /// Overwrites `out` with an i.i.d. Bernoulli(`q`) plane.
+    #[inline]
+    fn fill<R: Rng + ?Sized>(&self, out: &mut BitVec, rng: &mut R) {
+        match self {
+            PlaneSampler::Wordwise(plan) => plan.fill(out, rng),
+            PlaneSampler::Geometric(q) => out.fill_bernoulli(*q, rng),
+        }
     }
 }
 
@@ -378,12 +403,14 @@ mod tests {
         // word-parallel, sparser ones by geometric skipping.
         let m = UnaryEncoding::optimized(eps(3.0), 65).unwrap();
         let min_q = UnaryEncoding::WORDWISE_MIN_Q;
+        assert!(matches!(m.plane, PlaneSampler::Wordwise(_)));
         for (q, wordwise) in [(m.q(), true), (min_q, true), (min_q * 0.999, false)] {
             let mut a = StdRng::seed_from_u64(5);
             let mut b = StdRng::seed_from_u64(5);
             let (mut plane, mut raw) = (BitVec::zeros(65), BitVec::zeros(65));
+            let sampler = PlaneSampler::new(q);
             for _ in 0..50 {
-                m.fill_plane(q, &mut plane, &mut a);
+                sampler.fill(&mut plane, &mut a);
                 if wordwise {
                     raw.fill_bernoulli_wordwise(q, &mut b);
                 } else {

@@ -63,8 +63,8 @@ use std::time::Instant;
 
 use mcim_bench::{results_dir, Table};
 use mcim_core::{
-    CorrelatedPerturbation, CpAggregator, Domains, Framework, LabelItem, ValidityInput,
-    ValidityPerturbation, VpAggregator,
+    CorrelatedPerturbation, Domains, Framework, LabelItem, ValidityInput, ValidityPerturbation,
+    VpAggregator,
 };
 use mcim_dist::proto::{read_frame, write_chunk_frame};
 use mcim_dist::Frame;
@@ -359,14 +359,14 @@ fn main() {
         .collect();
     let cp_reports = privatize_all(&cp_pairs, |p, rng| cp.privatize(p, rng));
     scenarios.push(scenario("cp_aggregate_absorb", n, trials, || {
-        let mut agg = CpAggregator::new(&cp);
+        let mut agg = cp.aggregator();
         for r in &cp_reports {
             agg.absorb(r).unwrap();
         }
         agg.report_count()
     }));
     scenarios.push(scenario("cp_aggregate_colsum_t1", n, trials, || {
-        let mut agg = CpAggregator::new(&cp);
+        let mut agg = cp.aggregator();
         agg.absorb_all(&cp_reports).unwrap();
         agg.report_count()
     }));

@@ -101,7 +101,7 @@ pub fn vp_variance_advantage(n1: f64, n2: f64, m: f64, d: u32, pr: Probs) -> f64
 }
 
 /// Label/item probability set for the correlated-perturbation analysis.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpProbs {
     /// Label keep probability `p₁`.
     pub p1: f64,
@@ -448,7 +448,7 @@ mod tests {
 
     #[test]
     fn thm8_variance_matches_monte_carlo() {
-        use crate::correlated::{CorrelatedPerturbation, CpAggregator};
+        use crate::CorrelatedPerturbation;
         use crate::{Domains, LabelItem};
         // Small population, many trials: empirical Var[f̂] ≈ Eq. (5).
         let domains = Domains::new(4, 4).unwrap();
@@ -463,7 +463,7 @@ mod tests {
         let mut sum = 0.0;
         let mut sum_sq = 0.0;
         for _ in 0..trials {
-            let mut agg = CpAggregator::new(&m);
+            let mut agg = m.aggregator();
             for u in 0..n_total {
                 let pair = if u < f {
                     LabelItem::new(0, 0)
@@ -474,7 +474,7 @@ mod tests {
                 };
                 agg.absorb(&m.privatize(pair, &mut rng).unwrap()).unwrap();
             }
-            let est = agg.estimate().get(0, 0);
+            let est = m.estimate(&agg).unwrap().get(0, 0);
             sum += est;
             sum_sq += est * est;
         }
@@ -505,7 +505,7 @@ mod tests {
 
     #[test]
     fn pts_exact_variance_matches_monte_carlo() {
-        use crate::frameworks::{Pts, PtsAggregator, PtsReport};
+        use crate::frameworks::Pts;
         use crate::{Domains, LabelItem};
         use mcim_oracles::BitVec;
         // 3 classes × 4 items; item 0 is held inside and outside class 0,
@@ -528,18 +528,18 @@ mod tests {
         };
         let trials = 4000;
         let mut rng = StdRng::seed_from_u64(78);
-        let mut report = PtsReport {
+        let mut report = crate::PairReport {
             label: 0,
             bits: BitVec::zeros(4),
         };
         let (mut sum, mut sum_sq) = (0.0, 0.0);
         for _ in 0..trials {
-            let mut agg = PtsAggregator::new(&fw);
+            let mut agg = fw.aggregator();
             for u in 0..n_total {
                 fw.privatize_into(pair(u), &mut rng, &mut report).unwrap();
                 agg.absorb(&report).unwrap();
             }
-            let est = agg.estimate().get(0, 0);
+            let est = fw.estimate(&agg).unwrap().get(0, 0);
             sum += est;
             sum_sq += est * est;
         }

@@ -28,7 +28,7 @@ pub mod stages;
 
 pub use hec::{Hec, HecAggregator, HecReport};
 pub use ptj::{Ptj, PtjAggregator};
-pub use pts::{Pts, PtsAggregator, PtsReport};
+pub use pts::Pts;
 
 use mcim_oracles::exec::{Exec, Executor};
 use mcim_oracles::stream::ReportSource;
@@ -194,38 +194,18 @@ impl Framework {
         let seed = executor.plan().base_seed();
         let result = match *self {
             Framework::Hec => {
-                let stage = FwStage::new(HecArm::new(eps, domains)?);
-                let (agg, comm) = executor.fold(source, seed, &stage)?.into_parts();
-                Ok(EstimationResult {
-                    table: agg.estimate()?,
-                    comm,
-                })
+                FwStage::new(HecArm::new(eps, domains)?).execute_on(executor, seed, source)
             }
             Framework::Ptj => {
-                let stage = FwStage::new(PtjArm::new(eps, domains)?);
-                let (agg, comm) = executor.fold(source, seed, &stage)?.into_parts();
-                Ok(EstimationResult {
-                    table: agg.estimate(),
-                    comm,
-                })
+                FwStage::new(PtjArm::new(eps, domains)?).execute_on(executor, seed, source)
             }
             Framework::Pts { label_frac } => {
                 let (e1, e2) = eps.split(label_frac)?;
-                let stage = FwStage::new(PtsArm::new(e1, e2, domains)?);
-                let (agg, comm) = executor.fold(source, seed, &stage)?.into_parts();
-                Ok(EstimationResult {
-                    table: agg.estimate(),
-                    comm,
-                })
+                FwStage::new(PtsArm::new(e1, e2, domains)?).execute_on(executor, seed, source)
             }
             Framework::PtsCp { label_frac } => {
                 let (e1, e2) = eps.split(label_frac)?;
-                let stage = FwStage::new(CpArm::new(e1, e2, domains)?);
-                let (agg, comm) = executor.fold(source, seed, &stage)?.into_parts();
-                Ok(EstimationResult {
-                    table: agg.estimate(),
-                    comm,
-                })
+                FwStage::new(CpArm::new(e1, e2, domains)?).execute_on(executor, seed, source)
             }
         };
         span.finish();

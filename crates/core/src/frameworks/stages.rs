@@ -2,29 +2,31 @@
 //! [`Stage`] objects.
 //!
 //! [`Framework::execute_on`](crate::Framework::execute_on) used to hand its
-//! [`Executor`](mcim_oracles::exec::Executor) a closure per arm; closures
-//! cannot cross a process boundary, so the distributed reducer needs each
-//! arm as a *stage object* that (a) folds exactly like the old closure and
-//! (b) round-trips through a [`StageSpec`] — the worker process rebuilds
-//! the mechanism from `(ε, domains)` and replays the identical
-//! privatize+absorb loop under the identical per-shard RNG streams.
+//! [`Executor`] a closure per arm; closures cannot cross a process
+//! boundary, so the distributed reducer needs each arm as a *stage object*
+//! that (a) folds exactly like the old closure and (b) round-trips through
+//! a [`StageSpec`] — the worker process rebuilds the mechanism from
+//! `(ε, domains)` and replays the identical privatize+absorb loop under the
+//! identical per-shard RNG streams.
 //!
 //! One generic [`FwStage`] wraps the four per-framework [`FwArm`]s (HEC,
-//! PTJ, PTS, PTS-CP); the arm supplies the mechanism calls and the spec
-//! codec, the wrapper supplies the shared fold shape: privatize each pair
-//! into a reusable scratch block, price its uplink, absorb the block
-//! word-parallel.
+//! PTJ, PTS, PTS-CP); the arm supplies the mechanism calls, the estimator
+//! and the spec codec, the wrapper supplies the shared fold shape:
+//! privatize each pair into a reusable scratch block, price its uplink,
+//! absorb the block word-parallel. PTS and PTS-CP share one report and one
+//! aggregator type ([`PairReport`], [`PairAggregator`]).
 
 use rand::rngs::StdRng;
 
-use mcim_oracles::exec::{Stage, StageDecode};
+use mcim_oracles::exec::{Executor, Stage, StageDecode};
+use mcim_oracles::stream::ReportSource;
 use mcim_oracles::wire::{StageSpec, Wire, WireReader, WireState};
 use mcim_oracles::{Eps, Report, Result};
 
-use crate::correlated::{CorrelatedPerturbation, CpAggregator};
-use crate::frameworks::{CommStats, Hec, HecAggregator, HecReport, Ptj, PtjAggregator};
-use crate::frameworks::{Pts, PtsAggregator, PtsReport};
-use crate::{CpReport, Domains, LabelItem};
+use crate::frameworks::{CommStats, EstimationResult, Hec, HecAggregator, HecReport};
+use crate::frameworks::{Ptj, PtjAggregator, Pts};
+use crate::{CorrelatedPerturbation, Domains, FrequencyTable, LabelItem};
+use crate::{PairAggregator, PairReport};
 
 /// Per-worker fold state of one framework arm: a partial aggregator, its
 /// uplink stats, and a reusable privatized-report scratch buffer (excluded
@@ -33,13 +35,6 @@ pub struct FwPartial<Agg, Rep> {
     agg: Agg,
     comm: CommStats,
     scratch: Vec<Rep>,
-}
-
-impl<Agg, Rep> FwPartial<Agg, Rep> {
-    /// Consumes the partial into its aggregator and uplink stats.
-    pub fn into_parts(self) -> (Agg, CommStats) {
-        (self.agg, self.comm)
-    }
 }
 
 impl<Agg: Clone, Rep> Clone for FwPartial<Agg, Rep> {
@@ -106,6 +101,9 @@ pub trait FwArm: Sync + Sized {
     /// Merges two disjoint-range partial aggregators.
     fn merge(agg: &mut Self::Agg, other: &Self::Agg) -> Result<()>;
 
+    /// Estimates the frequency table from a merged aggregator.
+    fn estimate(&self, agg: &Self::Agg) -> Result<FrequencyTable>;
+
     /// Writes the parameters [`FwArm::decode`] rebuilds this arm from.
     fn encode(&self, buf: &mut Vec<u8>);
 
@@ -123,6 +121,25 @@ impl<M: FwArm> FwStage<M> {
     /// Wraps an arm.
     pub fn new(arm: M) -> Self {
         FwStage { arm }
+    }
+
+    /// Folds `source` on `executor` under `seed` and estimates the table
+    /// from the merged partial.
+    pub fn execute_on<E, S>(
+        &self,
+        executor: &E,
+        seed: u64,
+        source: &mut S,
+    ) -> Result<EstimationResult>
+    where
+        E: Executor,
+        S: ReportSource<Item = LabelItem>,
+    {
+        let part = executor.fold(source, seed, self)?;
+        Ok(EstimationResult {
+            table: self.arm.estimate(&part.agg)?,
+            comm: part.comm,
+        })
     }
 }
 
@@ -237,6 +254,10 @@ impl FwArm for HecArm {
         agg.merge(other)
     }
 
+    fn estimate(&self, agg: &HecAggregator) -> Result<FrequencyTable> {
+        agg.estimate()
+    }
+
     fn encode(&self, buf: &mut Vec<u8>) {
         put_eps_domains(buf, self.eps, self.mech.domains());
     }
@@ -291,6 +312,10 @@ impl FwArm for PtjArm {
         agg.merge(other)
     }
 
+    fn estimate(&self, agg: &PtjAggregator) -> Result<FrequencyTable> {
+        Ok(agg.estimate())
+    }
+
     fn encode(&self, buf: &mut Vec<u8>) {
         put_eps_domains(buf, self.eps, self.mech.domains());
     }
@@ -322,16 +347,16 @@ impl PtsArm {
 }
 
 impl FwArm for PtsArm {
-    type Rep = PtsReport;
-    type Agg = PtsAggregator;
+    type Rep = PairReport;
+    type Agg = PairAggregator;
 
     const KIND: &'static str = "fw/pts";
 
-    fn new_agg(&self) -> PtsAggregator {
-        PtsAggregator::new(&self.mech)
+    fn new_agg(&self) -> PairAggregator {
+        self.mech.aggregator()
     }
 
-    fn privatize(&self, rng: &mut StdRng, _abs: u64, pair: LabelItem) -> Result<PtsReport> {
+    fn privatize(&self, rng: &mut StdRng, _abs: u64, pair: LabelItem) -> Result<PairReport> {
         self.mech.privatize(pair, rng)
     }
 
@@ -340,36 +365,36 @@ impl FwArm for PtsArm {
         rng: &mut StdRng,
         _abs: u64,
         pair: LabelItem,
-        out: &mut PtsReport,
+        out: &mut PairReport,
     ) -> Result<()> {
         self.mech.privatize_into(pair, rng, out)
     }
 
-    fn report_bits(rep: &PtsReport) -> usize {
+    fn report_bits(rep: &PairReport) -> usize {
         rep.size_bits()
     }
 
-    fn absorb(&self, agg: &mut PtsAggregator, block: &[PtsReport]) -> Result<()> {
+    fn absorb(&self, agg: &mut PairAggregator, block: &[PairReport]) -> Result<()> {
         agg.absorb_all(block)
     }
 
-    fn merge(agg: &mut PtsAggregator, other: &PtsAggregator) -> Result<()> {
+    fn merge(agg: &mut PairAggregator, other: &PairAggregator) -> Result<()> {
         agg.merge(other)
+    }
+
+    fn estimate(&self, agg: &PairAggregator) -> Result<FrequencyTable> {
+        self.mech.estimate(agg)
     }
 
     fn encode(&self, buf: &mut Vec<u8>) {
         self.eps1.value().put(buf);
-        self.eps2.value().put(buf);
-        self.mech.domains().classes().put(buf);
-        self.mech.domains().items().put(buf);
+        put_eps_domains(buf, self.eps2, self.mech.domains());
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self> {
         let eps1 = Eps::new(f64::take(r)?)?;
-        let eps2 = Eps::new(f64::take(r)?)?;
-        let classes = u32::take(r)?;
-        let items = u32::take(r)?;
-        PtsArm::new(eps1, eps2, Domains::new(classes, items)?)
+        let (eps2, domains) = take_eps_domains(r)?;
+        PtsArm::new(eps1, eps2, domains)
     }
 }
 
@@ -394,16 +419,16 @@ impl CpArm {
 }
 
 impl FwArm for CpArm {
-    type Rep = CpReport;
-    type Agg = CpAggregator;
+    type Rep = PairReport;
+    type Agg = PairAggregator;
 
     const KIND: &'static str = "fw/pts-cp";
 
-    fn new_agg(&self) -> CpAggregator {
-        CpAggregator::new(&self.mech)
+    fn new_agg(&self) -> PairAggregator {
+        self.mech.aggregator()
     }
 
-    fn privatize(&self, rng: &mut StdRng, _abs: u64, pair: LabelItem) -> Result<CpReport> {
+    fn privatize(&self, rng: &mut StdRng, _abs: u64, pair: LabelItem) -> Result<PairReport> {
         self.mech.privatize(pair, rng)
     }
 
@@ -412,43 +437,43 @@ impl FwArm for CpArm {
         rng: &mut StdRng,
         _abs: u64,
         pair: LabelItem,
-        out: &mut CpReport,
+        out: &mut PairReport,
     ) -> Result<()> {
         self.mech.privatize_into(pair, rng, out)
     }
 
-    fn report_bits(rep: &CpReport) -> usize {
+    fn report_bits(rep: &PairReport) -> usize {
         rep.size_bits()
     }
 
-    fn absorb(&self, agg: &mut CpAggregator, block: &[CpReport]) -> Result<()> {
+    fn absorb(&self, agg: &mut PairAggregator, block: &[PairReport]) -> Result<()> {
         agg.absorb_all(block)
     }
 
-    fn merge(agg: &mut CpAggregator, other: &CpAggregator) -> Result<()> {
+    fn merge(agg: &mut PairAggregator, other: &PairAggregator) -> Result<()> {
         agg.merge(other)
+    }
+
+    fn estimate(&self, agg: &PairAggregator) -> Result<FrequencyTable> {
+        self.mech.estimate(agg)
     }
 
     fn encode(&self, buf: &mut Vec<u8>) {
         self.eps1.value().put(buf);
-        self.eps2.value().put(buf);
-        self.mech.domains().classes().put(buf);
-        self.mech.domains().items().put(buf);
+        put_eps_domains(buf, self.eps2, self.mech.domains());
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self> {
         let eps1 = Eps::new(f64::take(r)?)?;
-        let eps2 = Eps::new(f64::take(r)?)?;
-        let classes = u32::take(r)?;
-        let items = u32::take(r)?;
-        CpArm::new(eps1, eps2, Domains::new(classes, items)?)
+        let (eps2, domains) = take_eps_domains(r)?;
+        CpArm::new(eps1, eps2, domains)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcim_oracles::exec::{Exec, Executor as _};
+    use mcim_oracles::exec::Exec;
     use mcim_oracles::stream::SliceSource;
 
     fn pairs(n: usize) -> Vec<LabelItem> {
@@ -560,12 +585,10 @@ mod tests {
 
         let mut same = stage.template();
         same.load(&mut WireReader::new(&bytes)).unwrap();
-        let (agg, comm) = same.into_parts();
-        let (orig_agg, orig_comm) = part.into_parts();
-        assert_eq!(comm, orig_comm);
+        assert_eq!(same.comm, part.comm);
         assert_eq!(
-            agg.estimate().unwrap().values(),
-            orig_agg.estimate().unwrap().values()
+            same.agg.estimate().unwrap().values(),
+            part.agg.estimate().unwrap().values()
         );
 
         // A template over different domains rejects the partial.

@@ -46,11 +46,13 @@ pub mod analysis;
 mod correlated;
 mod domain;
 pub mod frameworks;
+mod pair;
 mod validity;
 
-pub use correlated::{CorrelatedPerturbation, CpAggregator, CpReport};
+pub use correlated::{eq4_estimate, CorrelatedPerturbation};
 pub use domain::{Domains, FrequencyTable, LabelItem};
 pub use frameworks::{CommStats, EstimationResult, Framework};
+pub use pair::{PairAggregator, PairReport};
 pub use validity::{ValidityInput, ValidityPerturbation, VpAggregator};
 
 /// Re-export of the substrate crate for downstream convenience.

@@ -2,7 +2,7 @@
 
 use mcim_core::analysis::{self, CpProbs, Probs};
 use mcim_core::{
-    CorrelatedPerturbation, CpAggregator, Domains, FrequencyTable, LabelItem, ValidityInput,
+    CorrelatedPerturbation, Domains, FrequencyTable, LabelItem, ValidityInput,
     ValidityPerturbation, VpAggregator,
 };
 use mcim_oracles::{BitVec, Eps, UnaryEncoding};
@@ -216,13 +216,13 @@ proptest! {
     fn cp_estimates_finite(seed in any::<u64>(), n in 1usize..300) {
         let domains = Domains::new(3, 8).unwrap();
         let m = CorrelatedPerturbation::with_total(Eps::new(0.5).unwrap(), domains).unwrap();
-        let mut agg = CpAggregator::new(&m);
+        let mut agg = m.aggregator();
         let mut rng = StdRng::seed_from_u64(seed);
         for i in 0..n {
             let pair = LabelItem::new((i % 3) as u32, (i % 8) as u32);
             agg.absorb(&m.privatize(pair, &mut rng).unwrap()).unwrap();
         }
-        for v in agg.estimate().values() {
+        for v in m.estimate(&agg).unwrap().values() {
             prop_assert!(v.is_finite());
         }
     }

@@ -25,7 +25,8 @@
 
 use std::collections::HashMap;
 
-use mcim_core::{CommStats, Domains, LabelItem, ValidityPerturbation};
+use mcim_core::analysis::CpProbs;
+use mcim_core::{eq4_estimate, CommStats, Domains, LabelItem, ValidityPerturbation};
 use mcim_oracles::exec::{Exec, Executor};
 use mcim_oracles::hash::SplitMix64;
 use mcim_oracles::stream::{drain_source, ReportSource, SliceSource};
@@ -827,12 +828,11 @@ fn pts_shuffled<E: Executor>(
             // member of this group was routed to this class).
             let vp = ValidityPerturbation::new(e2, n_cands as u32)?;
             let (p2, q2) = (vp.p(), vp.q());
+            let pr = CpProbs { p1, q1, p2, q2 };
             let n_f = n_final as f64;
             let n_hat = unbiased_count(fg.users.len() as f64, n_f, p1, q1);
-            let denom = p1 * (1.0 - q2) * (p2 - q2);
-            let correction = n_hat * q2 * (p1 * (1.0 - q2) - q1 * (1.0 - p2));
             for s in &mut scores {
-                *s = (*s - n_f * q1 * q2 * (1.0 - p2) - correction) / denom;
+                *s = eq4_estimate(*s, n_hat, n_f, pr);
             }
         }
         let mut ranked: Vec<(u32, f64)> = fg.candidates.iter().copied().zip(scores).collect();

@@ -63,7 +63,7 @@ pub use mcim_oracles::{Eps, Error, Result};
 /// Everything a typical application needs.
 pub mod prelude {
     pub use mcim_core::{
-        CorrelatedPerturbation, CpAggregator, Domains, Framework, FrequencyTable, LabelItem,
+        CorrelatedPerturbation, Domains, Framework, FrequencyTable, LabelItem, PairAggregator,
         ValidityInput, ValidityPerturbation, VpAggregator,
     };
     pub use mcim_dist::Coordinator;

@@ -4,8 +4,7 @@
 //! estimates.
 
 use multiclass_ldp::core::{
-    CorrelatedPerturbation, CpAggregator, CpReport, ValidityInput, ValidityPerturbation,
-    VpAggregator,
+    CorrelatedPerturbation, PairReport, ValidityInput, ValidityPerturbation, VpAggregator,
 };
 use multiclass_ldp::oracles::BitVec;
 use multiclass_ldp::prelude::*;
@@ -18,17 +17,17 @@ use rand::SeedableRng;
 fn aggregators_reject_malformed_reports_without_state_damage() {
     let domains = Domains::new(3, 8).unwrap();
     let mech = CorrelatedPerturbation::with_total(Eps::new(2.0).unwrap(), domains).unwrap();
-    let mut agg = CpAggregator::new(&mech);
+    let mut agg = mech.aggregator();
     let mut rng = StdRng::seed_from_u64(1);
 
     // Wrong label domain.
-    let bad_label = CpReport {
+    let bad_label = PairReport {
         label: 99,
         bits: BitVec::zeros(9),
     };
     assert!(agg.absorb(&bad_label).is_err());
     // Wrong bit length.
-    let bad_bits = CpReport {
+    let bad_bits = PairReport {
         label: 0,
         bits: BitVec::zeros(4),
     };

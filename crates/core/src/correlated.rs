@@ -355,4 +355,45 @@ mod tests {
         assert_eq!(r.size_bits(), 32 + 4);
         assert_eq!(m.report_bits(), 2 + 4); // ⌈log₂3⌉ label bits + d+1
     }
+
+    #[test]
+    fn batch_paths_match_sequential() {
+        let domains = Domains::new(4, 70).unwrap();
+        let m = CorrelatedPerturbation::with_total(eps(2.0), domains).unwrap();
+        let pairs: Vec<LabelItem> = (0..9000)
+            .map(|u| LabelItem::new((u % 4) as u32, ((u * 13) % 70) as u32))
+            .collect();
+        let mut rng = StdRng::seed_from_u64(77);
+        let reports: Vec<PairReport> = pairs
+            .iter()
+            .map(|&pair| m.privatize(pair, &mut rng).unwrap())
+            .collect();
+        let mut seq = m.aggregator();
+        for r in &reports {
+            seq.absorb(r).unwrap();
+        }
+        for block in [reports.len(), 1000] {
+            let mut batch = m.aggregator();
+            for part in reports.chunks(block) {
+                batch.absorb_all(part).unwrap();
+            }
+            assert_eq!(batch.report_count(), seq.report_count(), "block={block}");
+            for label in 0..4u32 {
+                assert_eq!(batch.raw_label_count(label), seq.raw_label_count(label));
+                for item in 0..70u32 {
+                    assert_eq!(
+                        batch.raw_pair_count(label, item),
+                        seq.raw_pair_count(label, item),
+                        "({label},{item}) block={block}"
+                    );
+                }
+            }
+            let (a, b) = (m.estimate(&batch).unwrap(), m.estimate(&seq).unwrap());
+            for label in 0..4u32 {
+                for item in 0..70u32 {
+                    assert!(a.get(label, item) == b.get(label, item));
+                }
+            }
+        }
+    }
 }

@@ -213,4 +213,64 @@ mod tests {
         let total = fw.item_total(&agg, 2);
         assert!((total - n as f64).abs() < 0.03 * n as f64, "total {total}");
     }
+
+    #[test]
+    fn batch_paths_match_sequential() {
+        let domains = Domains::new(3, 130).unwrap();
+        let fw = Pts::with_total(eps(2.0), domains).unwrap();
+        let pairs: Vec<LabelItem> = (0..9000)
+            .map(|u| LabelItem::new((u % 3) as u32, ((u * 11) % 130) as u32))
+            .collect();
+        let mut rng = StdRng::seed_from_u64(3);
+        let reports: Vec<PairReport> = pairs
+            .iter()
+            .map(|&pair| fw.privatize(pair, &mut rng).unwrap())
+            .collect();
+        let mut seq = fw.aggregator();
+        for r in &reports {
+            seq.absorb(r).unwrap();
+        }
+        for block in [reports.len(), 1000] {
+            let mut batch = fw.aggregator();
+            for part in reports.chunks(block) {
+                batch.absorb_all(part).unwrap();
+            }
+            assert_eq!(batch.report_count(), seq.report_count(), "block={block}");
+            for label in 0..3u32 {
+                for item in 0..130u32 {
+                    assert_eq!(
+                        batch.raw_pair_count(label, item),
+                        seq.raw_pair_count(label, item),
+                        "({label},{item}) block={block}"
+                    );
+                }
+            }
+            let (a, b) = (fw.estimate(&batch).unwrap(), fw.estimate(&seq).unwrap());
+            for label in 0..3u32 {
+                for item in 0..130u32 {
+                    assert!(a.get(label, item) == b.get(label, item));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn absorb_validates_shapes() {
+        let domains = Domains::new(2, 4).unwrap();
+        let fw = Pts::with_total(eps(1.0), domains).unwrap();
+        let mut agg = fw.aggregator();
+        assert!(agg
+            .absorb(&PairReport {
+                label: 2,
+                bits: BitVec::zeros(4)
+            })
+            .is_err());
+        assert!(agg
+            .absorb(&PairReport {
+                label: 0,
+                bits: BitVec::zeros(5)
+            })
+            .is_err());
+        assert_eq!(agg.report_count(), 0);
+    }
 }

@@ -20,9 +20,9 @@ use std::thread::JoinHandle;
 use mcim_core::{Domains, EstimationResult, Framework, LabelItem};
 use mcim_dist::proto::fault::{self, Fault, FaultPlan};
 use mcim_dist::{builtin_worker, Coordinator, DistConfig};
-use mcim_oracles::exec::{Exec, Executor};
-use mcim_oracles::stream::SliceSource;
-use mcim_oracles::Eps;
+use mcim_oracles::exec::{Exec, Executor, FoldReport};
+use mcim_oracles::stream::{ReportSource, SliceSource};
+use mcim_oracles::{Eps, Result};
 use mcim_topk::{Pem, PemConfig};
 
 mod session;
@@ -94,16 +94,22 @@ fn chaos_fold(
     plans: Vec<FaultPlan>,
     data: &[LabelItem],
     domains: Domains,
-) -> (EstimationResult, mcim_oracles::exec::FoldReport) {
+) -> (EstimationResult, FoldReport) {
+    chaos_fold_from(plan, config, plans, SliceSource::new(data), domains)
+}
+
+/// [`chaos_fold`] over any source of pairs.
+fn chaos_fold_from(
+    plan: &Exec,
+    config: DistConfig,
+    plans: Vec<FaultPlan>,
+    source: impl ReportSource<Item = LabelItem>,
+    domains: Domains,
+) -> (EstimationResult, FoldReport) {
     let cluster = ChaosWorkers::start(plans);
     let coordinator = Coordinator::connect_with(plan, &cluster.addrs, config).expect("connect");
     let result = Framework::PtsCp { label_frac: 0.5 }
-        .execute_on(
-            &coordinator,
-            Eps::new(2.0).expect("eps"),
-            domains,
-            SliceSource::new(data),
-        )
+        .execute_on(&coordinator, Eps::new(2.0).expect("eps"), domains, source)
         .expect("a chaos fold must recover");
     let report = coordinator.last_fold_report().expect("a report per fold");
     drop(coordinator);
@@ -289,6 +295,139 @@ fn slow_worker_without_deadline_is_not_a_failure() {
     );
     assert_tables_identical(&result, &reference, "slow worker");
     assert!(!report.degraded(), "{report:?}");
+}
+
+/// Three workers, two of them lost in the first pass (worker 0 owns shards
+/// 0–1, worker 1 shards 2–3, worker 2 shards 4–5): both lost assignments
+/// replay on the one survivor, and nothing folds in-process.
+#[test]
+fn two_lost_assignments_replay_on_one_survivor() {
+    let (plan, domains, data, reference) = matrix_fixture();
+    let (result, report) = chaos_fold(
+        &plan,
+        DistConfig::default(),
+        vec![
+            FaultPlan::new().with(Fault::DieInsideFrame { index: 2 }),
+            FaultPlan::new().with(Fault::DieInsideFrame { index: 2 }),
+            FaultPlan::new(),
+        ],
+        &data,
+        domains,
+    );
+    assert_tables_identical(&result, &reference, "two lost, one survivor");
+    let want = FoldReport {
+        workers: 3,
+        workers_used: 1,
+        workers_lost: 2,
+        reroutes: 2,
+        rerouted_shards: 4,
+        ..FoldReport::default()
+    };
+    assert_eq!(report, want);
+}
+
+/// A source that can rewind but declares no size: the jobs take stride
+/// assignments (worker 0 owns shards 0, 2, 4), and the lost stride replays
+/// on the survivor.
+#[test]
+fn unsized_source_replays_a_lost_stride() {
+    struct Unsized<'a>(SliceSource<'a, LabelItem>);
+    impl ReportSource for Unsized<'_> {
+        type Item = LabelItem;
+        fn fill(&mut self, buf: &mut Vec<LabelItem>, max: usize) -> Result<usize> {
+            self.0.fill(buf, max)
+        }
+        // size_hint: deliberately absent.
+        fn rewind(&mut self, n: u64) -> Result<bool> {
+            self.0.rewind(n)
+        }
+    }
+
+    let (plan, domains, data, reference) = matrix_fixture();
+    let (result, report) = chaos_fold_from(
+        &plan,
+        DistConfig::default(),
+        vec![
+            FaultPlan::new().with(Fault::DieInsideFrame { index: 2 }),
+            FaultPlan::new(),
+        ],
+        Unsized(SliceSource::new(&data)),
+        domains,
+    );
+    assert_tables_identical(&result, &reference, "lost stride");
+    let want = FoldReport {
+        workers: 2,
+        workers_used: 1,
+        workers_lost: 1,
+        reroutes: 1,
+        rerouted_shards: 3,
+        ..FoldReport::default()
+    };
+    assert_eq!(report, want);
+}
+
+/// With no re-route budget, a lost assignment folds in-process even though
+/// a healthy survivor is connected.
+#[test]
+fn zero_reroute_budget_folds_the_lost_assignment_locally() {
+    let (plan, domains, data, reference) = matrix_fixture();
+    let config = DistConfig {
+        max_reroutes: 0,
+        ..DistConfig::default()
+    };
+    let (result, report) = chaos_fold(
+        &plan,
+        config,
+        vec![
+            FaultPlan::new().with(Fault::DieInsideFrame { index: 2 }),
+            FaultPlan::new(),
+        ],
+        &data,
+        domains,
+    );
+    assert_tables_identical(&result, &reference, "zero budget");
+    let want = FoldReport {
+        workers: 2,
+        workers_used: 1,
+        workers_lost: 1,
+        local_shards: 3,
+        local_fallback: true,
+        ..FoldReport::default()
+    };
+    assert_eq!(report, want);
+}
+
+/// The replay target dies inside its replay job: worker 1 serves its own
+/// job, reads the replay through Flush, and dies before its second Partial
+/// (written frame 2) leaves. No worker is left, so the assignment folds
+/// in-process.
+#[test]
+fn replay_target_killed_mid_replay_falls_back_to_local() {
+    let (plan, domains, data, reference) = matrix_fixture();
+    let (result, report) = chaos_fold(
+        &plan,
+        DistConfig::default(),
+        vec![
+            FaultPlan::new().with(Fault::DieInsideFrame { index: 2 }),
+            FaultPlan::new().with(Fault::TruncateWrittenFrame {
+                index: 2,
+                keep_bytes: 0,
+            }),
+        ],
+        &data,
+        domains,
+    );
+    assert_tables_identical(&result, &reference, "replay target killed");
+    let want = FoldReport {
+        workers: 2,
+        workers_used: 1,
+        workers_lost: 2,
+        reroutes: 1,
+        local_shards: 3,
+        local_fallback: true,
+        ..FoldReport::default()
+    };
+    assert_eq!(report, want);
 }
 
 /// Every worker dies: the fold falls back to replaying every lost shard

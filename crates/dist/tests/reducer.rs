@@ -10,7 +10,7 @@ use std::thread::JoinHandle;
 use mcim_core::{Domains, Framework, LabelItem};
 use mcim_dist::proto::MAX_CHUNK_PAYLOAD;
 use mcim_dist::{builtin_worker, Coordinator};
-use mcim_oracles::exec::{Exec, Executor, FnStage, Stage};
+use mcim_oracles::exec::{Exec, Executor, FnStage, FoldReport, Stage};
 use mcim_oracles::parallel::SHARD_SIZE;
 use mcim_oracles::stream::{ReportSource, SliceSource};
 use mcim_oracles::wire::StageSpec;
@@ -319,6 +319,144 @@ fn non_rewindable_source_fails_unrecoverably() {
         message.contains("unknown stage kind"),
         "the original failure is preserved as the cause: {message}"
     );
+    drop(coordinator);
+    cluster.join();
+}
+
+/// A worker that answers every job with a well-framed `Partial` whose
+/// state no accumulator decodes: its socket stays in step, its reply is
+/// refused (`worker_errors`, not `workers_lost`), and the assignment
+/// replays on the healthy worker.
+#[test]
+fn undecodable_partial_replays_elsewhere() {
+    use mcim_dist::proto::{read_frame, write_frame};
+    use mcim_dist::Frame;
+
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let garbage_addr = listener.local_addr().unwrap().to_string();
+    let garbage = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        while let Ok(Some(frame)) = read_frame(&mut reader) {
+            let reply = match frame {
+                Frame::Hello { version } => Frame::Hello { version },
+                Frame::Flush => Frame::Partial {
+                    state: vec![0xAB; 5],
+                },
+                Frame::Shutdown => break,
+                _ => continue,
+            };
+            if write_frame(&mut writer, &reply).is_err() {
+                break;
+            }
+        }
+    });
+    let healthy = TestWorkers::start(1, 1);
+
+    let domains = Domains::new(3, 64).unwrap();
+    let data = pairs(5 * 4096 + 20, domains);
+    let eps = Eps::new(2.0).unwrap();
+    let fw = Framework::Pts { label_frac: 0.5 };
+    let plan = Exec::seeded(13).threads(2).chunk_size(4096);
+    let reference = fw
+        .execute_on(&plan.in_process(), eps, domains, SliceSource::new(&data))
+        .unwrap();
+    let addrs = [garbage_addr, healthy.addrs[0].clone()];
+    let coordinator = Coordinator::connect(&plan, &addrs).unwrap();
+    let distributed = fw
+        .execute_on(&coordinator, eps, domains, SliceSource::new(&data))
+        .unwrap();
+    assert_eq!(distributed.comm, reference.comm);
+    for label in 0..domains.classes() {
+        for item in 0..domains.items() {
+            assert!(distributed.table.get(label, item) == reference.table.get(label, item));
+        }
+    }
+    let want = FoldReport {
+        workers: 2,
+        workers_used: 1,
+        worker_errors: 1,
+        reroutes: 1,
+        rerouted_shards: 3,
+        ..FoldReport::default()
+    };
+    assert_eq!(coordinator.last_fold_report().unwrap(), want);
+    assert_eq!(coordinator.workers(), 2, "a refusal keeps the connection");
+    drop(coordinator);
+    garbage.join().unwrap();
+    healthy.join();
+}
+
+/// A rewindable source that yields fewer items after its rewind: the
+/// replay cannot match the first pass, so the fold fails with a typed
+/// `Error::Source`, and the coordinator keeps its worker for the next,
+/// valid fold.
+#[test]
+fn source_shorter_on_replay_fails_and_keeps_the_session() {
+    struct ShrinksOnRewind<'a> {
+        items: &'a [u32],
+        pos: usize,
+        end: usize,
+    }
+    impl ReportSource for ShrinksOnRewind<'_> {
+        type Item = u32;
+        fn fill(&mut self, buf: &mut Vec<u32>, max: usize) -> Result<usize> {
+            let take = max.min(self.end - self.pos);
+            buf.extend_from_slice(&self.items[self.pos..self.pos + take]);
+            self.pos += take;
+            Ok(take)
+        }
+        fn size_hint(&self) -> Option<u64> {
+            Some((self.end - self.pos) as u64)
+        }
+        fn rewind(&mut self, n: u64) -> Result<bool> {
+            self.pos -= n as usize;
+            self.end = self.items.len() - 10;
+            Ok(true)
+        }
+    }
+
+    let cluster = TestWorkers::start(1, 1);
+    let plan = Exec::seeded(0);
+    let coordinator = Coordinator::connect(&plan, &cluster.addrs).unwrap();
+    let items: Vec<u32> = (0..5000).collect();
+    let mut source = ShrinksOnRewind {
+        items: &items,
+        pos: 0,
+        end: items.len(),
+    };
+    // The worker refuses the alien kind, so the fold replays in-process.
+    let err = coordinator.fold(&mut source, 1, &AlienStage).unwrap_err();
+    assert!(matches!(err, Error::Source { .. }), "{err}");
+    assert!(err.to_string().contains("first pass"), "{err}");
+    let want = FoldReport {
+        workers: 1,
+        worker_errors: 1,
+        local_shards: 2,
+        local_fallback: true,
+        ..FoldReport::default()
+    };
+    assert_eq!(coordinator.last_fold_report().unwrap(), want);
+    assert_eq!(coordinator.workers(), 1, "the session survives");
+
+    let domains = Domains::new(2, 16).unwrap();
+    let data = pairs(6000, domains);
+    let eps = Eps::new(1.0).unwrap();
+    let reference = Framework::Ptj
+        .execute_on(&plan.in_process(), eps, domains, SliceSource::new(&data))
+        .unwrap();
+    let distributed = Framework::Ptj
+        .execute_on(&coordinator, eps, domains, SliceSource::new(&data))
+        .unwrap();
+    assert_eq!(distributed.comm, reference.comm);
+    for label in 0..domains.classes() {
+        for item in 0..domains.items() {
+            assert!(distributed.table.get(label, item) == reference.table.get(label, item));
+        }
+    }
+    let report = coordinator.last_fold_report().unwrap();
+    assert!(!report.degraded(), "{report:?}");
     drop(coordinator);
     cluster.join();
 }

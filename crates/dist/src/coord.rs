@@ -14,21 +14,30 @@
 //! Stages without a spec (ad-hoc closure stages) fall back to in-process
 //! execution: the contract makes that equally correct, just local.
 //!
-//! ## Fault tolerance: the re-route invariant
+//! ## Fault tolerance: a fold is a sequence of passes
 //!
 //! A fold survives worker failure because a lost worker's
 //! [`ShardAssignment`] is *recomputable anywhere*: the shard contract
 //! derives shard `s`'s RNG stream from `(stage_seed, s)` — never from the
-//! host that folds it — and merges only disjoint shard ranges. So when a
-//! worker dies (transport error) or refuses (an `Err` reply), the
-//! coordinator [`rewind`](ReportSource::rewind)s the source, replays
-//! *only the lost assignment's shards* on a surviving worker (or
-//! in-process as the last resort), and merges the replacement partial.
-//! Both replays walk the rewound source the same way, one owned shard
-//! fragment at a time; the local one folds each fragment through the
-//! [`ShardCursor`] a worker would use.
+//! host that folds it — and merges only disjoint shard ranges. So a fold
+//! runs in passes over the source, each streaming it from the fold's
+//! start to its end:
+//!
+//! * pass 0 ships every assignment to its worker;
+//! * an assignment is lost when its worker dies (transport error) or
+//!   refuses it (an `Err` reply, or a partial that does not decode);
+//! * each later pass [`rewind`](ReportSource::rewind)s the source and
+//!   ships the assignments the previous pass lost. Every surviving worker
+//!   that refused nothing this fold takes one, while
+//!   [`DistConfig::max_reroutes`] lasts, and the rest wait for the next
+//!   pass. With no such worker left, or the budget spent, every lost
+//!   assignment folds in-process through one [`ShardCursor`], as a worker
+//!   would fold it.
+//!
 //! The recovered result is bit-identical to the unfailed run; the only
-//! observable difference is the fold's [`FoldReport`].
+//! observable difference is the fold's [`FoldReport`]. A later pass that
+//! streams another item count than pass 0 fails the fold with
+//! [`Error::Source`].
 //!
 //! Recovery needs a rewindable source. When the source cannot rewind,
 //! the fold fails with [`Error::Unrecoverable`] wrapping the original
@@ -38,7 +47,7 @@
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
@@ -98,17 +107,6 @@ impl DistConfig {
     }
 }
 
-/// Per-connection I/O tallies already flushed into the metrics registry,
-/// so each flush exports only the delta since the previous one.
-#[derive(Debug, Default)]
-struct FlushedIo {
-    tx_bytes: u64,
-    rx_bytes: u64,
-    tx_frames: u64,
-    rx_frames: u64,
-    round_trips: u64,
-}
-
 /// One worker connection (buffered writer for the chunk torrent, direct
 /// reader for the single partial per job). Both halves run through the
 /// [`count`](crate::proto::count) wrappers, so byte/frame tallies
@@ -121,7 +119,9 @@ struct WorkerConn {
     index: usize,
     stats: Arc<IoStats>,
     round_trips: u64,
-    flushed: FlushedIo,
+    /// The [`io_tallies`](WorkerConn::io_tallies) already exported, so each
+    /// flush exports only the delta since the previous one.
+    flushed: [u64; 5],
     /// The reused encode buffer of outgoing Chunk payloads.
     encoded: Vec<u8>,
     reader: BufReader<CountingReader<TcpStream>>,
@@ -198,7 +198,7 @@ impl WorkerConn {
             peer: addr.to_string(),
             index: 0,
             round_trips: 0,
-            flushed: FlushedIo::default(),
+            flushed: [0; 5],
             encoded: Vec::new(),
             reader: BufReader::new(CountingReader::new(reader, Arc::clone(&stats))),
             writer: BufWriter::new(CountingWriter::new(stream, Arc::clone(&stats))),
@@ -258,6 +258,19 @@ impl WorkerConn {
         expect_frame(&mut self.reader)
     }
 
+    /// This connection's I/O tallies, each under the `mcim_dist_*`
+    /// counter it is exported as.
+    fn io_tallies(&self) -> [(&'static str, u64); 5] {
+        let load = |v: &AtomicU64| v.load(Ordering::Relaxed);
+        [
+            ("mcim_dist_tx_bytes_total", load(&self.stats.tx_bytes)),
+            ("mcim_dist_rx_bytes_total", load(&self.stats.rx_bytes)),
+            ("mcim_dist_tx_frames_total", load(&self.stats.tx_frames)),
+            ("mcim_dist_rx_frames_total", load(&self.stats.rx_frames)),
+            ("mcim_dist_round_trips_total", self.round_trips),
+        ]
+    }
+
     /// Exports this connection's I/O deltas since the previous flush as
     /// `mcim_dist_*` counters labeled by worker index. No-op while
     /// metrics are disabled (the unflushed tallies keep accumulating and
@@ -267,7 +280,7 @@ impl WorkerConn {
             return;
         }
         let index = self.index.to_string();
-        let flush = |name: &str, current: u64, exported: &mut u64| {
+        for ((name, current), exported) in self.io_tallies().into_iter().zip(&mut self.flushed) {
             if current > *exported {
                 mcim_obs::counter_add(
                     &mcim_obs::labeled(name, &[("worker", &index)]),
@@ -275,33 +288,7 @@ impl WorkerConn {
                 );
                 *exported = current;
             }
-        };
-        let load = |v: &std::sync::atomic::AtomicU64| v.load(Ordering::Relaxed);
-        flush(
-            "mcim_dist_tx_bytes_total",
-            load(&self.stats.tx_bytes),
-            &mut self.flushed.tx_bytes,
-        );
-        flush(
-            "mcim_dist_rx_bytes_total",
-            load(&self.stats.rx_bytes),
-            &mut self.flushed.rx_bytes,
-        );
-        flush(
-            "mcim_dist_tx_frames_total",
-            load(&self.stats.tx_frames),
-            &mut self.flushed.tx_frames,
-        );
-        flush(
-            "mcim_dist_rx_frames_total",
-            load(&self.stats.rx_frames),
-            &mut self.flushed.rx_frames,
-        );
-        flush(
-            "mcim_dist_round_trips_total",
-            self.round_trips,
-            &mut self.flushed.round_trips,
-        );
+        }
     }
 }
 
@@ -314,34 +301,96 @@ impl Drop for WorkerConn {
     }
 }
 
-/// How a replay attempt failed, which decides what happens to the target
-/// and to the assignment being replayed.
-enum ReplayFailure {
-    /// The target's socket failed mid-conversation; the connection is
-    /// dead and the assignment goes back on the queue.
-    Dead(Error),
-    /// The target finished the conversation but failed the job (an `Err`
-    /// reply or an undecodable partial). Its socket stays synchronized,
-    /// but it is excluded as a replay target for the rest of this fold.
-    Refused(Error),
-    /// A local failure (source error, merge error): the fold cannot
-    /// complete at all.
-    Fatal(Error),
+/// Where one job of a pass folds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Target {
+    /// On the worker connection at this index.
+    Worker(usize),
+    /// In-process, through the pass's one [`ShardCursor`].
+    Local,
 }
 
-impl From<Error> for ReplayFailure {
-    fn from(e: Error) -> Self {
-        ReplayFailure::Fatal(e)
-    }
+/// One shard assignment and where a pass folds it.
+#[derive(Debug, Clone, Copy)]
+struct Job {
+    assignment: ShardAssignment,
+    target: Target,
 }
 
-/// One replay job's immutable inputs (bundled so the replay methods keep
-/// a readable arity).
-struct Replay<'a, St> {
+/// One fold's state, carried from pass to pass.
+struct FoldRun<'a, St: Stage> {
+    stage: &'a St,
     stage_seed: u64,
     spec: &'a StageSpec,
-    stage: &'a St,
-    assignment: ShardAssignment,
+    /// Connections not lost this fold, indexed like the connection table.
+    alive: Vec<bool>,
+    /// Workers that cleanly failed a job this fold. Their sockets are in
+    /// step (they drained to Flush and replied), but the same shards would
+    /// fail again, so no later pass of this fold ships to them.
+    tainted: Vec<bool>,
+    /// The assignments lost so far and not yet shipped again.
+    pending: Vec<ShardAssignment>,
+    report: FoldReport,
+    /// The first worker failure, reported as the cause when the fold
+    /// cannot recover.
+    first_failure: Option<Error>,
+    acc: St::Acc,
+}
+
+impl<St: Stage> FoldRun<'_, St> {
+    /// Records a transport failure of `worker`: its connection is dropped
+    /// when the fold ends, and `assignment` waits for the next pass.
+    fn lose(&mut self, worker: usize, assignment: ShardAssignment, e: Error) {
+        if self.alive[worker] {
+            self.alive[worker] = false;
+            self.report.workers_lost += 1;
+            self.pending.push(assignment);
+        }
+        self.first_failure.get_or_insert(e);
+    }
+
+    /// Records a clean job failure of `worker` (an `Err` reply or an
+    /// undecodable partial): it keeps its connection, and `assignment`
+    /// waits for the next pass.
+    fn refuse(&mut self, worker: usize, assignment: ShardAssignment, e: Error) {
+        self.tainted[worker] = true;
+        self.report.worker_errors += 1;
+        self.pending.push(assignment);
+        self.first_failure.get_or_insert(e);
+    }
+
+    /// The jobs of the next pass. Each surviving, untainted worker takes
+    /// one pending assignment while the re-route budget lasts, and the rest
+    /// wait for a later pass. With no such worker, or the budget spent,
+    /// every pending assignment folds in-process.
+    fn next_jobs(&mut self, max_reroutes: u32) -> Vec<Job> {
+        let budget = max_reroutes.saturating_sub(self.report.reroutes) as usize;
+        let targets: Vec<usize> = (0..self.alive.len())
+            .filter(|&w| self.alive[w] && !self.tainted[w])
+            .take(budget)
+            .collect();
+        if targets.is_empty() {
+            self.report.local_fallback = true;
+            return self
+                .pending
+                .drain(..)
+                .map(|assignment| Job {
+                    assignment,
+                    target: Target::Local,
+                })
+                .collect();
+        }
+        let n = targets.len().min(self.pending.len());
+        self.report.reroutes += n as u32;
+        targets
+            .into_iter()
+            .zip(self.pending.drain(..n))
+            .map(|(w, assignment)| Job {
+                assignment,
+                target: Target::Worker(w),
+            })
+            .collect()
+    }
 }
 
 /// A socket-backed [`Executor`]: the distributed reducer's client half.
@@ -538,128 +587,231 @@ impl Coordinator {
         });
     }
 
-    /// Replays `replay.assignment` on one surviving worker: rewinds the
-    /// source to the fold's start, re-streams only the owned shards, and
-    /// merges the replacement partial. Returns the shard count replayed.
-    fn replay_remote<S, St>(
+    /// Runs a fold's passes over `source`. The first ships every
+    /// assignment to its worker; each later one rewinds the source and
+    /// ships what the previous pass lost.
+    fn passes<S, St>(
         &self,
-        conn: &mut WorkerConn,
+        conns: &mut Vec<WorkerConn>,
         source: &mut S,
-        position: &mut u64,
-        replay: &Replay<'_, St>,
-        acc: &mut St::Acc,
-    ) -> std::result::Result<u64, ReplayFailure>
+        run: &mut FoldRun<'_, St>,
+    ) -> Result<()>
     where
         S: ReportSource<Item = St::Item>,
         St: Stage,
     {
-        conn.send(&Frame::Job {
-            stage_seed: replay.stage_seed,
-            contract: replay.spec.contract,
-            kind: replay.spec.kind.to_string(),
-            payload: replay.spec.payload.clone(),
-            shards: replay.assignment,
-        })
-        .map_err(ReplayFailure::Dead)?;
-        let counted = self.walk_owned(source, position, replay.assignment, |abs, items| {
-            conn.send_chunk(abs, items).map_err(ReplayFailure::Dead)
-        })?;
-        conn.send(&Frame::Flush)
-            .and_then(|()| conn.flush())
-            .map_err(ReplayFailure::Dead)?;
-        match conn.receive() {
-            Ok(Frame::Partial { state }) => {
-                let mut partial = replay.stage.template();
-                let mut reader = WireReader::new(&state);
-                match partial.load(&mut reader).and_then(|()| reader.finish()) {
-                    Ok(()) => {
-                        replay.stage.merge(acc, &partial)?;
-                        Ok(counted)
-                    }
-                    Err(e) => Err(ReplayFailure::Refused(e)),
-                }
+        let mut jobs: Vec<Job> = self
+            .assignments(source.size_hint(), conns.len() as u64)
+            .into_iter()
+            .enumerate()
+            .map(|(w, assignment)| Job {
+                assignment,
+                target: Target::Worker(w),
+            })
+            .collect();
+        let first = self.pass(conns, source, run, &jobs, None)?;
+        while !run.pending.is_empty() {
+            if !source.rewind(first)? {
+                let cause = run.first_failure.take().unwrap_or_else(|| {
+                    Error::protocol("recovering a fold (failure recorded without a cause)")
+                });
+                return Err(Error::unrecoverable(
+                    format!(
+                        "{} shard assignment(s) were lost and the source cannot rewind",
+                        run.pending.len()
+                    ),
+                    cause,
+                ));
             }
-            Ok(Frame::Err { message }) => Err(ReplayFailure::Refused(Error::Source {
-                message: format!("worker {} failed a replay: {message}", conn.peer),
-            })),
-            Ok(other) => Err(ReplayFailure::Dead(Error::protocol(format!(
-                "collecting a replayed partial (worker {} sent {})",
-                conn.peer,
-                other.name()
-            )))),
-            Err(e) => Err(ReplayFailure::Dead(e)),
+            jobs = run.next_jobs(self.config.max_reroutes);
+            self.pass(conns, source, run, &jobs, Some(first))?;
         }
+        Ok(())
     }
 
-    /// Replays `replay.assignment` in-process from the rewound source —
-    /// the last resort when no worker survives (or the re-route budget is
-    /// spent). Folds through a [`ShardCursor`] exactly as a worker would.
-    /// Returns the shard count replayed.
-    fn replay_local<S, St>(
+    /// One pass over `source`, from the fold's start to its end. It ships
+    /// each worker job's frame, hands every run of same-owner shards to one
+    /// [`send_chunk`](WorkerConn::send_chunk) or to the local cursor,
+    /// flushes, and collects every live reply before acting on any failure:
+    /// each job owes one reply, and a reply left queued would be read by a
+    /// later fold as its own. Lost and refused jobs join `run.pending`.
+    ///
+    /// Returns the number of items streamed; `first` is the first pass's
+    /// count, which a later pass must match. A source failure, or a first
+    /// pass that meets a shard no job owns, tears the session down, since
+    /// no job in flight can finish. A local fold or merge failure is
+    /// returned once the replies are in, with the connections kept.
+    fn pass<S, St>(
         &self,
+        conns: &mut Vec<WorkerConn>,
         source: &mut S,
-        position: &mut u64,
-        replay: &Replay<'_, St>,
-        acc: &mut St::Acc,
+        run: &mut FoldRun<'_, St>,
+        jobs: &[Job],
+        first: Option<u64>,
     ) -> Result<u64>
     where
         S: ReportSource<Item = St::Item>,
         St: Stage,
     {
-        let mut cursor = ShardCursor::default();
-        self.walk_owned(source, position, replay.assignment, |abs, items| {
-            cursor.fold(replay.stage_seed, abs, items, |rng, abs, items| {
-                replay.stage.fold(rng, abs, items, acc)
+        let remote = || {
+            jobs.iter().filter_map(|job| match job.target {
+                Target::Worker(w) => Some((w, job.assignment)),
+                Target::Local => None,
             })
-        })
-    }
+        };
+        for (w, shards) in remote() {
+            let sent = conns[w].send(&Frame::Job {
+                stage_seed: run.stage_seed,
+                contract: run.spec.contract,
+                kind: run.spec.kind.to_string(),
+                payload: run.spec.payload.clone(),
+                shards,
+            });
+            if let Err(e) = sent {
+                run.lose(w, shards, e);
+            }
+        }
 
-    /// The walk both replays share: rewinds `source` to the fold's start
-    /// and hands every run of items in `assignment`'s shards to
-    /// `run(abs, items)`, in stream order, one run per shard per chunk.
-    /// Stops once a `Range`'s last shard has streamed (the caller
-    /// repositions the source). Returns the number of distinct shards
-    /// handed out.
-    fn walk_owned<S, E>(
-        &self,
-        source: &mut S,
-        position: &mut u64,
-        assignment: ShardAssignment,
-        mut run: impl FnMut(u64, &[S::Item]) -> std::result::Result<(), E>,
-    ) -> std::result::Result<u64, E>
-    where
-        S: ReportSource,
-        E: From<Error>,
-    {
-        rewind_to_start(source, position)?;
-        let chunk_items = self.plan.resolved_chunk_items();
+        // Stream the source in shard-aligned runs: consecutive items whose
+        // shards one job owns travel as one Chunk frame (or several of
+        // whole shards, when one would pass `MAX_FRAME`) or fold locally
+        // in one cursor call. Items of lost workers and of shards no job
+        // owns are read all the same: every pass streams to the end.
+        let owner = |shard: u64| jobs.iter().position(|job| job.assignment.owns(shard));
         let shard_size = SHARD_SIZE as u64;
+        let chunk_items = self.plan.resolved_chunk_items();
         let mut buf = chunk_buffer(chunk_items);
-        let mut counted = 0u64;
-        let mut last_counted: Option<u64> = None;
-        while fill_chunk(source, &mut buf, chunk_items)? > 0 {
+        let mut cursor = ShardCursor::default();
+        let mut local_failure = None;
+        let mut streamed = 0u64;
+        loop {
+            match fill_chunk(source, &mut buf, chunk_items) {
+                Ok(0) => break,
+                Ok(_) => {}
+                Err(e) => {
+                    Self::teardown(conns);
+                    return Err(e);
+                }
+            }
             let mut offset = 0usize;
             while offset < buf.len() {
-                let abs = *position + offset as u64;
-                let shard = abs / shard_size;
-                let end = (((shard + 1) * shard_size - *position) as usize).min(buf.len());
-                if assignment.owns(shard) {
-                    run(abs, &buf[offset..end])?;
-                    if last_counted != Some(shard) {
-                        counted += 1;
-                        last_counted = Some(shard);
+                let start_abs = streamed + offset as u64;
+                let job = owner(start_abs / shard_size);
+                // Extend the run across consecutive shards with the same
+                // owner (always whole shards except at the buffer edges).
+                let mut end = offset;
+                loop {
+                    let shard = (streamed + end as u64) / shard_size;
+                    if owner(shard) != job {
+                        break;
+                    }
+                    end = (((shard + 1) * shard_size - streamed) as usize).min(buf.len());
+                    if end == buf.len() {
+                        break;
                     }
                 }
+                let items = &buf[offset..end];
                 offset = end;
+                match job.map(|j| jobs[j]) {
+                    Some(Job {
+                        assignment,
+                        target: Target::Worker(w),
+                    }) if run.alive[w] => {
+                        if let Err(e) = conns[w].send_chunk(start_abs, items) {
+                            run.lose(w, assignment, e);
+                        }
+                    }
+                    Some(Job {
+                        target: Target::Local,
+                        ..
+                    }) if local_failure.is_none() => {
+                        let fold = |rng: &mut _, abs, items: &[_]| {
+                            run.stage.fold(rng, abs, items, &mut run.acc)
+                        };
+                        local_failure = cursor.fold(run.stage_seed, start_abs, items, fold).err();
+                    }
+                    None if first.is_none() => {
+                        Self::teardown(conns);
+                        return Err(Error::protocol(format!(
+                            "routing shard {} (the source yielded more items than its \
+                             size_hint declared)",
+                            start_abs / shard_size
+                        )));
+                    }
+                    _ => {}
+                }
             }
-            *position += buf.len() as u64;
-            if let ShardAssignment::Range { end, .. } = assignment {
-                if *position >= end * shard_size {
-                    break;
+            streamed += buf.len() as u64;
+        }
+
+        for (w, shards) in remote() {
+            if run.alive[w] {
+                if let Err(e) = conns[w].send(&Frame::Flush).and_then(|()| conns[w].flush()) {
+                    run.lose(w, shards, e);
                 }
             }
         }
-        Ok(counted)
+        let replies: Vec<_> = remote()
+            .filter(|&(w, _)| run.alive[w])
+            .map(|(w, shards)| (w, shards, conns[w].receive()))
+            .collect();
+        let shards = streamed.div_ceil(shard_size);
+        let owned = |assignment: ShardAssignment| {
+            (0..shards).filter(|&s| assignment.owns(s)).count() as u64
+        };
+        for (w, assignment, reply) in replies {
+            match reply {
+                Ok(Frame::Partial { state }) => {
+                    let mut partial = run.stage.template();
+                    let mut reader = WireReader::new(&state);
+                    match partial.load(&mut reader).and_then(|()| reader.finish()) {
+                        Ok(()) => {
+                            // A merge failure is a local logic error, not
+                            // a worker failure: `acc` may be half-mutated,
+                            // so no replay can fix it.
+                            run.stage.merge(&mut run.acc, &partial)?;
+                            match first {
+                                None => run.report.workers_used += 1,
+                                Some(_) => run.report.rerouted_shards += owned(assignment),
+                            }
+                        }
+                        // A well-framed reply whose state does not decode:
+                        // the socket is in step, the payload untrustworthy.
+                        Err(e) => run.refuse(w, assignment, e),
+                    }
+                }
+                Ok(Frame::Err { message }) => {
+                    let e = Error::Source {
+                        message: format!("worker {} failed: {message}", conns[w].peer),
+                    };
+                    run.refuse(w, assignment, e);
+                }
+                Ok(other) => {
+                    let e = Error::protocol(format!(
+                        "collecting partials (worker {} sent {})",
+                        conns[w].peer,
+                        other.name()
+                    ));
+                    run.lose(w, assignment, e);
+                }
+                Err(e) => run.lose(w, assignment, e),
+            }
+        }
+        if let Some(e) = local_failure {
+            return Err(e);
+        }
+        for job in jobs.iter().filter(|job| job.target == Target::Local) {
+            run.report.local_shards += owned(job.assignment);
+        }
+        match first {
+            Some(first) if first != streamed => Err(Error::Source {
+                message: format!(
+                    "source yielded {streamed} items on a replay pass and {first} on the first \
+                     pass"
+                ),
+            }),
+            _ => Ok(streamed),
+        }
     }
 }
 
@@ -689,23 +841,6 @@ fn record_report(report: &FoldReport) {
         "mcim_dist_local_fallbacks_total",
         u64::from(report.local_fallback),
     );
-}
-
-/// Rewinds `source` back to the fold's start position (`*position` items
-/// ago). `Ok(false)` mid-recovery means the source changed its answer
-/// between calls — fail the fold rather than replay from a wrong offset.
-fn rewind_to_start<S: ReportSource>(source: &mut S, position: &mut u64) -> Result<()> {
-    if *position == 0 {
-        return Ok(());
-    }
-    if !source.rewind(*position)? {
-        return Err(Error::unrecoverable(
-            "replaying shards (the source stopped supporting rewind mid-recovery)",
-            Error::protocol("rewind support changed between calls"),
-        ));
-    }
-    *position = 0;
-    Ok(())
 }
 
 /// Encodes `items`, which start at absolute index `first_abs`, into Chunk
@@ -746,32 +881,6 @@ fn encode_chunks<T: Wire>(
     }
     buf[..COUNT].copy_from_slice(&((items.len() - start) as u32).to_le_bytes());
     emit(first_abs + start as u64, buf)
-}
-
-/// Finds which assignment owns `shard`, if any.
-fn owner_of(assignments: &[ShardAssignment], shard: u64) -> Option<usize> {
-    assignments.iter().position(|a| a.owns(shard))
-}
-
-/// Records a lost (transport-dead) job holder: the connection is gone and
-/// its assignment joins the replay queue.
-fn mark_lost(
-    i: usize,
-    e: Error,
-    alive: &mut [bool],
-    assignments: &[ShardAssignment],
-    pending: &mut Vec<ShardAssignment>,
-    report: &mut FoldReport,
-    first_failure: &mut Option<Error>,
-) {
-    if alive[i] {
-        alive[i] = false;
-        report.workers_lost += 1;
-        if let Some(&assignment) = assignments.get(i) {
-            pending.push(assignment);
-        }
-    }
-    first_failure.get_or_insert(e);
 }
 
 impl Drop for Coordinator {
@@ -820,325 +929,25 @@ impl Executor for Coordinator {
         }
 
         let workers = conns.len();
-        let mut report = FoldReport {
-            workers,
-            connect_retries: self.connect_retries,
-            ..FoldReport::default()
+        let mut run = FoldRun {
+            stage,
+            stage_seed,
+            spec: &spec,
+            alive: vec![true; workers],
+            tainted: vec![false; workers],
+            pending: Vec::new(),
+            report: FoldReport {
+                workers,
+                connect_retries: self.connect_retries,
+                ..FoldReport::default()
+            },
+            first_failure: None,
+            acc: stage.template(),
         };
-        let assignments = self.assignments(source.size_hint(), workers as u64);
-        let njobs = assignments.len();
-        let mut alive = vec![true; workers];
-        // Workers that cleanly failed a job this fold: their sockets are
-        // synchronized (they drained to Flush and replied), but handing
-        // them the same shards again would fail again — excluded as
-        // replay targets until the next fold.
-        let mut tainted = vec![false; workers];
-        let mut pending: Vec<ShardAssignment> = Vec::new();
-        let mut first_failure: Option<Error> = None;
-
-        for (i, &shards) in assignments.iter().enumerate() {
-            let sent = conns[i].send(&Frame::Job {
-                stage_seed,
-                contract: spec.contract,
-                kind: spec.kind.to_string(),
-                payload: spec.payload.clone(),
-                shards,
-            });
-            if let Err(e) = sent {
-                mark_lost(
-                    i,
-                    e,
-                    &mut alive,
-                    &assignments,
-                    &mut pending,
-                    &mut report,
-                    &mut first_failure,
-                );
-            }
-        }
-
-        // Stream the source out in shard-aligned runs: consecutive items
-        // that land in one worker's shards travel as one Chunk frame, or
-        // as several of whole shards when one would pass `MAX_FRAME`.
-        // Sends to workers already marked dead are skipped — their items
-        // are still consumed (the position accounting must match the
-        // unfailed run), and their shards are already queued for replay.
-        let shard_size = SHARD_SIZE as u64;
-        let chunk_items = self.plan.resolved_chunk_items();
-        let mut buf = chunk_buffer(chunk_items);
-        let mut consumed = 0u64;
-        let mut source_failure: Option<Error> = None;
-        'stream: loop {
-            match fill_chunk(source, &mut buf, chunk_items) {
-                Ok(0) => break,
-                Ok(_) => {}
-                Err(e) => {
-                    source_failure = Some(e);
-                    break;
-                }
-            }
-            let mut offset = 0usize;
-            while offset < buf.len() {
-                let start_abs = consumed + offset as u64;
-                let Some(owner) = owner_of(&assignments, start_abs / shard_size) else {
-                    source_failure = Some(Error::protocol(format!(
-                        "routing shard {} (the source yielded more items than its size_hint \
-                         declared)",
-                        start_abs / shard_size
-                    )));
-                    break 'stream;
-                };
-                // Extend the run across consecutive shards with the same
-                // owner (always whole shards except at the buffer edges).
-                let mut end = offset;
-                loop {
-                    let shard = (consumed + end as u64) / shard_size;
-                    if owner_of(&assignments, shard) != Some(owner) {
-                        break;
-                    }
-                    let shard_end = ((shard + 1) * shard_size - consumed) as usize;
-                    end = shard_end.min(buf.len());
-                    if end == buf.len() {
-                        break;
-                    }
-                }
-                if alive[owner] {
-                    if let Err(e) = conns[owner].send_chunk(start_abs, &buf[offset..end]) {
-                        mark_lost(
-                            owner,
-                            e,
-                            &mut alive,
-                            &assignments,
-                            &mut pending,
-                            &mut report,
-                            &mut first_failure,
-                        );
-                    }
-                }
-                offset = end;
-            }
-            consumed += buf.len() as u64;
-        }
-        if let Some(e) = source_failure {
-            // The *source* failed mid-stream: every in-flight job is
-            // unfinishable and no connection's framing can be trusted by
-            // a later fold. Tear the session down.
-            Self::teardown(&mut conns);
-            self.finish_report(&mut conns, report);
-            return Err(e);
-        }
-
-        for i in 0..njobs {
-            if !alive[i] {
-                continue;
-            }
-            if let Err(e) = conns[i].send(&Frame::Flush).and_then(|()| conns[i].flush()) {
-                mark_lost(
-                    i,
-                    e,
-                    &mut alive,
-                    &assignments,
-                    &mut pending,
-                    &mut report,
-                    &mut first_failure,
-                );
-            }
-        }
-
-        // Collect every live job's reply before acting on any failure:
-        // each job owes exactly one Partial/Err per connection, so a
-        // worker's error must not leave the other workers' replies queued
-        // (a later fold would read them as its own).
-        let replies: Vec<Option<Result<Frame>>> = (0..njobs)
-            .map(|i| alive[i].then(|| conns[i].receive()))
-            .collect();
-        let mut acc = stage.template();
-        for (i, reply) in replies.into_iter().enumerate() {
-            let Some(reply) = reply else { continue };
-            match reply {
-                Ok(Frame::Partial { state }) => {
-                    let mut partial = stage.template();
-                    let mut reader = WireReader::new(&state);
-                    match partial.load(&mut reader).and_then(|()| reader.finish()) {
-                        Ok(()) => {
-                            // A merge failure is a local logic error, not
-                            // a worker failure: `acc` may be half-mutated,
-                            // so replaying cannot fix it. Every reply is
-                            // drained, so the session stays usable.
-                            if let Err(e) = stage.merge(&mut acc, &partial) {
-                                Self::drop_dead(&mut conns, &alive);
-                                self.finish_report(&mut conns, report);
-                                return Err(e);
-                            }
-                            report.workers_used += 1;
-                        }
-                        Err(e) => {
-                            // Undecodable partial in a well-framed reply:
-                            // the socket is synchronized, the payload is
-                            // not trustworthy. Replay elsewhere.
-                            tainted[i] = true;
-                            report.worker_errors += 1;
-                            pending.push(assignments[i]);
-                            first_failure.get_or_insert(e);
-                        }
-                    }
-                }
-                Ok(Frame::Err { message }) => {
-                    tainted[i] = true;
-                    report.worker_errors += 1;
-                    pending.push(assignments[i]);
-                    first_failure.get_or_insert(Error::Source {
-                        message: format!("worker {} failed: {message}", conns[i].peer),
-                    });
-                }
-                Ok(other) => {
-                    let e = Error::protocol(format!(
-                        "collecting partials (worker {} sent {})",
-                        conns[i].peer,
-                        other.name()
-                    ));
-                    mark_lost(
-                        i,
-                        e,
-                        &mut alive,
-                        &assignments,
-                        &mut pending,
-                        &mut report,
-                        &mut first_failure,
-                    );
-                }
-                Err(e) => {
-                    mark_lost(
-                        i,
-                        e,
-                        &mut alive,
-                        &assignments,
-                        &mut pending,
-                        &mut report,
-                        &mut first_failure,
-                    );
-                }
-            }
-        }
-
-        if !pending.is_empty() {
-            // Recovery. Rewind the source to the fold's start, replay
-            // each lost assignment on a surviving worker (idle workers
-            // first-class among them), or in-process as the last resort.
-            match source.rewind(consumed) {
-                Ok(true) => {}
-                Ok(false) => {
-                    Self::drop_dead(&mut conns, &alive);
-                    self.finish_report(&mut conns, report);
-                    let cause = first_failure.take().unwrap_or_else(|| {
-                        Error::protocol("recovering a fold (failure recorded without a cause)")
-                    });
-                    return Err(Error::unrecoverable(
-                        format!(
-                            "{} shard assignment(s) were lost and the source cannot rewind",
-                            pending.len()
-                        ),
-                        cause,
-                    ));
-                }
-                Err(e) => {
-                    Self::drop_dead(&mut conns, &alive);
-                    self.finish_report(&mut conns, report);
-                    return Err(e);
-                }
-            }
-            let mut position = 0u64;
-            let mut rr = 0usize;
-            while let Some(assignment) = pending.pop() {
-                let replay = Replay {
-                    stage_seed,
-                    spec: &spec,
-                    stage,
-                    assignment,
-                };
-                let target = if report.reroutes < self.config.max_reroutes {
-                    (0..workers)
-                        .map(|k| (rr + k) % workers)
-                        .find(|&i| alive[i] && !tainted[i])
-                } else {
-                    None
-                };
-                match target {
-                    Some(t) => {
-                        rr = (t + 1) % workers;
-                        report.reroutes += 1;
-                        match self.replay_remote(
-                            &mut conns[t],
-                            source,
-                            &mut position,
-                            &replay,
-                            &mut acc,
-                        ) {
-                            Ok(shards) => report.rerouted_shards += shards,
-                            Err(ReplayFailure::Dead(e)) => {
-                                alive[t] = false;
-                                report.workers_lost += 1;
-                                pending.push(assignment);
-                                first_failure.get_or_insert(e);
-                            }
-                            Err(ReplayFailure::Refused(e)) => {
-                                tainted[t] = true;
-                                report.worker_errors += 1;
-                                pending.push(assignment);
-                                first_failure.get_or_insert(e);
-                            }
-                            Err(ReplayFailure::Fatal(e)) => {
-                                Self::teardown(&mut conns);
-                                self.finish_report(&mut conns, report);
-                                return Err(e);
-                            }
-                        }
-                    }
-                    None => {
-                        report.local_fallback = true;
-                        match self.replay_local(source, &mut position, &replay, &mut acc) {
-                            Ok(shards) => report.local_shards += shards,
-                            Err(e) => {
-                                Self::drop_dead(&mut conns, &alive);
-                                self.finish_report(&mut conns, report);
-                                return Err(e);
-                            }
-                        }
-                    }
-                }
-            }
-            // Replays may stop early (a Range's last shard streamed);
-            // leave the source exactly where the primary pass did — the
-            // fold's contract is to consume precisely its items, and
-            // round-based callers carve views that rely on it.
-            while position < consumed {
-                buf.clear();
-                let want =
-                    chunk_items.min(usize::try_from(consumed - position).unwrap_or(chunk_items));
-                match source.fill(&mut buf, want) {
-                    Ok(0) => {
-                        Self::drop_dead(&mut conns, &alive);
-                        self.finish_report(&mut conns, report);
-                        return Err(Error::Source {
-                            message: format!(
-                                "source yielded fewer items on replay ({position}) than on the \
-                                 first pass ({consumed})"
-                            ),
-                        });
-                    }
-                    Ok(got) => position += got as u64,
-                    Err(e) => {
-                        Self::drop_dead(&mut conns, &alive);
-                        self.finish_report(&mut conns, report);
-                        return Err(e);
-                    }
-                }
-            }
-        }
-
-        Self::drop_dead(&mut conns, &alive);
-        self.finish_report(&mut conns, report);
-        Ok(acc)
+        let result = self.passes(&mut conns, source, &mut run);
+        Self::drop_dead(&mut conns, &run.alive);
+        self.finish_report(&mut conns, run.report);
+        result.map(|()| run.acc)
     }
 
     fn last_fold_report(&self) -> Option<FoldReport> {

@@ -31,19 +31,22 @@
 //! matrix (`crates/cli/tests/dist_equivalence.rs`, run in CI with 1, 2 and
 //! 4 spawned workers) locks that in.
 //!
-//! ## Fault tolerance: the re-route invariant
+//! ## Fault tolerance: passes over the source
 //!
 //! The same shard contract that makes results placement-independent makes
 //! them **failure-independent**: a shard's fold depends only on
-//! `(stage_seed, shard, items)`, never on which process folds it. So when
-//! a worker dies mid-fold (socket error, kill, hang past
-//! [`DistConfig::io_timeout`]) or refuses a job, the [`Coordinator`]
+//! `(stage_seed, shard, items)`, never on which process folds it. So a
+//! [`Coordinator`] fold is a sequence of passes over the source. The first
+//! ships every shard assignment to its worker. When a worker dies mid-fold
+//! (socket error, kill, hang past [`DistConfig::io_timeout`]) or refuses a
+//! job, its assignment is lost, and the next pass
 //! [`rewind`](mcim_oracles::stream::ReportSource::rewind)s the source and
-//! replays *only the lost shard assignment* on a surviving worker — or
-//! in-process as the last resort — and the fold's result is bit-identical
-//! to the unfailed run. The chaos suite (`crates/dist/tests/chaos.rs`)
-//! asserts exactly that, killing workers at scripted frame boundaries via
-//! the [`proto::fault`] seam. Recovery requires a rewindable source
+//! ships the lost assignments to surviving workers, one each — or folds
+//! them in-process when no worker or re-route budget is left. The fold's
+//! result is bit-identical to the unfailed run. The chaos suite
+//! (`crates/dist/tests/chaos.rs`) asserts exactly that, killing workers
+//! at scripted frame boundaries via the [`proto::fault`] seam. Recovery
+//! requires a rewindable source
 //! (`SliceSource`, the dataset file/synthetic sources, and `Take` views of
 //! them all are); a non-rewindable source fails the fold with
 //! [`Unrecoverable`](mcim_oracles::Error::Unrecoverable) instead of

@@ -430,6 +430,37 @@ fn replay_target_killed_mid_replay_falls_back_to_local() {
     assert_eq!(report, want);
 }
 
+/// As above, but the replay target dies inside its first replayed Chunk
+/// (read frame 7, after Hello, Job, three Chunks, Flush and the replay
+/// Job). The coordinator may see the death on a later send, mid-stream;
+/// the pass still reads the source to its end, so the in-process pass
+/// after it starts from the fold's first item.
+#[test]
+fn replay_target_killed_mid_chunk_falls_back_to_local() {
+    let (plan, domains, data, reference) = matrix_fixture();
+    let (result, report) = chaos_fold(
+        &plan,
+        DistConfig::default(),
+        vec![
+            FaultPlan::new().with(Fault::DieInsideFrame { index: 2 }),
+            FaultPlan::new().with(Fault::DieInsideFrame { index: 7 }),
+        ],
+        &data,
+        domains,
+    );
+    assert_tables_identical(&result, &reference, "replay target killed mid-chunk");
+    let want = FoldReport {
+        workers: 2,
+        workers_used: 1,
+        workers_lost: 2,
+        reroutes: 1,
+        local_shards: 3,
+        local_fallback: true,
+        ..FoldReport::default()
+    };
+    assert_eq!(report, want);
+}
+
 /// Every worker dies: the fold falls back to replaying every lost shard
 /// in-process, still bit-identical — and the next fold on the now
 /// worker-less coordinator degrades cleanly to in-process execution

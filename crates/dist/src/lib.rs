@@ -67,7 +67,9 @@
 //! malformed frame can never crash a worker. Lookup tables use ordered
 //! containers (the [`Registry`] is a `BTreeMap`); the
 //! encode → decode → re-encode byte-identity of every frame is
-//! property-tested in `tests/proto_roundtrip.rs`.
+//! property-tested in `tests/proto_roundtrip.rs`, and the bytes of every
+//! frame, item, stage payload and partial are pinned by the wire golden
+//! table (`tests/wire_golden.rs`).
 //!
 //! ## Quick start
 //!

@@ -30,16 +30,19 @@
 //! so the socket carries strictly one direction of bulk traffic at a time
 //! and the pair cannot deadlock on full TCP windows.
 //!
-//! ## Schema lock
+//! ## Wire golden table
 //!
 //! Every layout decision in this module — the [`Frame`] variants, the tag
-//! bytes, [`PROTOCOL_VERSION`], [`MAX_FRAME`], and the `Wire` codecs the
-//! bodies ride on — is fingerprinted into the workspace's
-//! `wire-schema.lock` by `mcim-lint`. Editing any of them fails the lint
-//! until the lock is regenerated (`cargo run -p mcim-lint --
-//! --write-schema-lock`), and because this file is dist-reachable the
-//! regeneration itself is refused unless [`PROTOCOL_VERSION`] is bumped
-//! in the same change. See README "Static analysis" for the workflow.
+//! bytes, [`MAX_FRAME`], and the `Wire` codecs the bodies ride on — is
+//! pinned by bytes in the crate's wire golden table
+//! (`tests/golden/wire_golden.txt`, checked by `tests/wire_golden.rs`),
+//! together with every item, stage payload and accumulator state a frame
+//! carries. Each row encodes a canonical value and compares it with the
+//! pinned hex, then decodes the hex back through the real entry point.
+//! The table's first line is `protocol_version = N` and must equal
+//! [`PROTOCOL_VERSION`]; CI fails a change that alters or removes a row
+//! without moving that line, so no byte a peer reads changes under a live
+//! protocol version. See README "Static analysis".
 
 use std::io::{Read, Write};
 

@@ -6,8 +6,14 @@
 //!
 //! Byte (not just value) equality is the property the distributed
 //! equivalence matrix leans on: a frame relayed or re-serialized by any
-//! process must not drift. Golden hex literals pin the bytes themselves,
-//! one frame per variant plus a `Chunk` of label-item pairs.
+//! process must not drift. The bytes themselves are pinned once, in the
+//! wire golden table (`golden/wire_golden.txt`, checked row by row in
+//! `wire_golden.rs`); here every `Frame` variant must have a row there,
+//! and the streaming chunk writer must reproduce the pinned pair `Chunk`.
+
+mod golden;
+
+use std::collections::BTreeSet;
 
 use mcim_core::LabelItem;
 use mcim_dist::proto::{expect_frame, read_frame, write_chunk_frame, write_frame};
@@ -29,157 +35,46 @@ fn frame_bytes_stable(frame: &Frame) {
     assert_eq!(first, second, "re-encode drifted");
 }
 
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
-}
-
-fn golden_pairs() -> Vec<LabelItem> {
-    vec![
-        LabelItem::new(0, 0),
-        LabelItem::new(7, 63),
-        LabelItem::new(u32::MAX, 1),
-    ]
-}
-
-/// What a coordinator puts in a `Chunk` for [`golden_pairs`].
-fn golden_pair_bytes() -> Vec<u8> {
-    let mut items = Vec::new();
-    golden_pairs().put(&mut items);
-    items
-}
-
-const PAIR_CHUNK_FIRST_ABS: u64 = 0x0102_0304_0506_0708;
-
-/// The `Chunk` frame carrying [`golden_pair_bytes`] at
-/// [`PAIR_CHUNK_FIRST_ABS`].
-const PAIR_CHUNK_HEX: &str = concat!(
-    "29000000",
-    "02",
-    "0807060504030201", // first_abs
-    "1c000000",         // byte length of the items
-    "03000000",         // pair count
-    "00000000",
-    "00000000",
-    "07000000",
-    "3f000000",
-    "ffffffff",
-    "01000000",
-);
-
-/// One frame of every variant with the exact bytes it takes on the wire,
-/// length prefix included. These literals pin the protocol independently
-/// of the schema lock: a codec change that keeps the fingerprints happy
-/// (or regenerates them) still has to leave these bytes alone.
-fn golden_frames() -> Vec<(Frame, &'static str)> {
-    vec![
-        (
-            Frame::Hello { version: 2 },
-            concat!("05000000", "00", "02000000"),
-        ),
-        (
-            Frame::Job {
-                stage_seed: 0x0123_4567_89ab_cdef,
-                contract: 4,
-                kind: "fw/pts".into(),
-                payload: vec![1, 2, 3],
-                shards: ShardAssignment::Range { first: 2, end: 9 },
-            },
-            concat!(
-                "2f000000",
-                "01",
-                "efcdab8967452301", // stage_seed
-                "04000000",         // contract
-                "06000000",         // kind
-                "66772f707473",
-                "03000000", // payload
-                "010203",
-                "00", // Range
-                "0200000000000000",
-                "0900000000000000",
-            ),
-        ),
-        (
-            Frame::Job {
-                stage_seed: 7,
-                contract: 4,
-                kind: String::new(),
-                payload: Vec::new(),
-                shards: ShardAssignment::Stride {
-                    offset: 1,
-                    stride: 4,
-                },
-            },
-            concat!(
-                "26000000",
-                "01",
-                "0700000000000000",
-                "04000000",
-                "00000000", // empty kind
-                "00000000", // empty payload
-                "01",       // Stride
-                "0100000000000000",
-                "0400000000000000",
-            ),
-        ),
-        (
-            Frame::Chunk {
-                first_abs: 65_536,
-                items: vec![0xaa, 0xbb],
-            },
-            concat!("0f000000", "02", "0000010000000000", "02000000", "aabb"),
-        ),
-        (
-            Frame::Chunk {
-                first_abs: PAIR_CHUNK_FIRST_ABS,
-                items: golden_pair_bytes(),
-            },
-            PAIR_CHUNK_HEX,
-        ),
-        (Frame::Flush, concat!("01000000", "03")),
-        (
-            Frame::Partial {
-                state: vec![0xab; 5],
-            },
-            concat!("0a000000", "04", "05000000", "ababababab"),
-        ),
-        (
-            Frame::Err {
-                message: "bad".into(),
-            },
-            concat!("08000000", "05", "03000000", "626164"),
-        ),
-        (Frame::Shutdown, concat!("01000000", "06")),
-    ]
-}
-
-/// Every variant encodes to its golden bytes, and the golden bytes decode
-/// back to the frame.
+/// Every variant has a row in the golden table (`wire_golden.rs` checks
+/// each row's bytes both ways).
 #[test]
 fn frames_match_golden_bytes() {
-    for (frame, golden) in golden_frames() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &frame).expect("encode");
-        assert_eq!(hex(&wire), golden, "{} frame bytes drifted", frame.name());
-        let mut cursor = &wire[..];
-        assert_eq!(read_frame(&mut cursor).expect("decode"), Some(frame));
-        assert!(cursor.is_empty(), "frame consumed exactly");
-    }
+    let (_, pinned) = golden::pinned();
+    let variants: BTreeSet<&str> = pinned
+        .iter()
+        .filter(|(key, _)| key.starts_with("Frame |"))
+        .map(|(key, hex)| {
+            let bytes = golden::unhex(hex);
+            let frame = read_frame(&mut &bytes[..]).expect("decode").expect(key);
+            frame.name()
+        })
+        .collect();
+    let all = [
+        "Hello", "Job", "Chunk", "Flush", "Partial", "Err", "Shutdown",
+    ];
+    assert_eq!(
+        variants,
+        BTreeSet::from(all),
+        "a Frame variant has no golden row"
+    );
 }
 
-/// The pair chunk's golden bytes come out of the borrowed-payload writer
-/// too, and decode back to the three pairs.
+/// The pinned pair `Chunk` comes out of the borrowed-payload writer too,
+/// and decodes back to the three pairs.
 #[test]
 fn pair_chunk_matches_golden_bytes() {
+    let mut items = Vec::new();
+    golden::pairs().put(&mut items);
     let mut fast = Vec::new();
-    write_chunk_frame(&mut fast, PAIR_CHUNK_FIRST_ABS, &golden_pair_bytes()).expect("encode");
-    assert_eq!(hex(&fast), PAIR_CHUNK_HEX);
+    write_chunk_frame(&mut fast, golden::PAIR_CHUNK_FIRST_ABS, &items).expect("encode");
+    assert_eq!(golden::hex(&fast), golden::pinned_hex(golden::PAIR_CHUNK));
     let Some(Frame::Chunk { items, .. }) = read_frame(&mut &fast[..]).expect("decode") else {
         panic!("expected a Chunk frame");
     };
     let mut r = WireReader::new(&items);
     let pairs = Vec::<LabelItem>::take(&mut r).expect("pairs");
     r.finish().expect("exact consumption");
-    assert_eq!(pairs, golden_pairs());
+    assert_eq!(pairs, golden::pairs());
 }
 
 /// Valid `Range` assignment from two arbitrary draws.

@@ -409,8 +409,9 @@ mod tests {
 
     #[test]
     fn raw_string_containing_impl_wire_is_inert() {
-        // A raw string spelling out a wire impl must not reach the symbol
-        // index as tokens — only the real impl after it may.
+        // A raw string spelling out a wire impl must not reach the rules
+        // as tokens (it would mark the file wire-sensitive) — only the
+        // real impl after it may.
         let code = code_of(
             r###"const DOC: &str = r#"impl Wire for Ghost { }"# ;
 impl Wire for Real { }"###,
@@ -426,9 +427,9 @@ impl Wire for Real { }"###,
 
     #[test]
     fn macro_bodies_tokenize_like_ordinary_code() {
-        // Macro-expansion policy: `wire_int!`-style macros are fingerprinted
-        // unexpanded, so their bodies and invocation args must tokenize with
-        // honest positions rather than being treated as opaque blobs.
+        // Macros are checked unexpanded, so the bodies and invocation args
+        // of `wire_int!`-style macros must tokenize with honest positions
+        // rather than being treated as opaque blobs.
         let src = "macro_rules! wire_int { ($t:ty) => { impl Wire for $t { } } }\nwire_int!(u8);";
         let toks = tokenize(&scrub(src).code);
         let idents: Vec<&str> = toks.iter().filter_map(Tok::ident).collect();

@@ -5,47 +5,36 @@
 //! no compiler checks: no ambient entropy in pipeline code, no
 //! order-nondeterministic hash iteration feeding wire encoding, no
 //! panicking escape hatches in library crates a long-lived server would
-//! hit at traffic, RNG streams born only in their sanctioned homes — and,
-//! cross-file, wire formats that never change silently. This binary is a
-//! self-contained static-analysis pass (hand-rolled lexer and symbol
-//! index, no `syn` — the build environment is offline) that
-//! machine-enforces them; the analysis itself lives in the `mcim_lint`
-//! library.
+//! hit at traffic, RNG streams born only in their sanctioned homes. This
+//! binary is a self-contained static-analysis pass (hand-rolled lexer, no
+//! `syn` — the build environment is offline) that machine-enforces them;
+//! the analysis itself lives in the `mcim_lint` library. Wire formats are
+//! pinned by bytes, not here: see the golden table in
+//! `crates/dist/tests/golden/`.
 //!
 //! ```text
 //! cargo run -p mcim-lint                      # human output, exit 1 on violations
 //! cargo run -p mcim-lint -- --format=json     # machine output for CI
-//! cargo run -p mcim-lint -- --write-schema-lock        # regenerate wire-schema.lock
-//! cargo run -p mcim-lint -- --schema-compat old.lock   # unbumped dist drift? fail
+//! cargo run -p mcim-lint -- --list-rules      # the rule inventory
 //! ```
 //!
-//! Exit codes: `0` clean (or `--help`), `1` any finding (or unbumped dist
-//! drift under `--schema-compat` / `--write-schema-lock`), `2` usage or
-//! I/O error. The only escape from a per-file finding is an inline
+//! Exit codes: `0` clean (or `--help`), `1` any finding, `2` usage or
+//! I/O error. The only escape from a finding is an inline
 //! `// mcim-lint: allow(rule, reason)` pragma, visible in review; see
-//! README "Static analysis". Schema findings (`schema-drift`,
-//! `schema-lock`, `protocol-version`) have no escape at all — the only
-//! way through is `--write-schema-lock`, which itself refuses
-//! dist-reachable drift without a `PROTOCOL_VERSION` bump.
+//! README "Static analysis".
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use mcim_lint::rules::{classify, Finding};
-use mcim_lint::symbols::SymbolIndex;
-use mcim_lint::{rules, schema};
+use mcim_lint::rules::{self, classify, Finding};
 
-const USAGE: &str = "usage: mcim-lint [--root DIR] [--schema-lock FILE] [--format=human|json] \
-                     [--write-schema-lock] [--schema-compat FILE] [--list-rules]";
+const USAGE: &str = "usage: mcim-lint [--root DIR] [--format=human|json] [--list-rules]";
 
 #[derive(Debug, Default)]
 struct Args {
     root: Option<PathBuf>,
-    schema_lock: Option<PathBuf>,
     json: bool,
-    write_schema_lock: bool,
-    schema_compat: Option<PathBuf>,
     list_rules: bool,
 }
 
@@ -54,18 +43,13 @@ fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
     let mut args = Args::default();
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
-        let mut path_value = |name: &str| {
-            it.next()
-                .map(PathBuf::from)
-                .ok_or_else(|| format!("{name} requires a path argument"))
-        };
         match arg.as_str() {
-            "--root" => args.root = Some(path_value("--root")?),
-            "--schema-lock" => args.schema_lock = Some(path_value("--schema-lock")?),
-            "--schema-compat" => args.schema_compat = Some(path_value("--schema-compat")?),
+            "--root" => {
+                let root = it.next().ok_or("--root requires a path argument")?;
+                args.root = Some(PathBuf::from(root));
+            }
             "--format=json" => args.json = true,
             "--format=human" => args.json = false,
-            "--write-schema-lock" => args.write_schema_lock = true,
             "--list-rules" => args.list_rules = true,
             "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown argument `{other}` (try --help)")),
@@ -158,12 +142,6 @@ fn finding_json(f: &Finding) -> String {
     )
 }
 
-fn read_lock(path: &Path) -> Result<schema::Lock, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
-    schema::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
-}
-
 fn run() -> Result<ExitCode, String> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some(args) = parse_args(&argv)? else {
@@ -178,41 +156,11 @@ fn run() -> Result<ExitCode, String> {
         return Ok(ExitCode::SUCCESS);
     }
 
-    let root = find_root(args.root.clone())?;
-    let lock_path = args
-        .schema_lock
-        .clone()
-        .unwrap_or_else(|| root.join("wire-schema.lock"));
-    let lock_rel = rel_path(&root, &lock_path);
+    let root = find_root(args.root)?;
 
-    // The schema-compat guard needs no source scan: it compares two lock
-    // files (the committed lock vs the merge-base copy).
-    if let Some(ref_path) = &args.schema_compat {
-        let current = read_lock(&lock_path)?;
-        let reference = read_lock(ref_path)?;
-        return Ok(match schema::compat(&current, &reference) {
-            Ok(()) => {
-                println!(
-                    "{lock_rel} is protocol-compatible with {} (dist drift, if any, is \
-                     version-bumped)",
-                    ref_path.display()
-                );
-                ExitCode::SUCCESS
-            }
-            Err(errs) => {
-                for e in errs {
-                    eprintln!("error: {e}");
-                }
-                ExitCode::FAILURE
-            }
-        });
-    }
-
-    // Scan the tree: per-file rules plus the workspace symbol index.
     let mut violations: Vec<Finding> = Vec::new();
     let mut pragma_allowed = 0usize;
     let mut files_checked = 0usize;
-    let mut index = SymbolIndex::default();
     for path in collect_files(&root)? {
         let rel = rel_path(&root, &path);
         let Some(class) = classify(&rel) else {
@@ -221,50 +169,10 @@ fn run() -> Result<ExitCode, String> {
         let source = std::fs::read_to_string(&path)
             .map_err(|e| format!("reading {}: {e}", path.display()))?;
         files_checked += 1;
-        if class == rules::FileClass::Lib {
-            index.add_file(&rel, &source);
-        }
         let report = rules::check_file(&rel, &source, class);
         let (found, allowed) = rules::apply_pragmas(report, &rel);
         violations.extend(found);
         pragma_allowed += allowed.len();
-    }
-    let entries = schema::compute(&index);
-
-    if args.write_schema_lock {
-        if lock_path.is_file() {
-            let old = read_lock(&lock_path)?;
-            if let Err(errs) = schema::write_guard(&entries, &old) {
-                for e in errs {
-                    eprintln!("error: {e}");
-                }
-                return Ok(ExitCode::FAILURE);
-            }
-        }
-        std::fs::write(&lock_path, schema::render(&entries))
-            .map_err(|e| format!("writing {}: {e}", lock_path.display()))?;
-        println!("wrote {} ({} entries)", lock_path.display(), entries.len());
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    // Schema findings: never pragma-allowable, so they join the
-    // violations after the per-file pass.
-    if lock_path.is_file() {
-        let lock = read_lock(&lock_path)?;
-        violations.extend(schema::check(&entries, &lock, &lock_rel));
-    } else if !entries.is_empty() {
-        violations.push(Finding {
-            rule: "schema-lock",
-            file: lock_rel.clone(),
-            line: 1,
-            col: 1,
-            token: "wire-schema.lock".to_string(),
-            message: format!(
-                "{} wire-visible symbol(s) but no {lock_rel} — generate it with \
-                 `--write-schema-lock` and commit it",
-                entries.len()
-            ),
-        });
     }
     let ok = violations.is_empty();
 
@@ -273,9 +181,8 @@ fn run() -> Result<ExitCode, String> {
         items.sort();
         println!(
             "{{\"ok\":{ok},\"files_checked\":{files_checked},\"violations\":{},\
-             \"pragma_allowed\":{pragma_allowed},\"schema_entries\":{},\"findings\":[{}]}}",
+             \"pragma_allowed\":{pragma_allowed},\"findings\":[{}]}}",
             violations.len(),
-            entries.len(),
             items.join(",")
         );
     } else {
@@ -287,9 +194,8 @@ fn run() -> Result<ExitCode, String> {
         }
         println!(
             "mcim-lint: {files_checked} files, {} violation(s), {pragma_allowed} \
-             pragma-allowed, {} schema entr(ies)",
-            violations.len(),
-            entries.len()
+             pragma-allowed",
+            violations.len()
         );
     }
 
@@ -320,23 +226,16 @@ mod tests {
 
     #[test]
     fn args_parse_the_documented_surface() {
-        let a = parse_args(&argv(&[
-            "--root",
-            "/x",
-            "--format=json",
-            "--schema-lock",
-            "w.lock",
-        ]))
-        .unwrap()
-        .unwrap();
-        assert_eq!(a.root.as_deref(), Some(Path::new("/x")));
-        assert!(a.json);
-        assert_eq!(a.schema_lock.as_deref(), Some(Path::new("w.lock")));
-        let b = parse_args(&argv(&["--write-schema-lock", "--schema-compat", "r.lock"]))
+        let a = parse_args(&argv(&["--root", "/x", "--format=json"]))
             .unwrap()
             .unwrap();
-        assert!(b.write_schema_lock);
-        assert_eq!(b.schema_compat.as_deref(), Some(Path::new("r.lock")));
+        assert_eq!(a.root.as_deref(), Some(Path::new("/x")));
+        assert!(a.json);
+        assert!(!a.list_rules);
+        let b = parse_args(&argv(&["--format=json", "--format=human", "--list-rules"]))
+            .unwrap()
+            .unwrap();
+        assert!(!b.json && b.list_rules);
         // Help is a successful parse that asks for the usage text.
         for help in ["--help", "-h"] {
             assert!(parse_args(&argv(&["--format=json", help]))
@@ -344,17 +243,20 @@ mod tests {
                 .is_none());
         }
         assert!(parse_args(&argv(&["--bogus"])).is_err());
-        // The flags of the deleted baseline subsystem are unknown now.
+        // The flags of the deleted baseline subsystem and schema lock are
+        // unknown now.
         for gone in [
             &["--deny-stale"][..],
             &["--write-baseline"],
             &["--baseline", "b.toml"],
             &["--check-shrink", "b.toml"],
+            &["--schema-lock", "w.lock"],
+            &["--write-schema-lock"],
+            &["--schema-compat", "r.lock"],
         ] {
             assert!(parse_args(&argv(gone)).is_err(), "{gone:?}");
         }
         assert!(parse_args(&argv(&["--root"])).is_err(), "missing value");
-        assert!(parse_args(&argv(&["--schema-compat"])).is_err());
     }
 
     #[test]

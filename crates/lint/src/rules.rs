@@ -13,23 +13,19 @@
 //! | `sampler-bypass` | noise planes come from the one UE sampler |
 //! | `rng-discipline` | RNG streams are only constructed in their homes |
 //! | `unsafe-header` | every lib crate carries `#![forbid(unsafe_code)]` |
-//! | `schema-drift` | wire fingerprints match `wire-schema.lock` |
-//! | `schema-lock` | the lock exists once wire symbols do |
-//! | `protocol-version` | dist drift rides with a `PROTOCOL_VERSION` bump |
 //! | `pragma-syntax` | every `mcim-lint:` comment actually parses |
 //!
-//! The three `schema-*`/`protocol-version` rules are produced by the
-//! workspace pass ([`crate::schema`]), not per-file checks; they are
-//! listed here so `--list-rules` and pragma validation know them —
-//! schema findings are never pragma-allowable, so a pragma naming them
-//! is reported dead.
+//! The bytes themselves are not a lint concern: the wire golden table in
+//! `crates/dist/tests/golden/` pins every codec's output.
 //!
 //! Every finding fails the run. The one escape from a per-file finding
 //! is an inline `// mcim-lint: allow(rule, reason)` pragma on or directly
 //! above the line, so each exception is visible in review.
 
 use crate::lexer::{scrub, tokenize, Pragma, Tok};
-use crate::symbols::WIRE_TRAITS;
+
+/// The codec traits whose implementations put a file on the wire path.
+const WIRE_TRAITS: &[&str] = &["Wire", "WireState", "StageDecode"];
 
 /// Every rule identifier, for `--list-rules` and pragma validation.
 pub const RULE_IDS: &[&str] = &[
@@ -41,9 +37,6 @@ pub const RULE_IDS: &[&str] = &[
     "sampler-bypass",
     "rng-discipline",
     "unsafe-header",
-    "schema-drift",
-    "schema-lock",
-    "protocol-version",
     "pragma-syntax",
 ];
 
@@ -106,8 +99,7 @@ pub struct Finding {
 }
 
 /// Marks the lines belonging to `#[cfg(test)]` / `#[test]` items and
-/// `mod tests { … }` blocks. (Also used by the symbol index to keep
-/// test-only types and impls out of the wire schema.)
+/// `mod tests { … }` blocks.
 pub fn test_lines(toks: &[Tok], n_lines: usize) -> Vec<bool> {
     let mut in_test = vec![false; n_lines + 2];
     let mut i = 0usize;

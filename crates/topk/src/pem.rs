@@ -96,17 +96,62 @@ impl CandIndex {
     }
 }
 
-/// Refuses round parameters a fold could not classify with: an empty
-/// domain, or a prefix longer than the domain's code (which would panic in
-/// [`PrefixCode::prefix`] on the first valid item).
-fn check_round(domain: u32, prefix_len: u32) -> Result<()> {
-    if domain == 0 || prefix_len > PrefixCode::for_domain(domain).bits() {
-        return Err(Error::InvalidParameter {
-            name: "prefix_len",
-            constraint: "a non-empty domain and prefix_len <= its code length",
-        });
+/// What both PEM round stages are built from and ship in their spec
+/// payload — `(ε, domain, prefix length, candidates)` — plus the candidate
+/// lookup derived from it.
+struct Round {
+    eps: Eps,
+    domain: u32,
+    prefix_len: u32,
+    candidates: Vec<u32>,
+    code: PrefixCode,
+    index: CandIndex,
+}
+
+impl Round {
+    /// Refuses round parameters a fold could not classify with: an empty
+    /// domain, or a prefix longer than the domain's code (which would panic
+    /// in [`PrefixCode::prefix`] on the first valid item).
+    fn new(eps: Eps, domain: u32, prefix_len: u32, candidates: Vec<u32>) -> Result<Self> {
+        if domain == 0 || prefix_len > PrefixCode::for_domain(domain).bits() {
+            return Err(Error::InvalidParameter {
+                name: "prefix_len",
+                constraint: "a non-empty domain and prefix_len <= its code length",
+            });
+        }
+        Ok(Round {
+            eps,
+            domain,
+            prefix_len,
+            index: CandIndex::new(&candidates),
+            candidates,
+            code: PrefixCode::for_domain(domain),
+        })
     }
-    Ok(())
+
+    /// Writes the spec payload of either round stage.
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.eps.value().put(buf);
+        self.domain.put(buf);
+        self.prefix_len.put(buf);
+        self.candidates.put(buf);
+    }
+
+    /// Reads [`Round::put`]'s payload back, refusing an empty candidate set
+    /// or domain before [`Round::new`]'s checks.
+    fn take(r: &mut WireReader<'_>) -> Result<Self> {
+        let eps = Eps::new(f64::take(r)?)?;
+        let domain = u32::take(r)?;
+        let prefix_len = u32::take(r)?;
+        let candidates = Vec::<u32>::take(r)?;
+        if domain == 0 || candidates.is_empty() {
+            return Err(Error::InvalidParameter {
+                name: "candidates",
+                constraint: "non-empty candidate set over a non-empty domain",
+            });
+        }
+        Round::new(eps, domain, prefix_len, candidates)
+    }
 }
 
 /// One PEM round's bulk privatize+aggregate step over the
@@ -115,12 +160,7 @@ fn check_round(domain: u32, prefix_len: u32) -> Result<()> {
 /// `(ε, domain, prefix length, candidates)` and replays the identical
 /// fold. Items are each user's raw item (`None` = invalid user).
 pub struct PemVpRoundStage {
-    eps: Eps,
-    domain: u32,
-    prefix_len: u32,
-    candidates: Vec<u32>,
-    code: PrefixCode,
-    index: CandIndex,
+    round: Round,
     vp: ValidityPerturbation,
 }
 
@@ -132,22 +172,18 @@ impl PemVpRoundStage {
     /// [`Error::InvalidParameter`] when `domain` is 0 or `prefix_len`
     /// exceeds the domain's code length.
     pub fn new(eps: Eps, domain: u32, prefix_len: u32, candidates: Vec<u32>) -> Result<Self> {
-        check_round(domain, prefix_len)?;
-        let vp = ValidityPerturbation::new(eps, candidates.len() as u32)?;
-        Ok(PemVpRoundStage {
-            eps,
-            domain,
-            prefix_len,
-            index: CandIndex::new(&candidates),
-            candidates,
-            code: PrefixCode::for_domain(domain),
-            vp,
-        })
+        PemVpRoundStage::from_round(Round::new(eps, domain, prefix_len, candidates)?)
+    }
+
+    fn from_round(round: Round) -> Result<Self> {
+        let vp = ValidityPerturbation::new(round.eps, round.candidates.len() as u32)?;
+        Ok(PemVpRoundStage { round, vp })
     }
 
     fn classify(&self, item: Option<u32>) -> ValidityInput {
+        let round = &self.round;
         match item {
-            Some(it) => match self.index.get(self.code.prefix(it, self.prefix_len)) {
+            Some(it) => match round.index.get(round.code.prefix(it, round.prefix_len)) {
                 Some(idx) => ValidityInput::Valid(idx),
                 None => ValidityInput::Invalid,
             },
@@ -186,12 +222,7 @@ impl Stage for PemVpRoundStage {
     }
 
     fn spec(&self) -> Option<StageSpec> {
-        Some(StageSpec::new(Self::KIND, |buf| {
-            self.eps.value().put(buf);
-            self.domain.put(buf);
-            self.prefix_len.put(buf);
-            self.candidates.put(buf);
-        }))
+        Some(StageSpec::new(Self::KIND, |buf| self.round.put(buf)))
     }
 }
 
@@ -199,17 +230,7 @@ impl StageDecode for PemVpRoundStage {
     const KIND: &'static str = "pem/vp-round";
 
     fn decode(payload: &mut WireReader<'_>) -> Result<Self> {
-        let eps = Eps::new(f64::take(payload)?)?;
-        let domain = u32::take(payload)?;
-        let prefix_len = u32::take(payload)?;
-        let candidates = Vec::<u32>::take(payload)?;
-        if domain == 0 || candidates.is_empty() {
-            return Err(Error::InvalidParameter {
-                name: "candidates",
-                constraint: "non-empty candidate set over a non-empty domain",
-            });
-        }
-        PemVpRoundStage::new(eps, domain, prefix_len, candidates)
+        PemVpRoundStage::from_round(Round::take(payload)?)
     }
 }
 
@@ -218,12 +239,7 @@ impl StageDecode for PemVpRoundStage {
 /// random candidate drawn from the same per-shard RNG stream, so workers
 /// replay the substitution exactly.
 pub struct PemOracleRoundStage {
-    eps: Eps,
-    domain: u32,
-    prefix_len: u32,
-    candidates: Vec<u32>,
-    code: PrefixCode,
-    index: CandIndex,
+    round: Round,
     oracle: Oracle,
 }
 
@@ -235,17 +251,12 @@ impl PemOracleRoundStage {
     /// [`Error::InvalidParameter`] when `domain` is 0 or `prefix_len`
     /// exceeds the domain's code length.
     pub fn new(eps: Eps, domain: u32, prefix_len: u32, candidates: Vec<u32>) -> Result<Self> {
-        check_round(domain, prefix_len)?;
-        let oracle = Oracle::adaptive(eps, candidates.len() as u32)?;
-        Ok(PemOracleRoundStage {
-            eps,
-            domain,
-            prefix_len,
-            index: CandIndex::new(&candidates),
-            candidates,
-            code: PrefixCode::for_domain(domain),
-            oracle,
-        })
+        PemOracleRoundStage::from_round(Round::new(eps, domain, prefix_len, candidates)?)
+    }
+
+    fn from_round(round: Round) -> Result<Self> {
+        let oracle = Oracle::adaptive(round.eps, round.candidates.len() as u32)?;
+        Ok(PemOracleRoundStage { round, oracle })
     }
 }
 
@@ -264,11 +275,12 @@ impl Stage for PemOracleRoundStage {
         items: &[Option<u32>],
         (agg, comm): &mut Self::Acc,
     ) -> Result<()> {
-        let n_cands = self.candidates.len() as u32;
+        let round = &self.round;
+        let n_cands = round.candidates.len() as u32;
         let mut reports = Vec::with_capacity(items.len());
         for &item in items {
             let value = match item {
-                Some(it) => match self.index.get(self.code.prefix(it, self.prefix_len)) {
+                Some(it) => match round.index.get(round.code.prefix(it, round.prefix_len)) {
                     Some(idx) => idx,
                     None => rng.random_range(0..n_cands),
                 },
@@ -290,12 +302,7 @@ impl Stage for PemOracleRoundStage {
     }
 
     fn spec(&self) -> Option<StageSpec> {
-        Some(StageSpec::new(Self::KIND, |buf| {
-            self.eps.value().put(buf);
-            self.domain.put(buf);
-            self.prefix_len.put(buf);
-            self.candidates.put(buf);
-        }))
+        Some(StageSpec::new(Self::KIND, |buf| self.round.put(buf)))
     }
 }
 
@@ -303,17 +310,7 @@ impl StageDecode for PemOracleRoundStage {
     const KIND: &'static str = "pem/oracle-round";
 
     fn decode(payload: &mut WireReader<'_>) -> Result<Self> {
-        let eps = Eps::new(f64::take(payload)?)?;
-        let domain = u32::take(payload)?;
-        let prefix_len = u32::take(payload)?;
-        let candidates = Vec::<u32>::take(payload)?;
-        if domain == 0 || candidates.is_empty() {
-            return Err(Error::InvalidParameter {
-                name: "candidates",
-                constraint: "non-empty candidate set over a non-empty domain",
-            });
-        }
-        PemOracleRoundStage::new(eps, domain, prefix_len, candidates)
+        PemOracleRoundStage::from_round(Round::take(payload)?)
     }
 }
 
@@ -795,6 +792,7 @@ mod tests {
         items: &[Option<u32>],
     ) -> (VpAggregator, CommStats) {
         let mut sorted: Vec<(u32, u32)> = stage
+            .round
             .candidates
             .iter()
             .enumerate()
@@ -805,7 +803,7 @@ mod tests {
         for &item in items {
             let input = item
                 .and_then(|it| {
-                    let prefix = stage.code.prefix(it, stage.prefix_len);
+                    let prefix = stage.round.code.prefix(it, stage.round.prefix_len);
                     sorted.binary_search_by_key(&prefix, |&(p, _)| p).ok()
                 })
                 .map_or(ValidityInput::Invalid, |i| {

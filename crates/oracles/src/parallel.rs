@@ -89,13 +89,14 @@ pub(crate) fn ranges(n: usize, workers: usize) -> impl Iterator<Item = std::ops:
 
 /// One-output-per-input sharded execution into a preallocated buffer.
 ///
-/// `f` receives `(shard_index, shard_items, shard_output)` where
-/// `shard_output` is the shard's disjoint slice of the preallocated output
-/// (same length as `shard_items`) and must fill every slot with `Some`.
-/// Workers own contiguous shard ranges; there is no per-shard `Vec`, no
-/// result flattening and no locking — the fix for the PR-2 privatize
-/// regression. Fails with the first error in shard order; output slots are
-/// discarded on error.
+/// The output starts as `items.len()` copies of `T::default()`, and `f`
+/// receives `(shard_index, shard_items, shard_output)` where
+/// `shard_output` is the shard's disjoint slice of it (same length as
+/// `shard_items`); `f` overwrites each slot in place. The buffer is the
+/// returned `Vec` itself, so a call holds one `T` per item and nothing
+/// more. Workers own contiguous shard ranges; there is no per-shard `Vec`,
+/// no result flattening and no locking (see "Scheduling" above). Fails
+/// with the first error in shard order; the output is discarded on error.
 pub fn try_fill_shards<I, T, E, F>(
     items: &[I],
     threads: usize,
@@ -103,11 +104,11 @@ pub fn try_fill_shards<I, T, E, F>(
 ) -> std::result::Result<Vec<T>, E>
 where
     I: Sync,
-    T: Send,
+    T: Default + Clone + Send,
     E: Send,
-    F: Fn(u64, &[I], &mut [Option<T>]) -> std::result::Result<(), E> + Sync,
+    F: Fn(u64, &[I], &mut [T]) -> std::result::Result<(), E> + Sync,
 {
-    let mut out: Vec<Option<T>> = (0..items.len()).map(|_| None).collect();
+    let mut out = vec![T::default(); items.len()];
     let n_shards = items.len().div_ceil(SHARD_SIZE);
     let workers = threads.max(1).min(n_shards.max(1));
     if workers <= 1 {
@@ -121,7 +122,7 @@ where
     } else {
         let worker_results = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(workers);
-            let mut rest: &mut [Option<T>] = &mut out;
+            let mut rest: &mut [T] = &mut out;
             for range in ranges(n_shards, workers) {
                 let item_start = range.start * SHARD_SIZE;
                 let item_end = (range.end * SHARD_SIZE).min(items.len());
@@ -150,11 +151,7 @@ where
             r?;
         }
     }
-    Ok(out
-        .into_iter()
-        // mcim-lint: allow(panic-freedom, infallible: the scope above filled every slot of `out` before returning)
-        .map(|s| s.expect("every output slot filled"))
-        .collect())
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -167,7 +164,7 @@ mod tests {
         try_fill_shards(items, threads, |shard, chunk, slots| {
             let mut rng = shard_rng(99, shard);
             for (&x, slot) in chunk.iter().zip(slots.iter_mut()) {
-                *slot = Some((shard, x as u64 ^ rng.next_u64()));
+                *slot = (shard, x as u64 ^ rng.next_u64());
             }
             Ok::<(), ()>(())
         })
@@ -229,7 +226,7 @@ mod tests {
         for threads in [1, 2, 8] {
             let out: Vec<u64> = try_fill_shards(&items, threads, |shard, chunk, slots| {
                 for (&v, slot) in chunk.iter().zip(slots.iter_mut()) {
-                    *slot = Some(v as u64 + shard * 1_000_000);
+                    *slot = v as u64 + shard * 1_000_000;
                 }
                 Ok::<(), ()>(())
             })
@@ -253,7 +250,7 @@ mod tests {
                     return Err(shard);
                 }
                 for slot in slots.iter_mut() {
-                    *slot = Some(0u8);
+                    *slot = 1u8;
                 }
                 Ok(())
             })

@@ -259,21 +259,22 @@ impl<E: Executor> Pace<'_, E> {
         self.stream.next_u64()
     }
 
-    /// GRR-routes a block of labels, recording uplink per user.
+    /// GRR-routes a block of users by label, recording uplink per user,
+    /// and returns each user's routed class in input order.
     ///
     /// The one pass that stays off the executor: it yields one output per
     /// input, in input order, which a fold cannot express — folds combine
     /// partials with a commutative [`Stage::merge`](mcim_oracles::exec::Stage::merge).
     /// It runs on local threads under the same shard RNG contract.
-    fn route(&mut self, grr: &Grr, labels: &[u32], comm: &mut CommStats) -> Result<Vec<u32>> {
-        for _ in labels {
+    fn route(&mut self, grr: &Grr, users: &[LabelItem], comm: &mut CommStats) -> Result<Vec<u32>> {
+        for _ in users {
             comm.record(grr.report_bits());
         }
         let base = self.stream.next_u64();
-        parallel::try_fill_shards(labels, self.threads, |shard, chunk, slots| {
+        parallel::try_fill_shards(users, self.threads, |shard, chunk, slots| {
             let mut rng = parallel::shard_rng(base, shard);
-            for (&l, slot) in chunk.iter().zip(slots.iter_mut()) {
-                *slot = Some(grr.perturb(l, &mut rng)?);
+            for (p, slot) in chunk.iter().zip(slots.iter_mut()) {
+                *slot = grr.perturb(p.label, &mut rng)?;
             }
             Ok(())
         })
@@ -623,12 +624,8 @@ fn pts_pem<E: Executor>(
     };
 
     // Route the remaining users by GRR-perturbed label.
-    let labels: Vec<u32> = rest.iter().map(|p| p.label).collect();
-    let routed = pace.route(&grr, &labels, &mut comm)?;
-    let mut groups: Vec<Vec<u32>> = vec![Vec::new(); domains.classes() as usize];
-    for (p, r) in rest.iter().zip(routed) {
-        groups[r as usize].push(p.item);
-    }
+    let routed = pace.route(&grr, rest, &mut comm)?;
+    let groups = group_by_route(rest, routed, domains.classes() as usize, |p| p.item);
 
     let mut per_class = Vec::with_capacity(domains.classes() as usize);
     for items in &groups {
@@ -696,8 +693,7 @@ fn pts_shuffled<E: Executor>(
         for _ in 0..it_f {
             let chunk = chunks.next().unwrap_or(&[]);
             let view = engine_global.begin_round(pace.next_seed(), buckets);
-            let labels: Vec<u32> = chunk.iter().map(|p| p.label).collect();
-            for &r in &pace.route(&grr, &labels, &mut comm)? {
+            for &r in &pace.route(&grr, chunk, &mut comm)? {
                 label_tally[r as usize] += 1;
             }
             let inputs: Vec<Option<u32>> =
@@ -719,13 +715,9 @@ fn pts_shuffled<E: Executor>(
 
     // ---------------- Phase 2: Algorithm 2 (classwise mining) -----------
     // Route users by perturbed label.
-    let labels: Vec<u32> = rest.iter().map(|p| p.label).collect();
-    let routed = pace.route(&grr, &labels, &mut comm)?;
-    let mut groups: Vec<Vec<&LabelItem>> = vec![Vec::new(); c];
-    for (p, r) in rest.iter().zip(routed) {
-        groups[r as usize].push(p);
-    }
-    let n2: usize = groups.iter().map(Vec::len).sum();
+    let routed = pace.route(&grr, rest, &mut comm)?;
+    let groups = group_by_route(rest, routed, c, |p| p);
+    let n2 = rest.len();
 
     // Class-size estimates |D'_C| over the phase-2 population: from the
     // phase-1 fractions when available, otherwise from the routing tallies.
@@ -737,14 +729,15 @@ fn pts_shuffled<E: Executor>(
             .collect(),
     };
 
-    // Per-class pruning rounds, collecting each class's final cohort.
-    struct FinalGroup<'a> {
+    // Per-class pruning rounds, collecting each class's final cohort (the
+    // last chunk of its group).
+    struct FinalGroup<'g, 'a> {
         class: u32,
-        users: Vec<&'a LabelItem>,
+        users: &'g [&'a LabelItem],
         candidates: Vec<u32>,
         use_cp: bool,
     }
-    let mut finals: Vec<FinalGroup<'_>> = Vec::with_capacity(c);
+    let mut finals: Vec<FinalGroup<'_, '_>> = Vec::with_capacity(c);
     // Worst-case per-user downlink: the phase-1 seed/state history plus the
     // deepest per-class history a final-round user must replay.
     let phase1_broadcast = engine_global.broadcast_bits() as f64;
@@ -753,7 +746,7 @@ fn pts_shuffled<E: Executor>(
         if group.is_empty() {
             finals.push(FinalGroup {
                 class: class as u32,
-                users: Vec::new(),
+                users: &[],
                 candidates: engine_global.candidates().to_vec(),
                 use_cp: false,
             });
@@ -789,7 +782,7 @@ fn pts_shuffled<E: Executor>(
         let use_cp = correlated && cp_feasible;
         finals.push(FinalGroup {
             class: class as u32,
-            users: chunks.next().unwrap_or(&[]).to_vec(),
+            users: chunks.next().unwrap_or(&[]),
             candidates: engine.candidates().to_vec(),
             use_cp,
         });
@@ -900,6 +893,27 @@ fn split_joint_ranking(ordered: &[u32], domains: Domains, k: usize) -> Vec<Vec<u
         }
     }
     per_class
+}
+
+/// Splits `users` into per-class groups by their routed class
+/// (`routed[u]` is user `u`'s), keeping each user's `pick` in input order.
+/// Every group is allocated at its exact size, and `routed` is freed on
+/// return.
+fn group_by_route<'a, T>(
+    users: &'a [LabelItem],
+    routed: Vec<u32>,
+    classes: usize,
+    pick: impl Fn(&'a LabelItem) -> T,
+) -> Vec<Vec<T>> {
+    let mut sizes = vec![0usize; classes];
+    for &r in &routed {
+        sizes[r as usize] += 1;
+    }
+    let mut groups: Vec<Vec<T>> = sizes.into_iter().map(Vec::with_capacity).collect();
+    for (p, &r) in users.iter().zip(&routed) {
+        groups[r as usize].push(pick(p));
+    }
+    groups
 }
 
 /// First `⌈frac·N⌉` users vs the rest.

@@ -595,8 +595,14 @@ fn pts_pem<E: Executor>(
         let mut g_engine = PemEngine::new(domains.items(), global_config)?;
         let total = g_engine.remaining_rounds();
         let it_f = (total / 2).max(1).min(total.saturating_sub(1));
-        let (sample, rest) = split_at_frac(data, config.sample_frac);
-        if it_f > 0 && !sample.is_empty() {
+        // With no global round to run (a one-round engine), every user is
+        // routed: a sample would be neither mined nor counted.
+        let (sample, rest) = if it_f > 0 {
+            split_at_frac(data, config.sample_frac)
+        } else {
+            (&data[..0], data)
+        };
+        if !sample.is_empty() {
             let chunk_size = sample.len().div_ceil(it_f).max(1);
             let mut chunks = sample.chunks(chunk_size);
             for _ in 0..it_f {

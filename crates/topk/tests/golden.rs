@@ -10,6 +10,10 @@
 //! `every_fold_carries_a_spec` runs each method on an executor that
 //! records every fold: each must carry a wire spec (so a distributed
 //! executor can ship it), and the shuffled methods must fold at all.
+//!
+//! `every_user_reports_exactly_once` checks each method's uplink
+//! accounting: HEC and PTJ users send one report, PTS users a GRR label
+//! and one item report, so `comm.users` is `n` or `2n` exactly.
 
 use std::cell::RefCell;
 
@@ -213,4 +217,42 @@ fn every_fold_carries_a_spec() {
             assert!(!kinds.is_empty(), "{} issued no folds", method.name());
         }
     }
+}
+
+/// Reports per user: one item report for HEC and PTJ, plus the GRR label
+/// for the label-routed PTS family.
+fn reports_per_user(method: TopKMethod) -> u64 {
+    match method {
+        TopKMethod::Hec | TopKMethod::PtjPem { .. } | TopKMethod::PtjShuffled { .. } => 1,
+        TopKMethod::PtsPem { .. } | TopKMethod::PtsShuffled { .. } => 2,
+    }
+}
+
+/// At d = 64 the "+Global" PEM phase gets no round of its own, at d = 256
+/// it does; user counts from a handful to several shards.
+#[test]
+fn every_user_reports_exactly_once() {
+    let config = TopKConfig::new(3, Eps::new(4.0).unwrap());
+    let mut wrong = Vec::new();
+    for items in [64u32, 256] {
+        let domains = Domains::new(5, items).unwrap();
+        for n in [7usize, 101, 4097, 30_001] {
+            let data: Vec<LabelItem> = (0..n as u32)
+                .map(|u| LabelItem::new(u % 5, u.wrapping_mul(2_654_435_761) % items))
+                .collect();
+            for method in all_methods() {
+                let plan = Exec::seeded(11).threads(1);
+                let r = execute(method, config, domains, &plan, SliceSource::new(&data)).unwrap();
+                let want = reports_per_user(method) * n as u64;
+                if r.comm.users != want {
+                    wrong.push(format!(
+                        "{} d={items} n={n}: {} reports, want {want}",
+                        method.name(),
+                        r.comm.users
+                    ));
+                }
+            }
+        }
+    }
+    assert!(wrong.is_empty(), "{wrong:#?}");
 }

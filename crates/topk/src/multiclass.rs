@@ -318,11 +318,13 @@ impl<E: Executor> Pace<'_, E> {
 ///
 /// Multi-round mining routes users into per-class groups that later
 /// rounds revisit, so the 8-byte pairs themselves are drained into memory
-/// (≈ 40 MB at the paper's 5M users) under every plan — but every privatized
-/// report still lives only inside the fold's `O(threads × shard)`
-/// buffers, never as an `O(n)` slice, and the pull-based ingestion means
-/// the pairs can come straight off disk or a socket instead of a pre-built
-/// `Vec`.
+/// under every plan. Routing adds one 4-byte routed class and one group
+/// entry per user: the label-routed PTS methods peak at 17–20 bytes of
+/// live heap per user, the drained pairs included
+/// (`crates/topk/tests/peak_heap.rs`). Every privatized report still
+/// lives only inside the fold's `O(threads × shard)` buffers, never as an
+/// `O(n)` slice, and the pull-based ingestion means the pairs can come
+/// straight off disk or a socket instead of a pre-built `Vec`.
 ///
 /// # Errors
 /// [`Error::InvalidParameter`] for `k = 0`, an empty source, a

@@ -208,6 +208,15 @@ mod tests {
         assert_eq!(plain.base_seed(), 9);
         assert_eq!(plain.resolved_threads(), 3);
         assert_eq!(plain.resolved_chunk_items(), DEFAULT_CHUNK_ITEMS);
+        let one = parse(&["freq", "--threads", "1"])
+            .unwrap()
+            .exec_plan()
+            .unwrap();
+        assert_eq!(
+            one.resolved_chunk_items(),
+            SHARD_SIZE,
+            "one thread pulls one shard"
+        );
 
         let chunked = parse(&["freq", "--chunk-size", "10"])
             .unwrap()

@@ -37,8 +37,9 @@ COMMON OPTIONS:
                   then the machine's parallelism; results are identical for
                   every thread count under a fixed --seed)
   --chunk-size <n> pairs pulled (and held) per ingestion chunk (default
-                  65536). Values below 4096 (one shard — chunks smaller
-                  than a shard cannot parallelize) are raised to 4096.
+                  4096, one shard, at one thread; 65536 otherwise). Values
+                  below 4096 (one shard — chunks smaller than a shard
+                  cannot parallelize) are raised to 4096.
                   Results are bit-identical for every chunk size.
   --dist <a,b,..> run the bulk stages on the distributed reducer: a
                   comma-separated list of `mcim worker` addresses. Results

@@ -12,7 +12,7 @@
 
 use rand::Rng;
 
-use mcim_oracles::{Aggregator, Eps, Error, Oracle, Report, Result};
+use mcim_oracles::{AbsorbBlock, Aggregator, Eps, Error, Oracle, Report, Result};
 
 use crate::{Domains, FrequencyTable, LabelItem};
 
@@ -112,30 +112,38 @@ impl HecAggregator {
         self.groups[g].absorb(&report.report)
     }
 
-    /// Absorbs a block of reports: bucketed by group, each group's block
-    /// goes through its oracle aggregator's word-parallel path
-    /// ([`Aggregator::absorb_all`]).
+    /// Absorbs a block of reports: each report goes to its group's
+    /// in-flight [`AbsorbBlock`] (word-parallel for unary-encoding
+    /// reports, see [`Aggregator::absorb_all`]) in report order. Counts
+    /// equal sequential [`HecAggregator::absorb`]; at a malformed report
+    /// the block stops, with every report before it absorbed.
     pub fn absorb_all<'a, I>(&mut self, reports: I) -> Result<()>
     where
         I: IntoIterator<Item = &'a HecReport>,
     {
-        let mut buckets: Vec<Vec<&Report>> = vec![Vec::new(); self.groups.len()];
-        let mut outcome = Ok(());
-        for report in reports {
-            let g = report.group as usize;
-            if g >= buckets.len() {
-                outcome = Err(Error::ValueOutOfDomain {
-                    value: report.group as u64,
-                    domain: buckets.len() as u64,
-                });
-                break;
-            }
-            buckets[g].push(&report.report);
-        }
-        for (agg, bucket) in self.groups.iter_mut().zip(&buckets) {
-            agg.absorb_all(bucket.iter().copied())?;
-        }
-        outcome
+        let mut block = HecBlock::new(self);
+        reports.into_iter().try_for_each(|r| block.push(r))
+    }
+
+    /// Absorbs `n` reports built in place: `next(i, report)` writes report
+    /// `i` into one reused report, which is then summed like
+    /// [`HecAggregator::absorb_all`]. Counts equal `n` sequential
+    /// [`HecAggregator::absorb`] calls on the same reports; the first
+    /// error, from `next` or a malformed report, stops the loop with every
+    /// report before it absorbed.
+    pub fn absorb_each<F>(&mut self, n: usize, mut next: F) -> Result<()>
+    where
+        F: FnMut(usize, &mut HecReport) -> Result<()>,
+    {
+        let mut report = HecReport {
+            group: 0,
+            report: Report::Value(0),
+        };
+        let mut block = HecBlock::new(self);
+        (0..n).try_for_each(|i| {
+            next(i, &mut report)?;
+            block.push(&report)
+        })
     }
 
     /// Merges another aggregator over the same framework (sharded
@@ -179,6 +187,33 @@ impl HecAggregator {
             }
         }
         Ok(table)
+    }
+}
+
+/// The in-flight block of [`HecAggregator::absorb_all`] and
+/// [`HecAggregator::absorb_each`]: one oracle block per class group, each
+/// drained into its group when the block is dropped.
+struct HecBlock<'a> {
+    groups: Vec<AbsorbBlock<'a>>,
+}
+
+impl<'a> HecBlock<'a> {
+    fn new(agg: &'a mut HecAggregator) -> Self {
+        HecBlock {
+            groups: agg.groups.iter_mut().map(Aggregator::block).collect(),
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, report: &HecReport) -> Result<()> {
+        let domain = self.groups.len() as u64;
+        match self.groups.get_mut(report.group as usize) {
+            Some(group) => group.push(&report.report),
+            None => Err(Error::ValueOutOfDomain {
+                value: report.group as u64,
+                domain,
+            }),
+        }
     }
 }
 

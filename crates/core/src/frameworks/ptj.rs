@@ -79,6 +79,16 @@ impl PtjAggregator {
         self.inner.absorb_all(reports)
     }
 
+    /// Absorbs `n` reports built in place into one reused report (see
+    /// [`Aggregator::absorb_each`]); counts equal sequential
+    /// [`PtjAggregator::absorb`].
+    pub fn absorb_each<F>(&mut self, n: usize, next: F) -> Result<()>
+    where
+        F: FnMut(usize, &mut Report) -> Result<()>,
+    {
+        self.inner.absorb_each(n, next)
+    }
+
     /// Merges another aggregator over the same framework (sharded
     /// aggregation across threads).
     pub fn merge(&mut self, other: &PtjAggregator) -> Result<()> {

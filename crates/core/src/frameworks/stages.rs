@@ -11,10 +11,14 @@
 //!
 //! One generic [`FwStage`] wraps the four per-framework [`FwArm`]s (HEC,
 //! PTJ, PTS, PTS-CP); the arm supplies the mechanism calls, the estimator
-//! and the spec codec, the wrapper supplies the shared fold shape:
-//! privatize each pair into a reusable scratch block, price its uplink,
-//! absorb the block word-parallel. PTS and PTS-CP share one report and one
-//! aggregator type ([`PairReport`], [`PairAggregator`]).
+//! and the spec codec, the wrapper supplies the shared fold shape: one
+//! loop that privatizes each pair into one reused report
+//! ([`FwArm::privatize_into`]), prices its uplink and pushes it into the
+//! aggregator's in-flight block, which is summed word-parallel once per
+//! fragment. No fragment's reports are kept. PTS and PTS-CP share one
+//! report and one aggregator type ([`PairReport`], [`PairAggregator`]).
+
+use std::marker::PhantomData;
 
 use rand::rngs::StdRng;
 
@@ -28,23 +32,14 @@ use crate::frameworks::{Ptj, PtjAggregator, Pts};
 use crate::{CorrelatedPerturbation, Domains, FrequencyTable, LabelItem};
 use crate::{PairAggregator, PairReport};
 
-/// Per-worker fold state of one framework arm: a partial aggregator, its
-/// uplink stats, and a reusable privatized-report scratch buffer (excluded
-/// from cloning, merging and the wire — each worker grows its own).
+/// Per-worker fold state of one framework arm: a partial aggregator and
+/// its uplink stats. `Rep` names the arm's report type; the partial holds
+/// no report, since each one is counted as it is privatized.
+#[derive(Clone)]
 pub struct FwPartial<Agg, Rep> {
     agg: Agg,
     comm: CommStats,
-    scratch: Vec<Rep>,
-}
-
-impl<Agg: Clone, Rep> Clone for FwPartial<Agg, Rep> {
-    fn clone(&self) -> Self {
-        FwPartial {
-            agg: self.agg.clone(),
-            comm: self.comm,
-            scratch: Vec::new(),
-        }
-    }
+    _rep: PhantomData<fn() -> Rep>,
 }
 
 impl<Agg: WireState, Rep> WireState for FwPartial<Agg, Rep> {
@@ -63,7 +58,7 @@ impl<Agg: WireState, Rep> WireState for FwPartial<Agg, Rep> {
 /// of [`FwStage`].
 pub trait FwArm: Sync + Sized {
     /// The privatized report this arm produces per user.
-    type Rep: Send;
+    type Rep: Clone + Send;
     /// The partial aggregator this arm folds into.
     type Agg: Clone + Send + WireState;
 
@@ -97,6 +92,13 @@ pub trait FwArm: Sync + Sized {
     /// Absorbs a block of reports (word-parallel where the mechanism
     /// supports it).
     fn absorb(&self, agg: &mut Self::Agg, block: &[Self::Rep]) -> Result<()>;
+
+    /// Absorbs `n` reports that `next(i, report)` writes into one reused
+    /// report, summed like [`FwArm::absorb`]; the first error stops the
+    /// loop with every report before it absorbed.
+    fn absorb_each<F>(&self, agg: &mut Self::Agg, n: usize, next: F) -> Result<()>
+    where
+        F: FnMut(usize, &mut Self::Rep) -> Result<()>;
 
     /// Merges two disjoint-range partial aggregators.
     fn merge(agg: &mut Self::Agg, other: &Self::Agg) -> Result<()>;
@@ -151,7 +153,7 @@ impl<M: FwArm> Stage for FwStage<M> {
         FwPartial {
             agg: self.arm.new_agg(),
             comm: CommStats::default(),
-            scratch: Vec::new(),
+            _rep: PhantomData,
         }
     }
 
@@ -162,18 +164,15 @@ impl<M: FwArm> Stage for FwStage<M> {
         pairs: &[LabelItem],
         part: &mut Self::Acc,
     ) -> Result<()> {
-        let FwPartial { agg, comm, scratch } = part;
-        // The scratch keeps its longest block: reports already held there
-        // are overwritten in place, so steady-state folds allocate nothing.
-        for (i, &pair) in pairs.iter().enumerate() {
-            let at = abs + i as u64;
-            match scratch.get_mut(i) {
-                Some(report) => self.arm.privatize_into(rng, at, pair, report)?,
-                None => scratch.push(self.arm.privatize(rng, at, pair)?),
-            }
-            comm.record(M::report_bits(&scratch[i]));
-        }
-        self.arm.absorb(agg, &scratch[..pairs.len()])
+        let FwPartial { agg, comm, .. } = part;
+        // One report in flight: each pair is privatized into the block's
+        // reused report, priced, and counted before the next is drawn.
+        self.arm.absorb_each(agg, pairs.len(), |i, report| {
+            self.arm
+                .privatize_into(rng, abs + i as u64, pairs[i], report)?;
+            comm.record(M::report_bits(report));
+            Ok(())
+        })
     }
 
     fn merge(&self, into: &mut Self::Acc, from: &Self::Acc) -> Result<()> {
@@ -250,6 +249,13 @@ impl FwArm for HecArm {
         agg.absorb_all(block)
     }
 
+    fn absorb_each<F>(&self, agg: &mut HecAggregator, n: usize, next: F) -> Result<()>
+    where
+        F: FnMut(usize, &mut HecReport) -> Result<()>,
+    {
+        agg.absorb_each(n, next)
+    }
+
     fn merge(agg: &mut HecAggregator, other: &HecAggregator) -> Result<()> {
         agg.merge(other)
     }
@@ -306,6 +312,13 @@ impl FwArm for PtjArm {
 
     fn absorb(&self, agg: &mut PtjAggregator, block: &[Report]) -> Result<()> {
         agg.absorb_all(block)
+    }
+
+    fn absorb_each<F>(&self, agg: &mut PtjAggregator, n: usize, next: F) -> Result<()>
+    where
+        F: FnMut(usize, &mut Report) -> Result<()>,
+    {
+        agg.absorb_each(n, next)
     }
 
     fn merge(agg: &mut PtjAggregator, other: &PtjAggregator) -> Result<()> {
@@ -376,6 +389,13 @@ impl FwArm for PtsArm {
 
     fn absorb(&self, agg: &mut PairAggregator, block: &[PairReport]) -> Result<()> {
         agg.absorb_all(block)
+    }
+
+    fn absorb_each<F>(&self, agg: &mut PairAggregator, n: usize, next: F) -> Result<()>
+    where
+        F: FnMut(usize, &mut PairReport) -> Result<()>,
+    {
+        agg.absorb_each(n, next)
     }
 
     fn merge(agg: &mut PairAggregator, other: &PairAggregator) -> Result<()> {
@@ -450,6 +470,13 @@ impl FwArm for CpArm {
         agg.absorb_all(block)
     }
 
+    fn absorb_each<F>(&self, agg: &mut PairAggregator, n: usize, next: F) -> Result<()>
+    where
+        F: FnMut(usize, &mut PairReport) -> Result<()>,
+    {
+        agg.absorb_each(n, next)
+    }
+
     fn merge(agg: &mut PairAggregator, other: &PairAggregator) -> Result<()> {
         agg.merge(other)
     }
@@ -520,9 +547,10 @@ mod tests {
         check(FwStage::new(CpArm::new(e1, e2, domains).unwrap()), &data);
     }
 
-    /// Folding through the reused scratch (`privatize_into`, fragments of
-    /// varying length) equals privatizing owned reports shard by shard
-    /// with `privatize` — the draw order the executor's shard streams pin.
+    /// Folding one reused report at a time (`privatize_into` inside
+    /// `absorb_each`, fragments of varying length) equals privatizing
+    /// owned reports shard by shard with `privatize` and absorbing each
+    /// shard's block — the draw order the executor's shard streams pin.
     #[test]
     fn scratch_reuse_matches_owned_reports() {
         use mcim_oracles::parallel::{shard_rng, SHARD_SIZE};
@@ -566,6 +594,7 @@ mod tests {
         check(PtsArm::new(e1, e2, domains).unwrap(), &data);
         check(CpArm::new(e1, e2, domains).unwrap(), &data);
         check(HecArm::new(eps, domains).unwrap(), &data);
+        check(PtjArm::new(eps, domains).unwrap(), &data);
     }
 
     /// A partial's wire state loads only into a template of the same shape.

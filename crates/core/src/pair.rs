@@ -120,29 +120,31 @@ impl PairAggregator {
     where
         I: IntoIterator<Item = &'a PairReport>,
     {
-        let width = self.width;
-        let mut counters: Vec<Option<ColumnCounter>> = vec![None; self.label_counts.len()];
-        let mut outcome = Ok(());
-        for report in reports {
-            match self.tally(report) {
-                Ok(true) => counters[report.label as usize]
-                    .get_or_insert_with(|| ColumnCounter::new(width))
-                    .add(report.bits.words()),
-                Ok(false) => {}
-                Err(e) => {
-                    outcome = Err(e);
-                    break;
-                }
-            }
-        }
-        let d = self.domains.items() as usize;
-        for (row, counter) in self.pair_counts.chunks_exact_mut(d).zip(&mut counters) {
-            // The d-column prefix drops PTS-CP's (all-zero) flag column.
-            if let Some(counter) = counter {
-                counter.drain_into(row);
-            }
-        }
-        outcome
+        let mut block = PairBlock::new(self);
+        reports.into_iter().try_for_each(|r| block.push(r))
+    }
+
+    /// Absorbs `n` reports built in place: `next(i, report)` writes report
+    /// `i` into one reused report, which is then summed like
+    /// [`PairAggregator::absorb_all`] — no report is allocated or kept.
+    ///
+    /// Counts and `N` equal `n` sequential [`PairAggregator::absorb`]
+    /// calls on the same reports. The first error, from `next` or a
+    /// malformed report, stops the loop with every report before it
+    /// absorbed.
+    pub fn absorb_each<F>(&mut self, n: usize, mut next: F) -> Result<()>
+    where
+        F: FnMut(usize, &mut PairReport) -> Result<()>,
+    {
+        let mut report = PairReport {
+            label: 0,
+            bits: BitVec::zeros(self.width),
+        };
+        let mut block = PairBlock::new(self);
+        (0..n).try_for_each(|i| {
+            next(i, &mut report)?;
+            block.push(&report)
+        })
     }
 
     /// Merges another aggregator of the same shape (sharded aggregation
@@ -179,6 +181,48 @@ impl PairAggregator {
     /// the label mechanism's `(p₁, q₁)`.
     pub(crate) fn class_size(&self, label: u32, p1: f64, q1: f64) -> f64 {
         unbiased_count(self.raw_label_count(label) as f64, self.n as f64, p1, q1)
+    }
+}
+
+/// The in-flight block of [`PairAggregator::absorb_all`] and
+/// [`PairAggregator::absorb_each`]: `N` and `ñ(C)` are counted as reports
+/// arrive, and each unflagged row waits in its perturbed label's
+/// [`ColumnCounter`], built on the label's first row, until the block is
+/// dropped.
+struct PairBlock<'a> {
+    agg: &'a mut PairAggregator,
+    counters: Vec<Option<ColumnCounter>>,
+}
+
+impl<'a> PairBlock<'a> {
+    fn new(agg: &'a mut PairAggregator) -> Self {
+        let counters = vec![None; agg.label_counts.len()];
+        PairBlock { agg, counters }
+    }
+
+    #[inline]
+    fn push(&mut self, report: &PairReport) -> Result<()> {
+        if self.agg.tally(report)? {
+            let width = self.agg.width;
+            self.counters[report.label as usize]
+                .get_or_insert_with(|| ColumnCounter::new(width))
+                .add(report.bits.words());
+        }
+        Ok(())
+    }
+}
+
+impl Drop for PairBlock<'_> {
+    /// Adds each class's pending rows to its `f̃(C, ·)` row.
+    fn drop(&mut self) {
+        let d = self.agg.domains.items() as usize;
+        let rows = self.agg.pair_counts.chunks_exact_mut(d);
+        for (row, counter) in rows.zip(&mut self.counters) {
+            // The d-column prefix drops PTS-CP's (all-zero) flag column.
+            if let Some(counter) = counter {
+                counter.drain_into(row);
+            }
+        }
     }
 }
 

@@ -404,7 +404,9 @@ impl<St: Stage> FoldRun<'_, St> {
 /// so `--once` workers exit (and reaps adopted spawned children).
 ///
 /// The plan's `chunk_size` controls how many items are pulled (and
-/// encoded) per network round; `threads` only affects stages that run
+/// encoded) per network round; left unset it resolves through the plan
+/// like an in-process fold's, so a one-thread plan sends one shard per
+/// Chunk frame. `threads` otherwise only affects stages that run
 /// in-process (spec-less stages and replayed shards). Neither changes
 /// any output. A lost or refusing worker's shards are replayed on a
 /// survivor (or in-process) from the rewound source, bit-identically;

@@ -30,7 +30,7 @@
 //! [`parallel::shard_rng`]`(stage_seed, shard)` stream. The plan's two
 //! other knobs only choose the resource envelope — `threads(1)` pins one
 //! worker, a chunk as large as the source materializes it, the default
-//! holds `O(chunk + threads × shard)` — so seed-equal plans produce
+//! holds `O(chunk + threads × accumulator)` — so seed-equal plans produce
 //! bit-identical results for every thread count and chunk size (and on
 //! the distributed backend, which replays the same shard streams on
 //! worker processes).
@@ -86,9 +86,10 @@ pub fn check_contract(version: u32) -> Result<()> {
 /// A declarative execution plan: seed, worker budget and chunk size.
 ///
 /// Built with a fluent builder; unset knobs resolve lazily (`threads` to
-/// [`parallel::configured_threads`], `chunk_size` to
-/// [`DEFAULT_CHUNK_ITEMS`]) so a plan constructed once can be reused on
-/// machines with different core counts. Outputs never depend on
+/// [`parallel::configured_threads`], `chunk_size` to one
+/// [`parallel::SHARD_SIZE`] shard when the plan resolves to one thread and
+/// to [`DEFAULT_CHUNK_ITEMS`] otherwise) so a plan constructed once can be
+/// reused on machines with different core counts. Outputs never depend on
 /// `threads` or `chunk_size` — both knobs are purely about latency and
 /// memory.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -125,8 +126,12 @@ impl Exec {
         self
     }
 
-    /// Sets the items pulled (and held) per ingestion chunk (default
-    /// [`DEFAULT_CHUNK_ITEMS`]). Never changes outputs.
+    /// Sets the items pulled (and held) per ingestion chunk. Never changes
+    /// outputs. The default depends on the resolved thread count: one
+    /// [`parallel::SHARD_SIZE`] shard for one thread, which folds a shard
+    /// per pull and holds no more input than that, and
+    /// [`DEFAULT_CHUNK_ITEMS`] (16 shards) for more, so every worker gets
+    /// whole shards per pull.
     pub fn chunk_size(mut self, chunk_items: usize) -> Self {
         self.chunk_items = Some(chunk_items.max(1));
         self
@@ -142,9 +147,16 @@ impl Exec {
         self.threads.unwrap_or_else(parallel::configured_threads)
     }
 
-    /// The ingestion chunk size this plan resolves to.
+    /// The ingestion chunk size this plan resolves to (see
+    /// [`Exec::chunk_size`] for the thread-dependent default).
     pub fn resolved_chunk_items(&self) -> usize {
-        self.chunk_items.unwrap_or(DEFAULT_CHUNK_ITEMS)
+        self.chunk_items.unwrap_or_else(|| {
+            if self.resolved_threads() <= 1 {
+                parallel::SHARD_SIZE
+            } else {
+                DEFAULT_CHUNK_ITEMS
+            }
+        })
     }
 
     /// The in-process [`Executor`] for this plan.
@@ -438,8 +450,9 @@ mod tests {
 
     /// Unset knobs resolve lazily: `threads` honors the `MCIM_THREADS`
     /// environment (the CI matrix sets it) falling back to the machine's
-    /// parallelism, `chunk_size` falls back to the default chunk — and the
-    /// explicit setters always win over both.
+    /// parallelism, `chunk_size` falls back to one shard for one thread
+    /// and to the 16-shard default chunk for more — and the explicit
+    /// setters always win over both.
     #[test]
     fn lazy_knob_resolution_matches_environment() {
         let unset = Exec::new();
@@ -448,7 +461,20 @@ mod tests {
             parallel::configured_threads(),
             "unset threads resolve to MCIM_THREADS / available parallelism"
         );
-        assert_eq!(unset.resolved_chunk_items(), DEFAULT_CHUNK_ITEMS);
+        let default_chunk = if unset.resolved_threads() == 1 {
+            parallel::SHARD_SIZE
+        } else {
+            DEFAULT_CHUNK_ITEMS
+        };
+        assert_eq!(unset.resolved_chunk_items(), default_chunk);
+        assert_eq!(
+            Exec::new().threads(1).resolved_chunk_items(),
+            parallel::SHARD_SIZE
+        );
+        assert_eq!(
+            Exec::new().threads(2).resolved_chunk_items(),
+            DEFAULT_CHUNK_ITEMS
+        );
         if let Ok(v) = std::env::var("MCIM_THREADS") {
             if let Ok(n) = v.trim().parse::<usize>() {
                 assert_eq!(unset.resolved_threads(), n.max(1));
@@ -474,9 +500,12 @@ mod tests {
             auto.contains(&format!("threads={}(auto)", parallel::configured_threads())),
             "{auto}"
         );
+        let chunk = Exec::seeded(1).resolved_chunk_items();
+        assert!(auto.contains(&format!("chunk={chunk}(default)")), "{auto}");
+        let one = Exec::seeded(1).threads(1).to_string();
         assert!(
-            auto.contains(&format!("chunk={DEFAULT_CHUNK_ITEMS}(default)")),
-            "{auto}"
+            one.contains(&format!("chunk={}(default)", parallel::SHARD_SIZE)),
+            "{one}"
         );
         assert!(auto.contains("contract=v4"), "{auto}");
         let explicit = Exec::new().threads(7).to_string();

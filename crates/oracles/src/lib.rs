@@ -85,7 +85,7 @@ pub use error::Error;
 pub use exec::{Exec, Executor, FoldReport, InProcess};
 pub use grr::Grr;
 pub use olh::{Olh, OlhReport};
-pub use oracle::{Aggregator, Oracle, Report};
+pub use oracle::{AbsorbBlock, Aggregator, Oracle, Report};
 pub use ue::UnaryEncoding;
 
 /// Convenience result alias used across the workspace.

@@ -187,71 +187,55 @@ impl Aggregator {
         Ok(())
     }
 
-    /// Absorbs a whole block of reports through the word-parallel runtime.
-    ///
-    /// Unary-encoding reports go through a [`ColumnCounter`] (bit-sliced
-    /// vertical popcount) instead of per-bit counter increments; GRR and
-    /// OLH reports take their per-report paths. Counts are exactly the
-    /// ones `reports.iter().map(|r| self.absorb(r))` would produce.
-    ///
-    /// If any report is invalid an error is returned and the aggregator is
-    /// left partially updated (the run is not transactional).
+    /// Absorbs a whole block of reports through the word-parallel runtime
+    /// ([`AbsorbBlock`]): unary-encoding rows are summed bit-sliced, OLH
+    /// reports four per domain scan, GRR values counted directly. Counts
+    /// are exactly the ones `reports.iter().map(|r| self.absorb(r))` would
+    /// produce, including at an invalid report, which stops the block with
+    /// every report before it absorbed.
     pub fn absorb_all<'a, I>(&mut self, reports: I) -> Result<()>
     where
         I: IntoIterator<Item = &'a Report>,
     {
-        if let Oracle::Ue(m) = &self.oracle {
-            let d = m.domain_size() as usize;
-            let mut cc = ColumnCounter::new(d);
-            let mut outcome = Ok(());
-            for report in reports {
-                match report {
-                    Report::Bits(bits) if bits.len() == d => cc.add(bits.words()),
-                    Report::Bits(_) => {
-                        outcome = Err(Error::ReportMismatch {
-                            expected: "UE bits of the aggregator's domain length",
-                        });
-                        break;
-                    }
-                    _ => {
-                        outcome = Err(Error::ReportMismatch {
-                            expected: "report variant matching the aggregator's oracle",
-                        });
-                        break;
-                    }
-                }
-            }
-            self.n += cc.rows();
-            cc.drain_into(&mut self.counts);
-            return outcome;
-        }
+        let mut block = self.block();
+        reports.into_iter().try_for_each(|r| block.push(r))
+    }
+
+    /// Absorbs `n` reports built in place: `next(i, report)` writes report
+    /// `i` into one reused report, which is then pushed into the block
+    /// [`Aggregator::absorb_all`] uses — no report is kept.
+    ///
+    /// Counts and `n` equal `n` sequential [`Aggregator::absorb`] calls on
+    /// the same reports. The first error, from `next` or an invalid
+    /// report, stops the loop with every report before it absorbed.
+    pub fn absorb_each<F>(&mut self, n: usize, mut next: F) -> Result<()>
+    where
+        F: FnMut(usize, &mut Report) -> Result<()>,
+    {
+        let mut report = Report::Value(0);
+        let mut block = self.block();
+        (0..n).try_for_each(|i| {
+            next(i, &mut report)?;
+            block.push(&report)
+        })
+    }
+
+    /// An empty in-flight block over this aggregator; every report pushed
+    /// into it has reached the counts once the block is dropped.
+    pub fn block(&mut self) -> AbsorbBlock<'_> {
+        let pending = match &self.oracle {
+            Oracle::Grr(_) => Pending::Direct,
+            Oracle::Ue(m) => Pending::Columns(ColumnCounter::new(m.domain_size() as usize)),
+            Oracle::Olh(_) => Pending::Quad([OlhReport { seed: 0, value: 0 }; 4], 0),
+        };
+        AbsorbBlock { agg: self, pending }
+    }
+
+    /// Adds OLH reports' support over the whole domain to the counts.
+    fn scatter(&mut self, reports: &[OlhReport]) {
         if let Oracle::Olh(m) = &self.oracle {
-            // OLH blocks scatter four reports' candidate matches per
-            // domain scan (hoisted seed states, one counter write per
-            // value per quad) — exact u64 sums, identical to the
-            // per-report path.
-            let iter = reports.into_iter();
-            let mut hashed = Vec::with_capacity(iter.size_hint().0);
-            let mut outcome = Ok(());
-            for report in iter {
-                match report {
-                    Report::Hashed(r) => hashed.push(*r),
-                    _ => {
-                        outcome = Err(Error::ReportMismatch {
-                            expected: "report variant matching the aggregator's oracle",
-                        });
-                        break;
-                    }
-                }
-            }
-            m.support_counts_block_into(&hashed, &mut self.counts);
-            self.n += hashed.len() as u64;
-            return outcome;
+            m.support_counts_block_into(reports, &mut self.counts);
         }
-        for report in reports {
-            self.absorb(report)?;
-        }
-        Ok(())
     }
 
     /// The oracle this aggregator matches.
@@ -294,6 +278,75 @@ impl Aggregator {
         }
         self.n += other.n;
         Ok(())
+    }
+}
+
+/// The in-flight block of an [`Aggregator`]: what a block of reports
+/// holds between being pushed and reaching the counts.
+///
+/// GRR values count straight into the aggregator; unary-encoding rows
+/// wait in a [`ColumnCounter`]; OLH reports wait in fours, so one domain
+/// scan scatters four reports' support ([`Olh::support_counts_block_into`]).
+/// Dropping the block moves whatever is pending into the counts, so the
+/// aggregator is never seen with a report counted in `n` but not in its
+/// counts.
+#[derive(Debug)]
+pub struct AbsorbBlock<'a> {
+    agg: &'a mut Aggregator,
+    pending: Pending,
+}
+
+#[derive(Debug)]
+enum Pending {
+    Direct,
+    Columns(ColumnCounter),
+    Quad([OlhReport; 4], usize),
+}
+
+impl AbsorbBlock<'_> {
+    /// Adds one report: counts it toward `n` and holds or counts its
+    /// support. A report that does not match the oracle is refused with
+    /// the error [`Aggregator::absorb`] gives, and nothing is added.
+    #[inline]
+    pub fn push(&mut self, report: &Report) -> Result<()> {
+        let AbsorbBlock { agg, pending } = self;
+        match (pending, report) {
+            (Pending::Direct, _) => return agg.absorb(report),
+            (Pending::Columns(cc), Report::Bits(bits)) if bits.len() == cc.len() => {
+                cc.add(bits.words())
+            }
+            (Pending::Columns(_), Report::Bits(_)) => {
+                return Err(Error::ReportMismatch {
+                    expected: "UE bits of the aggregator's domain length",
+                })
+            }
+            (Pending::Quad(quad, held), Report::Hashed(r)) => {
+                quad[*held] = *r;
+                *held += 1;
+                if *held == quad.len() {
+                    agg.scatter(quad);
+                    *held = 0;
+                }
+            }
+            _ => {
+                return Err(Error::ReportMismatch {
+                    expected: "report variant matching the aggregator's oracle",
+                })
+            }
+        }
+        agg.n += 1;
+        Ok(())
+    }
+}
+
+impl Drop for AbsorbBlock<'_> {
+    /// Moves the pending rows or reports into the aggregator's counts.
+    fn drop(&mut self) {
+        match &mut self.pending {
+            Pending::Direct => {}
+            Pending::Columns(cc) => cc.drain_into(&mut self.agg.counts),
+            Pending::Quad(quad, held) => self.agg.scatter(&quad[..*held]),
+        }
     }
 }
 

@@ -6,10 +6,14 @@
 //! **pull-based source** ([`ReportSource`]) through a chunked executor
 //! ([`fold_stream`]) that holds only
 //!
-//! * one reusable input buffer of `chunk_items` items, and
-//! * one in-flight accumulator clone per worker,
+//! * one reusable input buffer of `chunk_items` items (by default one
+//!   [`SHARD_SIZE`] shard for a one-thread plan, [`DEFAULT_CHUNK_ITEMS`]
+//!   otherwise), and
+//! * per worker, one accumulator clone plus what its stage keeps in
+//!   flight — for the framework and top-k stages, one reused report and
+//!   the aggregator's in-flight block, not a shard of reports,
 //!
-//! i.e. `O(chunk + threads × shard)` memory instead of `O(n)`.
+//! i.e. `O(chunk + threads × accumulator)` memory instead of `O(n)`.
 //!
 //! ## Independent of chunks and threads
 //!
@@ -80,9 +84,10 @@ use crate::exec::Exec;
 use crate::parallel::{shard_rng, SHARD_SIZE};
 use crate::{Error, Result};
 
-/// Default chunk size: 16 shards (65 536 items). Large enough to keep all
-/// workers busy per pull, small enough that even kilobit unary reports stay
-/// in the tens of megabytes.
+/// Chunk size of a multi-threaded plan that sets none: 16 shards (65 536
+/// items), enough whole shards per pull to keep every worker busy. A plan
+/// that resolves to one thread pulls one [`SHARD_SIZE`] shard instead
+/// (see [`Exec::chunk_size`]).
 pub const DEFAULT_CHUNK_ITEMS: usize = 16 * SHARD_SIZE;
 
 /// A pull-based supplier of stream items (raw values, label-item pairs, or
@@ -157,17 +162,31 @@ impl<S: ReportSource + ?Sized> ReportSource for &mut S {
 /// Drains `source` to exhaustion into a fresh `Vec` — the materialization
 /// step of pipelines that must revisit their input (multi-round top-k
 /// mining) or need its length before they start.
+///
+/// A source whose `size_hint` is exact drains into exactly that many
+/// slots. The hint is advisory, so it never reserves far ahead of the
+/// items: at most `4 ×` [`DEFAULT_CHUNK_ITEMS`] before the first fill, and
+/// after that at most as many slots as items already arrived, each step
+/// clamped to the hint. Past the hint the buffer grows as usual.
 pub fn drain_source<S: ReportSource>(source: &mut S) -> Result<Vec<S::Item>> {
-    // size_hint is advisory; clamp the upfront allocation so a
-    // misreporting source cannot reserve unbounded memory before the
-    // first fill.
     let hint = source
         .size_hint()
         .and_then(|n| usize::try_from(n).ok())
         .unwrap_or(0);
     let mut items = Vec::with_capacity(hint.min(4 * DEFAULT_CHUNK_ITEMS));
     loop {
-        if source.fill(&mut items, DEFAULT_CHUNK_ITEMS)? == 0 {
+        if items.len() == items.capacity() && items.len() < hint {
+            items.reserve_exact((hint - items.len()).min(items.len()));
+        }
+        // Fill no further than the reserved slots while any are free, so a
+        // fill never makes the buffer double past the hint.
+        let free = items.capacity() - items.len();
+        let max = if free > 0 {
+            free.min(DEFAULT_CHUNK_ITEMS)
+        } else {
+            DEFAULT_CHUNK_ITEMS
+        };
+        if source.fill(&mut items, max)? == 0 {
             break;
         }
     }
@@ -699,6 +718,38 @@ mod tests {
         assert_eq!(first, (0..40).collect::<Vec<u32>>());
         assert_eq!(drain_source(&mut source).unwrap().len(), 60);
         assert_eq!(drain_source(&mut source).unwrap(), Vec::<u32>::new());
+    }
+
+    /// An exact hint drains into exactly `hint` slots, also past the
+    /// up-front cap; a hint far above the items reserves no more than the
+    /// cap before they arrive.
+    #[test]
+    fn drain_source_fills_an_exact_hint_exactly() {
+        let cap = 4 * DEFAULT_CHUNK_ITEMS;
+        for n in [0, 1, SHARD_SIZE + 3, cap, cap + 1, 400_000] {
+            let items = vec![7u32; n];
+            let drained = drain_source(&mut SliceSource::new(&items)).unwrap();
+            assert_eq!((drained.len(), drained.capacity()), (n, n), "n={n}");
+        }
+
+        struct Boastful(Dribble);
+        impl ReportSource for Boastful {
+            type Item = u32;
+            fn fill(&mut self, buf: &mut Vec<u32>, max: usize) -> Result<usize> {
+                self.0.fill(buf, max)
+            }
+            fn size_hint(&self) -> Option<u64> {
+                Some(u64::MAX / 2)
+            }
+        }
+        let mut boastful = Boastful(Dribble {
+            next: 0,
+            n: 10,
+            per_call: 3,
+        });
+        let drained = drain_source(&mut boastful).unwrap();
+        assert_eq!(drained, (0..10).collect::<Vec<u32>>());
+        assert!(drained.capacity() <= cap, "{}", drained.capacity());
     }
 
     #[test]

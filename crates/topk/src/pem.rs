@@ -277,22 +277,20 @@ impl Stage for PemOracleRoundStage {
     ) -> Result<()> {
         let round = &self.round;
         let n_cands = round.candidates.len() as u32;
-        let mut reports = Vec::with_capacity(items.len());
-        for &item in items {
-            let value = match item {
+        // One report in flight: each is counted as it is privatized, and
+        // unary-encoding reports sum through the bit-sliced column counter.
+        agg.absorb_each(items.len(), |i, report| {
+            let value = match items[i] {
                 Some(it) => match round.index.get(round.code.prefix(it, round.prefix_len)) {
                     Some(idx) => idx,
                     None => rng.random_range(0..n_cands),
                 },
                 None => rng.random_range(0..n_cands),
             };
-            let report = self.oracle.privatize(value, rng)?;
+            *report = self.oracle.privatize(value, rng)?;
             comm.record(report.size_bits());
-            reports.push(report);
-        }
-        // One block per fragment: unary-encoding reports sum through the
-        // bit-sliced column counter instead of per-report increments.
-        agg.absorb_all(&reports)
+            Ok(())
+        })
     }
 
     fn merge(&self, into: &mut Self::Acc, from: &Self::Acc) -> Result<()> {
@@ -467,17 +465,16 @@ impl PemEngine {
     /// in fixed absolute shards with the deterministic per-shard RNG
     /// stream `shard_rng(stage_seed, shard)` (state carried across chunk
     /// boundaries). Candidates are looked up in constant time
-    /// (`CandIndex`); the validity round privatizes each user into one
-    /// reused report and sums the fragment through the bit-sliced column
-    /// counter ([`VpAggregator::absorb_each`]), while the vanilla round
-    /// absorbs each fragment's adaptive-oracle reports as one block
-    /// ([`Aggregator::absorb_all`]). The
-    /// surviving candidate set is a pure function of
-    /// `(engine state, eps, items, stage_seed)` — bit-identical for every
-    /// conforming executor, thread count, chunk size and worker count.
-    /// `stage_seed` is explicit (rather than taken from the executor's
-    /// plan) because multi-round miners derive one seed per round from the
-    /// plan seed.
+    /// (`CandIndex`); both rounds count each user's report as it is
+    /// privatized, the validity round through the bit-sliced column
+    /// counter ([`VpAggregator::absorb_each`]) and the vanilla round
+    /// through its adaptive oracle's in-flight block
+    /// ([`Aggregator::absorb_each`]). The surviving candidate set is a
+    /// pure function of `(engine state, eps, items, stage_seed)` —
+    /// bit-identical for every conforming executor, thread count, chunk
+    /// size and worker count. `stage_seed` is explicit (rather than taken
+    /// from the executor's plan) because multi-round miners derive one seed
+    /// per round from the plan seed.
     pub fn execute_round_on<E, S>(
         &mut self,
         executor: &E,

@@ -1,13 +1,12 @@
-//! Oracle privatize/aggregate throughput: the word-parallel aggregation
-//! runtime versus the seed's per-report paths, at the acceptance workload
+//! Oracle privatize/aggregate throughput at the acceptance workload
 //! `d = 1024`, `n = 100_000`, ε = 1.
 //!
-//! Three aggregation implementations are raced for OUE-style bit reports:
-//!
-//! * `per_bit` — the naive loop (`get(i)` over the whole domain),
-//! * `iter_ones` — the seed's per-set-bit counter increments,
-//! * `colsum` — the word-parallel bit-sliced column sums (`absorb_all`),
-//!   single-threaded; threaded absorption is the `exec_plan` slice's job.
+//! OUE privatization is timed one report at a time from one RNG stream
+//! (`oue_privatize_seq`), and OUE aggregation through the word-parallel
+//! bit-sliced column sums (`absorb_all`, `oue_aggregate_colsum_t1`) on one
+//! thread; threaded absorption is the `exec_plan` slice's job. The VP and
+//! PTS-CP aggregators are timed both ways: per-report `absorb` against
+//! `absorb_all`.
 //!
 //! An `exec_plan` slice additionally races three `Exec` plans of one full
 //! frequency pipeline at `d = 1024`, `n = 1M` (`MCIM_BENCH_EXEC_N`
@@ -292,34 +291,6 @@ fn main() {
     }));
 
     let reports = privatize_all(&values, |v, rng| oue.privatize(v, rng));
-    let bit_reports: Vec<&mcim_oracles::BitVec> = reports
-        .iter()
-        .map(|r| match r {
-            Report::Bits(b) => b,
-            _ => unreachable!("OUE emits bit reports"),
-        })
-        .collect();
-
-    scenarios.push(scenario("oue_aggregate_per_bit", n, trials, || {
-        // Naive per-bit scan: the path the column sums replace.
-        let mut counts = vec![0u64; D as usize];
-        for bits in &bit_reports {
-            for (i, c) in counts.iter_mut().enumerate() {
-                *c += u64::from(bits.get(i));
-            }
-        }
-        counts.iter().sum()
-    }));
-    scenarios.push(scenario("oue_aggregate_iter_ones", n, trials, || {
-        // The seed's absorb loop: per-set-bit scattered increments.
-        let mut counts = vec![0u64; D as usize];
-        for bits in &bit_reports {
-            for i in bits.iter_ones() {
-                counts[i] += 1;
-            }
-        }
-        counts.iter().sum()
-    }));
     scenarios.push(scenario("oue_aggregate_colsum_t1", n, trials, || {
         let mut agg = Aggregator::new(&oue);
         agg.absorb_all(&reports).unwrap();
@@ -370,52 +341,6 @@ fn main() {
         agg.absorb_all(&cp_reports).unwrap();
         agg.report_count()
     }));
-
-    // ---------------------------------------------------------- OLH ----
-    // O(n·d) hashing dominates; keep the report count in check.
-    let olh_n = (n / 10).max(1);
-    let olh = Oracle::olh(Eps::new(2.0).unwrap(), D).unwrap();
-    let olh_values: Vec<u32> = (0..olh_n as u32).map(|u| u % D).collect();
-    let olh_reports = privatize_all(&olh_values, |v, rng| olh.privatize(v, rng));
-    let olh_mech = match &olh {
-        Oracle::Olh(m) => m.clone(),
-        _ => unreachable!(),
-    };
-    scenarios.push(scenario("olh_aggregate_per_pair", olh_n, trials, || {
-        // The seed path: re-derive the seed state for every (report, value).
-        let mut counts = vec![0u64; D as usize];
-        for r in &olh_reports {
-            if let Report::Hashed(h) = r {
-                for v in 0..D {
-                    if olh_mech.supports(h, v) {
-                        counts[v as usize] += 1;
-                    }
-                }
-            }
-        }
-        counts.iter().sum()
-    }));
-    scenarios.push(scenario("olh_aggregate_blocked_t1", olh_n, trials, || {
-        let mut agg = Aggregator::new(&olh);
-        agg.absorb_all(&olh_reports).unwrap();
-        agg.raw_counts().iter().sum()
-    }));
-    // The candidate-set entry point (PEM-style aggregation over an explicit
-    // candidate list, here the full domain).
-    let hashed: Vec<mcim_oracles::OlhReport> = olh_reports
-        .iter()
-        .map(|r| match r {
-            Report::Hashed(h) => *h,
-            _ => unreachable!("OLH emits hashed reports"),
-        })
-        .collect();
-    let candidates: Vec<u32> = (0..D).collect();
-    scenarios.push(scenario(
-        "olh_aggregate_candidate_set",
-        olh_n,
-        trials,
-        || olh_mech.support_counts(&hashed, &candidates).iter().sum(),
-    ));
 
     // ------------------------------------------------- exec dispatch ----
     // The `Exec` plan layer must cost nothing measurable over driving the
@@ -656,24 +581,12 @@ fn main() {
     };
     let speedups = [
         (
-            "oue_colsum_t1_vs_per_bit",
-            ms_of("oue_aggregate_per_bit") / ms_of("oue_aggregate_colsum_t1"),
-        ),
-        (
-            "oue_colsum_t1_vs_iter_ones",
-            ms_of("oue_aggregate_iter_ones") / ms_of("oue_aggregate_colsum_t1"),
-        ),
-        (
             "vp_colsum_t1_vs_absorb",
             ms_of("vp_aggregate_absorb") / ms_of("vp_aggregate_colsum_t1"),
         ),
         (
             "cp_colsum_t1_vs_absorb",
             ms_of("cp_aggregate_absorb") / ms_of("cp_aggregate_colsum_t1"),
-        ),
-        (
-            "olh_blocked_t1_vs_per_pair",
-            ms_of("olh_aggregate_per_pair") / ms_of("olh_aggregate_blocked_t1"),
         ),
         (
             "exec_plan_batch_tn_vs_sequential",

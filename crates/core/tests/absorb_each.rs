@@ -186,7 +186,8 @@ fn absorb_each_and_absorb_all_match_per_report_absorb() {
     }
 
     // PtjAggregator over GRR and OUE (its adaptive oracle's branches), and
-    // the oracle aggregator it wraps over GRR, OUE and OLH.
+    // the oracle aggregator it wraps over GRR and OUE, the second OUE row
+    // with a report of the wrong variant.
     for (domains, bad, want) in [
         (
             Domains::new(2, 3).unwrap(),
@@ -218,7 +219,7 @@ fn absorb_each_and_absorb_all_match_per_report_absorb() {
             ue_length,
         ),
         (
-            Oracle::olh(eps, 32).unwrap(),
+            Oracle::oue(eps, 32).unwrap(),
             Report::Value(0),
             wrong_variant,
         ),

@@ -237,10 +237,6 @@ const RNG_HOME_FILES: &[&str] = &[
     "crates/oracles/src/bitvec.rs",
 ];
 
-/// `hash.rs` uses `splitmix64` as a *mixing function* (OLH seed
-/// hashing), not to seed a stream — sanctioned for that token only.
-const SPLITMIX_EXTRA_HOMES: &[&str] = &["crates/oracles/src/hash.rs"];
-
 /// The one sanctioned home of `Instant::now` outside tool crates: the
 /// telemetry layer's clock seam. Everything else (instrumentation sites,
 /// spans, tests) goes through `mcim_obs::Clock`, so a test can inject a
@@ -434,7 +430,6 @@ pub fn check_file(rel: &str, source: &str, class: FileClass) -> FileReport {
             && next_is('(')
             && prev.and_then(Tok::ident) != Some("fn")
             && !RNG_HOME_FILES.contains(&rel)
-            && !(id == "splitmix64" && SPLITMIX_EXTRA_HOMES.contains(&rel))
         {
             push(
                 "rng-discipline",
@@ -721,11 +716,6 @@ mod tests {
         for home in RNG_HOME_FILES {
             assert!(lib_findings(home, src).is_empty(), "{home}");
         }
-        // … hash.rs may call splitmix64 (mixing, not stream seeding) but
-        // not the other constructors.
-        let h = lib_findings("crates/oracles/src/hash.rs", src);
-        assert_eq!(rules_of(&h), ["rng-discipline", "rng-discipline"]);
-        assert!(h.iter().all(|f| f.token != "splitmix64"));
         // Tests and tool crates build seeded fixtures freely.
         let t = check_file(
             "crates/oracles/tests/p.rs",

@@ -193,9 +193,9 @@ impl fmt::Display for Exec {
 /// the workspace.
 ///
 /// The template returned by [`Stage::template`] must be a **merge
-/// identity** (fresh counters, zero tallies): the executors seed every
-/// worker-local accumulator with a clone of it, so any non-identity state
-/// would be counted once per worker.
+/// identity** (fresh counters, zero tallies): the executors start every
+/// worker-local accumulator from it, so any non-identity state would be
+/// counted once per worker.
 pub trait Stage: Sync {
     /// The stream item this stage consumes.
     type Item: Sync + Wire;
@@ -323,7 +323,7 @@ pub trait Executor {
     fn plan(&self) -> &Exec;
 
     /// Folds `source` through `stage` under the shard contract above,
-    /// starting from a clone of the stage's template. `stage_seed` is the
+    /// starting from the stage's template. `stage_seed` is the
     /// base seed of this stage's per-shard RNG streams — explicit (rather
     /// than always the plan seed) because multi-stage pipelines derive one
     /// seed per stage.
@@ -418,7 +418,7 @@ impl Executor for InProcess {
             source,
             &self.plan,
             stage_seed,
-            &stage.template(),
+            || stage.template(),
             |rng, abs, items, acc| stage.fold(rng, abs, items, acc),
             |a, b| stage.merge(a, b),
         )?;

@@ -1,12 +1,15 @@
-//! Seeded hashing and a deterministic RNG.
+//! The `splitmix64` mixer and a deterministic RNG built on it.
 //!
 //! Two consumers need *stable, seed-reproducible* randomness:
 //!
-//! * OLH hashes each item through a per-user seeded hash function;
+//! * the shard-stream seeds ([`crate::parallel::shard_rng`]) mix a stage
+//!   seed and a shard index through [`splitmix64`];
 //! * the paper's shuffling scheme (§VI-B, Fig. 4) sends users a 64-bit seed
 //!   per iteration from which they reconstruct the server's candidate
-//!   shuffle locally. User and server must agree bit-for-bit, so the shuffle
-//!   cannot depend on `rand`'s internals; it uses our own [`SplitMix64`].
+//!   shuffle locally: [`SplitMix64::shuffle`] permutes the candidates and
+//!   `bucket_of` in `mcim-topk` cuts the permutation into buckets. User and
+//!   server must agree bit-for-bit, so the shuffle cannot depend on
+//!   `rand`'s internals.
 //!
 //! `splitmix64` is the finalizer from Steele et al., "Fast Splittable
 //! Pseudorandom Number Generators" (OOPSLA 2014): a cheap, well-distributed
@@ -19,37 +22,6 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
-}
-
-/// Hashes `value` under `seed` into the range `[0, range)`.
-///
-/// Used by OLH (`range = g`) and by bucket assignment in the top-k shuffling
-/// scheme. `range` must be non-zero.
-#[inline]
-pub fn seeded_hash(seed: u64, value: u64, range: u64) -> u64 {
-    seeded_hash_from_state(seeded_hash_state(seed), value, range)
-}
-
-/// Pre-mixes `seed` into the per-seed hash state.
-///
-/// The first of [`seeded_hash`]'s two mixing rounds depends only on the
-/// seed; blocked aggregation (hashing one report's seed against a whole
-/// candidate set) hoists it with this function and finishes each candidate
-/// with [`seeded_hash_from_state`], halving the mixing work per candidate.
-#[inline]
-pub fn seeded_hash_state(seed: u64) -> u64 {
-    splitmix64(seed ^ 0x51_7C_C1_B7_27_22_0A_95)
-}
-
-/// Completes [`seeded_hash`] from a pre-mixed [`seeded_hash_state`].
-#[inline]
-pub fn seeded_hash_from_state(state: u64, value: u64, range: u64) -> u64 {
-    debug_assert!(range > 0, "hash range must be non-zero");
-    // Second mixing round decorrelates seed state and value cheaply.
-    let h = splitmix64(state ^ value);
-    // Lemire's multiply-shift maps uniformly into [0, range) without modulo
-    // bias beyond 2^-64.
-    ((h as u128 * range as u128) >> 64) as u64
 }
 
 /// A tiny deterministic RNG (splitmix64 stream) for reproducible shuffles.
@@ -131,65 +103,6 @@ mod tests {
         // Adjacent inputs should differ in many bits (avalanche sanity).
         let d = (splitmix64(12345) ^ splitmix64(12346)).count_ones();
         assert!(d > 16, "only {d} differing bits");
-    }
-
-    #[test]
-    fn prehashed_state_matches_direct_hash() {
-        // The split form is the same function — OLH support counting relies
-        // on the equality, and the golden values above pin the direct form.
-        for seed in [0u64, 1, 0xDEAD_BEEF, u64::MAX] {
-            let state = seeded_hash_state(seed);
-            for value in 0..64u64 {
-                for range in [2u64, 3, 17, 1 << 40] {
-                    assert_eq!(
-                        seeded_hash_from_state(state, value, range),
-                        seeded_hash(seed, value, range)
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn seeded_hash_respects_range() {
-        for range in [1u64, 2, 7, 64, 1000] {
-            for v in 0..200u64 {
-                let h = seeded_hash(99, v, range);
-                assert!(h < range);
-            }
-        }
-    }
-
-    #[test]
-    fn seeded_hash_is_roughly_uniform() {
-        let range = 10u64;
-        let mut counts = [0usize; 10];
-        let n = 100_000u64;
-        for v in 0..n {
-            counts[seeded_hash(7, v, range) as usize] += 1;
-        }
-        let expected = n as f64 / range as f64;
-        for (bucket, &c) in counts.iter().enumerate() {
-            assert!(
-                (c as f64 - expected).abs() < expected * 0.05,
-                "bucket {bucket} count {c} far from {expected}"
-            );
-        }
-    }
-
-    #[test]
-    fn different_seeds_decorrelate() {
-        let range = 16u64;
-        let mut same = 0;
-        let n = 10_000;
-        for v in 0..n {
-            if seeded_hash(1, v, range) == seeded_hash(2, v, range) {
-                same += 1;
-            }
-        }
-        // Expect ~n/16 collisions between independent hashes.
-        let expected = n as f64 / range as f64;
-        assert!((same as f64 - expected).abs() < expected * 0.3);
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! * [`Grr`] — Generalized Random Response over a categorical domain.
 //! * [`UnaryEncoding`] — unary (one-hot) encoding with symmetric (SUE) or
 //!   optimized (OUE) flip probabilities.
-//! * [`Olh`] — Optimal Local Hashing.
 //! * [`Oracle::adaptive`] — the adaptive GRR/OUE selection rule of Wang et
 //!   al. (USENIX Security '17), used throughout the paper's experiments.
 //!
@@ -18,8 +17,8 @@
 //! * [`Eps`] — validated privacy budgets with splitting (sequential
 //!   composition),
 //! * [`BitVec`] — packed bit vectors with geometric-skipping Bernoulli fill,
-//! * [`hash`] — seeded `splitmix64`-based hashing and a deterministic
-//!   [`hash::SplitMix64`] RNG used for reproducible shuffles,
+//! * [`hash`] — the `splitmix64` mixer behind the shard seeds and a
+//!   deterministic [`hash::SplitMix64`] RNG used for reproducible shuffles,
 //! * [`calibrate`] — unbiased count calibration and analytic variances,
 //! * [`colsum`] — word-parallel (bit-sliced) column sums for block
 //!   aggregation of unary-encoding reports,
@@ -66,7 +65,6 @@ mod bitvec;
 mod budget;
 mod error;
 mod grr;
-mod olh;
 mod oracle;
 mod ue;
 
@@ -84,7 +82,6 @@ pub use colsum::ColumnCounter;
 pub use error::Error;
 pub use exec::{Exec, Executor, FoldReport, InProcess};
 pub use grr::Grr;
-pub use olh::{Olh, OlhReport};
 pub use oracle::{AbsorbBlock, Aggregator, Oracle, Report};
 pub use ue::UnaryEncoding;
 

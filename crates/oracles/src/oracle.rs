@@ -11,7 +11,7 @@ use rand::Rng;
 
 use crate::calibrate::unbiased_count;
 use crate::colsum::ColumnCounter;
-use crate::{BitVec, Eps, Error, Grr, Olh, OlhReport, Result, UnaryEncoding};
+use crate::{BitVec, Eps, Error, Grr, Result, UnaryEncoding};
 
 /// A frequency oracle: one of the concrete LDP mechanisms.
 #[derive(Debug, Clone)]
@@ -20,8 +20,6 @@ pub enum Oracle {
     Grr(Grr),
     /// Unary encoding (SUE or OUE).
     Ue(UnaryEncoding),
-    /// Optimal local hashing.
-    Olh(Olh),
 }
 
 /// A single privatized report, matching the oracle that produced it.
@@ -31,8 +29,6 @@ pub enum Report {
     Value(u32),
     /// Unary-encoded perturbed bits.
     Bits(BitVec),
-    /// OLH seed + perturbed hash.
-    Hashed(OlhReport),
 }
 
 impl Report {
@@ -41,7 +37,6 @@ impl Report {
         match self {
             Report::Value(_) => 32,
             Report::Bits(b) => b.len(),
-            Report::Hashed(_) => 64 + 32,
         }
     }
 }
@@ -67,17 +62,11 @@ impl Oracle {
         Ok(Oracle::Ue(UnaryEncoding::optimized(eps, d)?))
     }
 
-    /// Forces OLH.
-    pub fn olh(eps: Eps, d: u32) -> Result<Self> {
-        Ok(Oracle::Olh(Olh::new(eps, d)?))
-    }
-
     /// Domain size `d`.
     pub fn domain_size(&self) -> u32 {
         match self {
             Oracle::Grr(m) => m.domain_size(),
             Oracle::Ue(m) => m.domain_size(),
-            Oracle::Olh(m) => m.domain_size(),
         }
     }
 
@@ -86,7 +75,6 @@ impl Oracle {
         match self {
             Oracle::Grr(m) => m.p(),
             Oracle::Ue(m) => m.p(),
-            Oracle::Olh(m) => m.support_p(),
         }
     }
 
@@ -95,7 +83,6 @@ impl Oracle {
         match self {
             Oracle::Grr(m) => m.q(),
             Oracle::Ue(m) => m.q(),
-            Oracle::Olh(m) => m.support_q(),
         }
     }
 
@@ -104,7 +91,6 @@ impl Oracle {
         match self {
             Oracle::Grr(m) => m.report_bits(),
             Oracle::Ue(m) => m.report_bits(),
-            Oracle::Olh(m) => m.report_bits(),
         }
     }
 
@@ -113,7 +99,6 @@ impl Oracle {
         match self {
             Oracle::Grr(m) => Ok(Report::Value(m.perturb(v, rng)?)),
             Oracle::Ue(m) => Ok(Report::Bits(m.privatize(v, rng)?)),
-            Oracle::Olh(m) => Ok(Report::Hashed(m.privatize(v, rng)?)),
         }
     }
 
@@ -125,7 +110,6 @@ impl Oracle {
                 crate::ue::UeKind::Optimized => "OUE",
                 crate::ue::UeKind::Symmetric => "SUE",
             },
-            Oracle::Olh(_) => "OLH",
         }
     }
 }
@@ -172,11 +156,6 @@ impl Aggregator {
                 }
                 bits.count_ones_into(&mut self.counts);
             }
-            (Oracle::Olh(m), Report::Hashed(r)) => {
-                // O(d) per report: OLH's documented server cost (with the
-                // seed state hoisted out of the domain scan).
-                m.support_counts_into(r, &mut self.counts);
-            }
             _ => {
                 return Err(Error::ReportMismatch {
                     expected: "report variant matching the aggregator's oracle",
@@ -188,8 +167,8 @@ impl Aggregator {
     }
 
     /// Absorbs a whole block of reports through the word-parallel runtime
-    /// ([`AbsorbBlock`]): unary-encoding rows are summed bit-sliced, OLH
-    /// reports four per domain scan, GRR values counted directly. Counts
+    /// ([`AbsorbBlock`]): unary-encoding rows are summed bit-sliced, GRR
+    /// values counted directly. Counts
     /// are exactly the ones `reports.iter().map(|r| self.absorb(r))` would
     /// produce, including at an invalid report, which stops the block with
     /// every report before it absorbed.
@@ -226,16 +205,8 @@ impl Aggregator {
         let pending = match &self.oracle {
             Oracle::Grr(_) => Pending::Direct,
             Oracle::Ue(m) => Pending::Columns(ColumnCounter::new(m.domain_size() as usize)),
-            Oracle::Olh(_) => Pending::Quad([OlhReport { seed: 0, value: 0 }; 4], 0),
         };
         AbsorbBlock { agg: self, pending }
-    }
-
-    /// Adds OLH reports' support over the whole domain to the counts.
-    fn scatter(&mut self, reports: &[OlhReport]) {
-        if let Oracle::Olh(m) = &self.oracle {
-            m.support_counts_block_into(reports, &mut self.counts);
-        }
     }
 
     /// The oracle this aggregator matches.
@@ -285,11 +256,9 @@ impl Aggregator {
 /// holds between being pushed and reaching the counts.
 ///
 /// GRR values count straight into the aggregator; unary-encoding rows
-/// wait in a [`ColumnCounter`]; OLH reports wait in fours, so one domain
-/// scan scatters four reports' support ([`Olh::support_counts_block_into`]).
-/// Dropping the block moves whatever is pending into the counts, so the
-/// aggregator is never seen with a report counted in `n` but not in its
-/// counts.
+/// wait in a [`ColumnCounter`]. Dropping the block moves the pending rows
+/// into the counts, so the aggregator is never seen with a report counted
+/// in `n` but not in its counts.
 #[derive(Debug)]
 pub struct AbsorbBlock<'a> {
     agg: &'a mut Aggregator,
@@ -300,7 +269,6 @@ pub struct AbsorbBlock<'a> {
 enum Pending {
     Direct,
     Columns(ColumnCounter),
-    Quad([OlhReport; 4], usize),
 }
 
 impl AbsorbBlock<'_> {
@@ -320,14 +288,6 @@ impl AbsorbBlock<'_> {
                     expected: "UE bits of the aggregator's domain length",
                 })
             }
-            (Pending::Quad(quad, held), Report::Hashed(r)) => {
-                quad[*held] = *r;
-                *held += 1;
-                if *held == quad.len() {
-                    agg.scatter(quad);
-                    *held = 0;
-                }
-            }
             _ => {
                 return Err(Error::ReportMismatch {
                     expected: "report variant matching the aggregator's oracle",
@@ -340,12 +300,11 @@ impl AbsorbBlock<'_> {
 }
 
 impl Drop for AbsorbBlock<'_> {
-    /// Moves the pending rows or reports into the aggregator's counts.
+    /// Moves the pending rows into the aggregator's counts.
     fn drop(&mut self) {
         match &mut self.pending {
             Pending::Direct => {}
             Pending::Columns(cc) => cc.drain_into(&mut self.agg.counts),
-            Pending::Quad(quad, held) => self.agg.scatter(&quad[..*held]),
         }
     }
 }
@@ -388,8 +347,7 @@ mod tests {
     }
 
     /// Budgets past where `e^ε` (ε ≈ 709.8) or `e^{ε/2}` (ε ≈ 1419.6)
-    /// overflows, and past where OLH's `⌊e^ε⌋ + 1` leaves `u64`
-    /// (ε ≈ 44.4): every mechanism keeps probabilities in `[0, 1]`, takes
+    /// overflows: every mechanism keeps probabilities in `[0, 1]`, takes
     /// the limit `p = 1` where its formula for `p` overflowed, and gives
     /// finite estimates.
     #[test]
@@ -404,7 +362,6 @@ mod tests {
                     Oracle::Ue(UnaryEncoding::symmetric(eps(e), 8).unwrap()),
                     1420.0,
                 ),
-                (Oracle::olh(eps(e), 8).unwrap(), 710.0),
             ];
             for (oracle, p_is_one_from) in oracles {
                 let (p, q) = (oracle.p(), oracle.q());
@@ -466,23 +423,6 @@ mod tests {
     }
 
     #[test]
-    fn olh_roundtrip_estimation() {
-        let oracle = Oracle::olh(eps(2.0), 32).unwrap();
-        let mut agg = Aggregator::new(&oracle);
-        let mut rng = StdRng::seed_from_u64(5);
-        let n = 30_000;
-        for _ in 0..n {
-            agg.absorb(&oracle.privatize(9, &mut rng).unwrap()).unwrap();
-        }
-        let est = agg.estimate();
-        assert!(
-            (est[9] - n as f64).abs() < 0.06 * n as f64,
-            "est={}",
-            est[9]
-        );
-    }
-
-    #[test]
     fn word_parallel_sampler_matches_oue_rates() {
         // The word-parallel noise plane must reproduce (p, q) exactly like
         // the per-report path: check empirical bit rates.
@@ -509,7 +449,6 @@ mod tests {
         for oracle in [
             Oracle::grr(eps(1.0), 6).unwrap(),
             Oracle::oue(eps(1.0), 200).unwrap(),
-            Oracle::olh(eps(2.0), 32).unwrap(),
         ] {
             let d = oracle.domain_size();
             let mut rng = StdRng::seed_from_u64(5);

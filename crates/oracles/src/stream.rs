@@ -384,30 +384,32 @@ impl ShardCursor {
 /// starting at stream position `abs_index`, with the RNG a
 /// [`ShardCursor`] picks for it. Fragments of distinct shards run on up
 /// to the plan's resolved thread count of workers, each folding into its
-/// own clone of `template`; partials are combined with `merge`.
+/// own accumulator from `template()`; partials are combined with `merge`.
 ///
-/// Memory: one chunk-sized input buffer plus one accumulator clone per
-/// worker — independent of the stream length. The plan's seed is unused:
+/// Memory: one chunk-sized input buffer plus one accumulator per worker —
+/// independent of the stream length. The fold's own accumulator is built
+/// once and no pristine copy of it is kept. The plan's seed is unused:
 /// `base_seed` is explicit because multi-stage pipelines derive one seed
 /// per stage.
-pub fn fold_stream<S, A, F, M>(
+pub fn fold_stream<S, A, T, F, M>(
     source: &mut S,
     plan: &Exec,
     base_seed: u64,
-    template: &A,
+    template: T,
     f: F,
     merge: M,
 ) -> Result<A>
 where
     S: ReportSource,
     S::Item: Sync,
-    A: Clone + Send,
+    A: Send,
+    T: Fn() -> A + Sync,
     F: Fn(&mut StdRng, u64, &[S::Item], &mut A) -> Result<()> + Sync,
     M: Fn(&mut A, &A) -> Result<()>,
 {
     let chunk_items = plan.resolved_chunk_items();
     let threads = plan.resolved_threads();
-    let mut acc = template.clone();
+    let mut acc = template();
     let mut buf = chunk_buffer(chunk_items);
     let mut abs: u64 = 0;
     // Carries the RNG of a shard split across chunk boundaries.
@@ -443,10 +445,11 @@ where
             let partials = std::thread::scope(|scope| {
                 let handles: Vec<_> = crate::parallel::ranges(shards, threads)
                     .map(|range| {
-                        let (f, mut local) = (&f, template.clone());
+                        let (f, template) = (&f, &template);
                         let items = &body[range.start * SHARD_SIZE..range.end * SHARD_SIZE];
                         let at = body_abs + (range.start * SHARD_SIZE) as u64;
                         scope.spawn(move || -> Result<A> {
+                            let mut local = template();
                             ShardCursor::default().fold(
                                 base_seed,
                                 at,
@@ -542,7 +545,7 @@ mod tests {
             &mut source,
             &Exec::new().threads(threads).chunk_size(chunk),
             base_seed,
-            &(0u64, 0u64),
+            || (0u64, 0u64),
             |rng, _abs, items, acc| {
                 for &v in items {
                     acc.0 += v as u64;
@@ -589,7 +592,7 @@ mod tests {
             &mut source,
             &Exec::new().threads(2).chunk_size(1000),
             7,
-            &(0u64, 0u64),
+            || (0u64, 0u64),
             |rng, _abs, items, acc| {
                 for &v in items {
                     acc.0 += v as u64;
@@ -617,7 +620,7 @@ mod tests {
                 &mut source,
                 &Exec::new().threads(1).chunk_size(chunk),
                 0,
-                &Vec::<(u64, u64)>::new(),
+                Vec::<(u64, u64)>::new,
                 |_rng, abs, items, acc| {
                     acc.push((abs, abs + items.len() as u64));
                     Ok(())
@@ -697,7 +700,7 @@ mod tests {
             &mut source,
             &Exec::new().threads(4),
             1,
-            &123u64,
+            || 123u64,
             |_, _, _, _| Ok(()),
             |_, _| Ok(()),
         )

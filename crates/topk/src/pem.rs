@@ -352,8 +352,6 @@ pub struct PemEngine {
     /// Current candidate prefixes (sorted, deduplicated).
     candidates: Vec<u32>,
     prefix_len: u32,
-    /// Scores of `candidates` from the most recent round.
-    last_scores: Vec<f64>,
     finished: bool,
 }
 
@@ -380,7 +378,6 @@ impl PemEngine {
             config,
             candidates,
             prefix_len: gamma0,
-            last_scores: Vec::new(),
             finished: false,
         })
     }
@@ -405,7 +402,6 @@ impl PemEngine {
             config,
             candidates,
             prefix_len,
-            last_scores: Vec::new(),
             finished: false,
         })
     }
@@ -417,11 +413,6 @@ impl PemEngine {
         }
         let gap = self.code.bits() - self.prefix_len;
         1 + gap.div_ceil(self.config.extend_bits) as usize
-    }
-
-    /// Whether the next round is the final (full-length) one.
-    pub fn is_final_round(&self) -> bool {
-        !self.finished && self.prefix_len == self.code.bits()
     }
 
     /// Current candidate prefixes.
@@ -510,24 +501,6 @@ impl PemEngine {
         Ok(comm)
     }
 
-    /// Applies external scores (one per candidate), for callers that
-    /// aggregate reports themselves.
-    pub fn apply_scores(&mut self, scores: Vec<f64>) -> Result<()> {
-        if scores.len() != self.candidates.len() {
-            return Err(Error::ReportMismatch {
-                expected: "one score per candidate",
-            });
-        }
-        if self.finished {
-            return Err(Error::InvalidParameter {
-                name: "round",
-                constraint: "engine already finished",
-            });
-        }
-        self.prune_and_extend(scores);
-        Ok(())
-    }
-
     fn prune_and_extend(&mut self, scores: Vec<f64>) {
         let is_final = self.prefix_len == self.code.bits();
         let keep = if is_final {
@@ -545,8 +518,7 @@ impl PemEngine {
         order.truncate(keep);
 
         if is_final {
-            // Record the surviving items (full codes) with their scores.
-            self.last_scores = order.iter().map(|&i| scores[i]).collect();
+            // Keep the surviving items (full codes), best first.
             self.candidates = order.iter().map(|&i| self.candidates[i]).collect();
             self.finished = true;
             return;
@@ -572,7 +544,6 @@ impl PemEngine {
         next.dedup();
         self.candidates = next;
         self.prefix_len = new_len;
-        self.last_scores.clear();
     }
 
     /// The mined top items (descending score). Only valid after the final
@@ -590,12 +561,6 @@ impl PemEngine {
             .copied()
             .filter(|&c| self.code.is_real_item(c))
             .collect())
-    }
-
-    /// Scores aligned with [`PemEngine::top_items`]' pre-filter candidate
-    /// list (descending).
-    pub fn final_scores(&self) -> &[f64] {
-        &self.last_scores
     }
 }
 
@@ -877,7 +842,6 @@ mod tests {
         // Tiny domain: single direct round.
         let e = PemEngine::new(8, PemConfig::new(4)).unwrap();
         assert_eq!(e.remaining_rounds(), 1);
-        assert!(e.is_final_round());
     }
 
     #[test]
@@ -1012,14 +976,6 @@ mod tests {
     fn top_items_requires_finish() {
         let engine = PemEngine::new(256, PemConfig::new(4)).unwrap();
         assert!(engine.top_items().is_err());
-    }
-
-    #[test]
-    fn apply_scores_validates_length() {
-        let mut engine = PemEngine::new(256, PemConfig::new(4)).unwrap();
-        assert!(engine.apply_scores(vec![0.0; 3]).is_err());
-        let n = engine.candidates().len();
-        assert!(engine.apply_scores(vec![1.0; n]).is_ok());
     }
 
     #[test]

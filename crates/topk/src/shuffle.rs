@@ -70,7 +70,6 @@ pub fn replay(initial: &[u32], rounds: &[CompletedRound]) -> Vec<u32> {
 pub struct RoundView {
     seed: u64,
     buckets: usize,
-    n: usize,
     item_bucket: HashMap<u32, u32>,
 }
 
@@ -86,12 +85,6 @@ impl RoundView {
     #[inline]
     pub fn buckets(&self) -> usize {
         self.buckets
-    }
-
-    /// Number of live candidates in this round.
-    #[inline]
-    pub fn candidate_count(&self) -> usize {
-        self.n
     }
 }
 
@@ -158,7 +151,6 @@ impl ShuffleEngine {
         RoundView {
             seed,
             buckets,
-            n,
             item_bucket,
         }
     }
@@ -301,6 +293,5 @@ mod tests {
             4,
             "cannot have more buckets than candidates"
         );
-        assert_eq!(view.candidate_count(), 4);
     }
 }

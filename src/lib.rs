@@ -10,7 +10,7 @@
 //! This crate is a facade: it re-exports the workspace crates under stable
 //! paths. See the member crates for details:
 //!
-//! * [`oracles`] — GRR, SUE/OUE, OLH, adaptive selection, budgets, bitvecs,
+//! * [`oracles`] — GRR, SUE/OUE, adaptive selection, budgets, bitvecs,
 //!   and the [`Exec`](oracles::exec::Exec) execution-plan API every
 //!   pipeline's `execute` entry point takes.
 //! * [`core`] — domains, frameworks, validity/correlated perturbation,

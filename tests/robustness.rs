@@ -6,7 +6,7 @@
 use multiclass_ldp::core::{
     CorrelatedPerturbation, PairReport, ValidityInput, ValidityPerturbation, VpAggregator,
 };
-use multiclass_ldp::oracles::BitVec;
+use multiclass_ldp::oracles::{Aggregator, BitVec, Oracle, Report, UnaryEncoding};
 use multiclass_ldp::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -41,23 +41,91 @@ fn aggregators_reject_malformed_reports_without_state_damage() {
     assert_eq!(agg.report_count(), 1);
 }
 
+// -------------------------------------------------------- crafted reports
+
+/// A crafted-report row: a mechanism and the report a malicious client
+/// sends it.
+enum Crafted {
+    /// VP, sent all-ones vectors on an empty aggregator.
+    Vp(ValidityPerturbation),
+    /// An oracle at budget ε, sent a crafted report on top of honest ones.
+    Oracle(f64, Oracle, Report),
+}
+
+/// Any client can send an arbitrary well-formed report (a poisoning
+/// attempt, cf. Cao, Jia & Gong, USENIX Security 2021). Each row absorbs
+/// `m` crafted reports and checks what they can move.
+///
+/// * VP: the flag bit routes an all-ones vector to the invalid bucket,
+///   so no item count moves at all — exactly VP's design.
+/// * Oracle aggregators: one report changes each support count by at
+///   most 1 and `n` by 1, so each cell's estimate `(c − n·q)/(p − q)`
+///   moves by at most `m/(p − q)`, and stays finite.
 #[test]
-fn vp_aggregator_handles_adversarial_all_ones_reports() {
-    // A malicious client sends all-ones vectors (a poisoning attempt, cf.
-    // the related-work discussion). The aggregator must accept it (it is a
-    // syntactically valid report) but the flag bit routes it to the
-    // invalid bucket, limiting the damage — exactly VP's design.
-    let vp = ValidityPerturbation::new(Eps::new(1.0).unwrap(), 8).unwrap();
-    let mut agg = VpAggregator::new(&vp);
-    let mut ones = BitVec::zeros(9);
-    for i in 0..9 {
-        ones.set(i, true);
+fn crafted_reports_move_estimates_within_their_bound() {
+    const D: u32 = 8;
+    let mut rows = vec![Crafted::Vp(
+        ValidityPerturbation::new(Eps::new(1.0).unwrap(), D).unwrap(),
+    )];
+    let mut ones = BitVec::zeros(D as usize);
+    ones.toggle_all();
+    let zeros = Report::Bits(BitVec::zeros(D as usize));
+    let ones = Report::Bits(ones);
+    for e in [0.01, 1.0, 710.0] {
+        let eps = Eps::new(e).unwrap();
+        let sue = Oracle::Ue(UnaryEncoding::symmetric(eps, D).unwrap());
+        let oue = Oracle::oue(eps, D).unwrap();
+        rows.push(Crafted::Oracle(
+            e,
+            Oracle::grr(eps, D).unwrap(),
+            Report::Value(3),
+        ));
+        rows.push(Crafted::Oracle(e, oue.clone(), ones.clone()));
+        rows.push(Crafted::Oracle(e, oue, zeros.clone()));
+        rows.push(Crafted::Oracle(e, sue.clone(), ones.clone()));
+        rows.push(Crafted::Oracle(e, sue, zeros.clone()));
     }
-    for _ in 0..100 {
-        agg.absorb(&ones).unwrap();
+
+    for row in &rows {
+        for m in [1u64, 100] {
+            match row {
+                Crafted::Vp(vp) => {
+                    let mut agg = VpAggregator::new(vp);
+                    let mut ones = BitVec::zeros(D as usize + 1);
+                    ones.toggle_all();
+                    for _ in 0..m {
+                        agg.absorb(&ones).unwrap();
+                    }
+                    assert_eq!(agg.raw_flag_count(), m, "flag set ⇒ item bits ignored");
+                    assert!(agg.raw_counts().iter().all(|&c| c == 0));
+                }
+                Crafted::Oracle(e, oracle, crafted) => {
+                    let mut agg = Aggregator::new(oracle);
+                    let mut rng = StdRng::seed_from_u64(11);
+                    for u in 0..1_000 {
+                        agg.absorb(&oracle.privatize(u % D, &mut rng).unwrap())
+                            .unwrap();
+                    }
+                    let honest = agg.estimate();
+                    for _ in 0..m {
+                        agg.absorb(crafted).unwrap();
+                    }
+                    let bound = m as f64 / (oracle.p() - oracle.q());
+                    let name = format!("{} at ε={e} with {crafted:?}", oracle.name());
+                    for (v, (after, before)) in agg.estimate().iter().zip(&honest).enumerate() {
+                        assert!(after.is_finite(), "{name}, m={m}, cell {v}: {after}");
+                        // Float slack only: at ε = 710 OUE's all-ones shift
+                        // equals the bound exactly.
+                        assert!(
+                            (after - before).abs() <= bound * (1.0 + 1e-9),
+                            "{name}, m={m}, cell {v}: moved {} > {bound}",
+                            (after - before).abs()
+                        );
+                    }
+                }
+            }
+        }
     }
-    assert_eq!(agg.raw_flag_count(), 100, "flag set ⇒ item bits ignored");
-    assert!(agg.raw_counts().iter().all(|&c| c == 0));
 }
 
 // ---------------------------------------------------------------- domains

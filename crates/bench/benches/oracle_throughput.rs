@@ -60,7 +60,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use mcim_bench::{results_dir, Table};
+use mcim_bench::{results_dir, BenchEnv, Table};
 use mcim_core::{
     CorrelatedPerturbation, Domains, Framework, LabelItem, ValidityInput, ValidityPerturbation,
     VpAggregator,
@@ -265,10 +265,12 @@ fn main() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(100_000);
-    let trials: usize = std::env::var("MCIM_TRIALS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3);
+    let trials = BenchEnv::from_env(3)
+        .unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(1)
+        })
+        .trials;
     let threads = parallel::configured_threads();
     let eps = Eps::new(EPS).unwrap();
     println!("== oracle_throughput | d={D} n={n} eps={EPS} threads={threads} trials={trials} ==");

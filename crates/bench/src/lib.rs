@@ -1,22 +1,21 @@
 //! # mcim-bench
 //!
-//! Shared harness for the benchmark targets that regenerate every table and
-//! figure of the paper's evaluation section (§VII). Each target in
-//! `benches/` prints the paper-style rows/series and writes a CSV under
-//! `results/`.
+//! Shared harness for the benchmark targets. `figures` holds one registry
+//! row per table and figure of the paper's evaluation (§VII): each prints
+//! its tables, writes each as a CSV under `results/` and prints the
+//! paper's claim. `oracle_throughput` and `stream_ingestion` time the
+//! runtime and write the `BENCH_*.json` baselines.
 //!
 //! ## Scaling
 //!
 //! Paper-scale workloads (5–9M users, 14k–28k items, 20 trials) exceed a CI
-//! time budget; every target therefore reads:
+//! time budget; every target therefore reads (see [`BenchEnv::from_env`]):
 //!
 //! * `MCIM_SCALE` — `small` (default) or `paper`,
-//! * `MCIM_TRIALS` — trial-count override.
+//! * `MCIM_TRIALS` — trial-count override, a positive integer.
 //!
-//! Each target is named after the table or figure it regenerates
-//! (`table1_var_coefficients`, `fig6_frequency_rmse`, …); the README
-//! section "Reproducing the paper's tables and figures" shows how to run
-//! them.
+//! The README section "Reproducing the paper's tables and figures" shows
+//! how to run the registry, whole or filtered by row name.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,9 +30,9 @@ use std::path::PathBuf;
 /// Workload scale selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Laptop/CI scale (default): minutes per target.
+    /// Laptop/CI scale (default): seconds per figure.
     Small,
-    /// The paper's full sizes: hours per target.
+    /// The paper's full sizes: hours per figure.
     Paper,
 }
 
@@ -49,19 +48,42 @@ pub struct BenchEnv {
 impl BenchEnv {
     /// Reads `MCIM_SCALE` / `MCIM_TRIALS`, with `default_trials` used for
     /// the small scale (paper scale defaults to the paper's 20 trials).
-    pub fn from_env(default_trials: usize) -> Self {
-        let scale = match std::env::var("MCIM_SCALE").as_deref() {
-            Ok("paper") | Ok("PAPER") | Ok("full") => Scale::Paper,
-            _ => Scale::Small,
+    ///
+    /// An unknown scale, or a trial count that is 0 or not a number, is an
+    /// [`io::ErrorKind::InvalidInput`] error that names the variable: zero
+    /// trials would average nothing into all-zero tables.
+    pub fn from_env(default_trials: usize) -> io::Result<Self> {
+        let var = |name| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+        Self::from_vars(
+            var("MCIM_SCALE").as_deref(),
+            var("MCIM_TRIALS").as_deref(),
+            default_trials,
+        )
+    }
+
+    /// [`BenchEnv::from_env`] with the variables' values injected —
+    /// testable without mutating process-global environment.
+    fn from_vars(
+        scale: Option<&str>,
+        trials: Option<&str>,
+        default_trials: usize,
+    ) -> io::Result<Self> {
+        let invalid = |msg| Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
+        let scale = match scale {
+            None | Some("small" | "SMALL") => Scale::Small,
+            Some("paper" | "PAPER" | "full") => Scale::Paper,
+            Some(s) => return invalid(format!("MCIM_SCALE={s}: expected `small` or `paper`")),
         };
-        let trials = std::env::var("MCIM_TRIALS")
-            .ok()
-            .and_then(|t| t.parse().ok())
-            .unwrap_or(match scale {
-                Scale::Small => default_trials,
-                Scale::Paper => 20,
-            });
-        BenchEnv { scale, trials }
+        let trials = match (trials.map(str::parse), scale) {
+            (None, Scale::Small) => default_trials,
+            (None, Scale::Paper) => 20,
+            (Some(Ok(n)), _) if n > 0 => n,
+            _ => {
+                let t = trials.unwrap_or_default();
+                return invalid(format!("MCIM_TRIALS={t}: expected a count above 0"));
+            }
+        };
+        Ok(BenchEnv { scale, trials })
     }
 
     /// Announces the configuration on stdout.
@@ -259,9 +281,27 @@ mod tests {
 
     #[test]
     fn env_defaults_to_small() {
-        let env = BenchEnv::from_env(5);
-        assert_eq!(env.scale, Scale::Small);
-        assert!(env.trials >= 1);
+        let env = BenchEnv::from_vars(None, None, 5).unwrap();
+        assert_eq!((env.scale, env.trials), (Scale::Small, 5));
+    }
+
+    #[test]
+    fn env_parses_or_names_the_bad_variable() {
+        let env = |scale, trials| BenchEnv::from_vars(scale, trials, 5);
+        let ok = env(None, Some("7")).unwrap();
+        assert_eq!((ok.scale, ok.trials), (Scale::Small, 7));
+        let paper = env(Some("paper"), None).unwrap();
+        assert_eq!((paper.scale, paper.trials), (Scale::Paper, 20));
+        for (scale, trials, var) in [
+            (None, Some("0"), "MCIM_TRIALS"),
+            (None, Some("abc"), "MCIM_TRIALS"),
+            (Some("large"), None, "MCIM_SCALE"),
+        ] {
+            let err = env(scale, trials).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+            let shown = format!("{var}={}:", scale.or(trials).unwrap());
+            assert!(err.to_string().starts_with(&shown), "{err}");
+        }
     }
 
     #[test]

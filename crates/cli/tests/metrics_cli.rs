@@ -95,7 +95,7 @@ fn metrics_out_writes_parseable_prometheus_text() {
     // Histogram families expose their full bucket layout.
     assert!(samples
         .iter()
-        .any(|s| s.name == "mcim_fold_duration_seconds_bucket"));
+        .any(|s| s.name == "mcim_stage_duration_seconds_bucket"));
     assert!(samples
         .iter()
         .any(|s| s.name == "mcim_stage_duration_seconds_count"));

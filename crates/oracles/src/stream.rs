@@ -416,7 +416,7 @@ where
     let mut cursor = ShardCursor::default();
     // Telemetry: locals accumulate for free and flush once at the end,
     // so the instrumented loop costs nothing beyond three integer adds.
-    let obs_span = mcim_obs::span("mcim_fold_duration_seconds");
+    // The fold's wall time is the executor's `mcim_stage_duration_seconds`.
     let (mut obs_chunks, mut obs_reports, mut obs_fragments) = (0u64, 0u64, 0u64);
 
     while fill_chunk(source, &mut buf, chunk_items)? > 0 {
@@ -483,7 +483,6 @@ where
         mcim_obs::counter_add("mcim_fold_reports_total", obs_reports);
         mcim_obs::counter_add("mcim_fold_shard_fragments_total", obs_fragments);
     }
-    obs_span.finish();
     Ok(acc)
 }
 

@@ -3,8 +3,10 @@
 //! pathological populations; none of them may panic or silently corrupt
 //! estimates.
 
+use multiclass_ldp::core::frameworks::{Hec, HecAggregator, HecReport, Ptj, PtjAggregator};
 use multiclass_ldp::core::{
-    CorrelatedPerturbation, PairReport, ValidityInput, ValidityPerturbation, VpAggregator,
+    CorrelatedPerturbation, FrequencyTable, PairReport, ValidityInput, ValidityPerturbation,
+    VpAggregator,
 };
 use multiclass_ldp::oracles::{Aggregator, BitVec, Oracle, Report, UnaryEncoding};
 use multiclass_ldp::prelude::*;
@@ -50,6 +52,40 @@ enum Crafted {
     Vp(ValidityPerturbation),
     /// An oracle at budget ε, sent a crafted report on top of honest ones.
     Oracle(f64, Oracle, Report),
+    /// PTJ at budget ε, sent a crafted joint-domain report.
+    Ptj(f64, Ptj, Report),
+    /// HEC at budget ε, sent a crafted report naming class group 1.
+    Hec(f64, Hec, Report),
+}
+
+/// The crafted reports an oracle accepts: a fixed value for GRR, all-ones
+/// and all-zeros vectors for unary encoding.
+fn crafted_reports(oracle: &Oracle) -> Vec<Report> {
+    let d = oracle.domain_size() as usize;
+    match oracle {
+        Oracle::Grr(_) => vec![Report::Value(3)],
+        Oracle::Ue(_) => {
+            let mut ones = BitVec::zeros(d);
+            ones.toggle_all();
+            vec![Report::Bits(ones), Report::Bits(BitVec::zeros(d))]
+        }
+    }
+}
+
+/// Checks that every cell stays finite and moved by at most
+/// `bound(estimate before)`, with float slack only.
+fn assert_moved_within(name: &str, after: &[f64], before: &[f64], bound: impl Fn(f64) -> f64) {
+    for (v, (after, before)) in after.iter().zip(before).enumerate() {
+        assert!(after.is_finite(), "{name}, cell {v}: {after}");
+        let bound = bound(*before);
+        // Float slack only: at ε = 710 OUE's all-ones shift equals the
+        // bound exactly.
+        assert!(
+            (after - before).abs() <= bound * (1.0 + 1e-9),
+            "{name}, cell {v}: moved {} > {bound}",
+            (after - before).abs()
+        );
+    }
 }
 
 /// Any client can send an arbitrary well-formed report (a poisoning
@@ -61,33 +97,58 @@ enum Crafted {
 /// * Oracle aggregators: one report changes each support count by at
 ///   most 1 and `n` by 1, so each cell's estimate `(c − n·q)/(p − q)`
 ///   moves by at most `m/(p − q)`, and stays finite.
+/// * PTJ: its estimate is the joint-domain oracle's, so each `(C, I)`
+///   cell moves by at most `m/(p − q)` too. Its rows span both arms of
+///   the adaptive oracle (OUE at small ε, GRR at ε = 710).
+/// * HEC: the client sets `HecReport.group`, and the estimate scales
+///   group `h`'s oracle estimate `e_h` by `N/n_h`. So m reports naming
+///   group g* also move every *other* group: `N` grows to `N + m` while
+///   `n_h` stays, and each cell of group `h ≠ g*` moves by exactly
+///   `m·|est(h, i)|/N`. Within g*, `n` grows to `n + m` and `e` moves by
+///   at most `m/(p − q)`, so a cell moves by at most
+///   `|(N + m)/(n + m) − N/n|·|e| + (N + m)/(n + m)·m/(p − q)`, with
+///   `e = est·n/N`.
 #[test]
 fn crafted_reports_move_estimates_within_their_bound() {
     const D: u32 = 8;
+    let domains = Domains::new(3, D).unwrap();
     let mut rows = vec![Crafted::Vp(
         ValidityPerturbation::new(Eps::new(1.0).unwrap(), D).unwrap(),
     )];
-    let mut ones = BitVec::zeros(D as usize);
-    ones.toggle_all();
-    let zeros = Report::Bits(BitVec::zeros(D as usize));
-    let ones = Report::Bits(ones);
+    let (mut ptj_arms, mut hec_arms) = (Vec::new(), Vec::new());
     for e in [0.01, 1.0, 710.0] {
         let eps = Eps::new(e).unwrap();
         let sue = Oracle::Ue(UnaryEncoding::symmetric(eps, D).unwrap());
         let oue = Oracle::oue(eps, D).unwrap();
-        rows.push(Crafted::Oracle(
-            e,
-            Oracle::grr(eps, D).unwrap(),
-            Report::Value(3),
-        ));
-        rows.push(Crafted::Oracle(e, oue.clone(), ones.clone()));
-        rows.push(Crafted::Oracle(e, oue, zeros.clone()));
-        rows.push(Crafted::Oracle(e, sue.clone(), ones.clone()));
-        rows.push(Crafted::Oracle(e, sue, zeros.clone()));
+        for oracle in [Oracle::grr(eps, D).unwrap(), oue, sue] {
+            for crafted in crafted_reports(&oracle) {
+                rows.push(Crafted::Oracle(e, oracle.clone(), crafted));
+            }
+        }
+        let ptj = Ptj::new(eps, domains).unwrap();
+        ptj_arms.push(ptj.oracle().name());
+        for crafted in crafted_reports(ptj.oracle()) {
+            rows.push(Crafted::Ptj(e, ptj.clone(), crafted));
+        }
+        let hec = Hec::new(eps, domains).unwrap();
+        hec_arms.push(hec.oracle().name());
+        for crafted in crafted_reports(hec.oracle()) {
+            rows.push(Crafted::Hec(e, hec.clone(), crafted));
+        }
     }
 
+    // Each framework's rows cover both arms of its adaptive oracle.
+    ptj_arms.dedup();
+    hec_arms.dedup();
+    assert_eq!(
+        (ptj_arms, hec_arms),
+        (vec!["OUE", "GRR"], vec!["OUE", "GRR"])
+    );
+
+    const HONEST: u64 = 1_000;
     for row in &rows {
         for m in [1u64, 100] {
+            let mut rng = StdRng::seed_from_u64(11);
             match row {
                 Crafted::Vp(vp) => {
                     let mut agg = VpAggregator::new(vp);
@@ -101,8 +162,7 @@ fn crafted_reports_move_estimates_within_their_bound() {
                 }
                 Crafted::Oracle(e, oracle, crafted) => {
                     let mut agg = Aggregator::new(oracle);
-                    let mut rng = StdRng::seed_from_u64(11);
-                    for u in 0..1_000 {
+                    for u in 0..HONEST as u32 {
                         agg.absorb(&oracle.privatize(u % D, &mut rng).unwrap())
                             .unwrap();
                     }
@@ -111,16 +171,68 @@ fn crafted_reports_move_estimates_within_their_bound() {
                         agg.absorb(crafted).unwrap();
                     }
                     let bound = m as f64 / (oracle.p() - oracle.q());
-                    let name = format!("{} at ε={e} with {crafted:?}", oracle.name());
-                    for (v, (after, before)) in agg.estimate().iter().zip(&honest).enumerate() {
-                        assert!(after.is_finite(), "{name}, m={m}, cell {v}: {after}");
-                        // Float slack only: at ε = 710 OUE's all-ones shift
-                        // equals the bound exactly.
-                        assert!(
-                            (after - before).abs() <= bound * (1.0 + 1e-9),
-                            "{name}, m={m}, cell {v}: moved {} > {bound}",
-                            (after - before).abs()
-                        );
+                    let name = format!("{} at ε={e} with {crafted:?}, m={m}", oracle.name());
+                    assert_moved_within(&name, &agg.estimate(), &honest, |_| bound);
+                }
+                Crafted::Ptj(e, ptj, crafted) => {
+                    let mut agg = PtjAggregator::new(ptj);
+                    for u in 0..HONEST as u32 {
+                        let pair = LabelItem::new(u % 3, u % D);
+                        agg.absorb(&ptj.privatize(pair, &mut rng).unwrap()).unwrap();
+                    }
+                    let honest = agg.estimate();
+                    for _ in 0..m {
+                        agg.absorb(crafted).unwrap();
+                    }
+                    let oracle = ptj.oracle();
+                    let bound = m as f64 / (oracle.p() - oracle.q());
+                    let name = format!("PTJ/{} at ε={e} with {crafted:?}, m={m}", oracle.name());
+                    assert_moved_within(&name, agg.estimate().values(), honest.values(), |_| bound);
+                }
+                Crafted::Hec(e, hec, crafted) => {
+                    const TARGET: u32 = 1;
+                    let mut agg = HecAggregator::new(hec);
+                    for u in 0..HONEST {
+                        let pair = LabelItem::new((u % 3) as u32, (u % D as u64) as u32);
+                        agg.absorb(&hec.privatize(u, pair, &mut rng).unwrap())
+                            .unwrap();
+                    }
+                    let honest = agg.estimate().unwrap();
+                    let crafted_report = HecReport {
+                        group: TARGET,
+                        report: crafted.clone(),
+                    };
+                    for _ in 0..m {
+                        agg.absorb(&crafted_report).unwrap();
+                    }
+                    let after = agg.estimate().unwrap();
+                    let oracle = hec.oracle();
+                    let name = format!("HEC/{} at ε={e} with {crafted:?}, m={m}", oracle.name());
+                    let (total, mf) = (HONEST as f64, m as f64);
+                    let n = (0..HONEST).filter(|&u| hec.group_of(u) == TARGET).count() as f64;
+                    let per_report = 1.0 / (oracle.p() - oracle.q());
+                    for c in 0..3 {
+                        let row = |t: &FrequencyTable| -> Vec<f64> {
+                            (0..D).map(|i| t.get(c, i)).collect()
+                        };
+                        let (after, before) = (row(&after), row(&honest));
+                        if c == TARGET {
+                            let (old_scale, new_scale) = (total / n, (total + mf) / (n + mf));
+                            assert_moved_within(&name, &after, &before, |est| {
+                                (new_scale - old_scale).abs() * (est / old_scale).abs()
+                                    + new_scale * mf * per_report
+                            });
+                        } else {
+                            // The rescaling is exact, not only bounded.
+                            for (i, (a, b)) in after.iter().zip(&before).enumerate() {
+                                let expected = mf * b / total;
+                                assert!(
+                                    (a - b - expected).abs() <= expected.abs() * 1e-9,
+                                    "{name}, group {c} cell {i}: moved {} ≠ {expected}",
+                                    a - b
+                                );
+                            }
+                        }
                     }
                 }
             }

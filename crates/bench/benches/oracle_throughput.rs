@@ -60,7 +60,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use mcim_bench::{results_dir, BenchEnv, Table};
+use mcim_bench::{count_from_env, results_dir, BenchEnv, Table};
 use mcim_core::{
     CorrelatedPerturbation, Domains, Framework, LabelItem, ValidityInput, ValidityPerturbation,
     VpAggregator,
@@ -261,16 +261,15 @@ fn scenario(name: &'static str, n: usize, trials: usize, f: impl FnMut() -> u64)
 }
 
 fn main() {
-    let n: usize = std::env::var("MCIM_BENCH_N")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(100_000);
-    let trials = BenchEnv::from_env(3)
-        .unwrap_or_else(|e| {
+    let or_exit = |settings: std::io::Result<usize>| {
+        settings.unwrap_or_else(|e| {
             eprintln!("error: {e}");
             std::process::exit(1)
         })
-        .trials;
+    };
+    let n = or_exit(count_from_env("MCIM_BENCH_N", 100_000));
+    let exec_n = or_exit(count_from_env("MCIM_BENCH_EXEC_N", (10 * n).min(1_000_000)));
+    let trials = or_exit(BenchEnv::from_env(3).map(|env| env.trials));
     let threads = parallel::configured_threads();
     let eps = Eps::new(EPS).unwrap();
     println!("== oracle_throughput | d={D} n={n} eps={EPS} threads={threads} trials={trials} ==");
@@ -349,10 +348,6 @@ fn main() {
     // sharded machinery directly: race three plans of one full frequency
     // pipeline (PTS: GRR label + OUE item per user) end to end. The JSON
     // keys keep the names of the execution modes these plans replaced.
-    let exec_n: usize = std::env::var("MCIM_BENCH_EXEC_N")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| (10 * n).min(1_000_000));
     let exec_domains = Domains::new(8, D).unwrap();
     let exec_pairs: Vec<LabelItem> = (0..exec_n as u32)
         .map(|u| LabelItem::new(u % 8, (u * 13) % D))

@@ -26,7 +26,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use mcim_bench::{results_dir, Table};
+use mcim_bench::{count_from_env, results_dir, Table};
 use mcim_core::{Domains, Framework};
 use mcim_datasets::{SyntheticPairSource, SyntheticSourceConfig};
 use mcim_oracles::exec::Exec;
@@ -63,14 +63,14 @@ struct Phase {
 }
 
 fn main() {
-    let n: u64 = std::env::var("MCIM_BENCH_N")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5_000_000);
-    let chunk: usize = std::env::var("MCIM_CHUNK")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(16 * parallel::SHARD_SIZE);
+    let count = |name, default| {
+        count_from_env(name, default).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(1)
+        })
+    };
+    let n = count("MCIM_BENCH_N", 5_000_000) as u64;
+    let chunk = count("MCIM_CHUNK", 16 * parallel::SHARD_SIZE);
     let threads = parallel::configured_threads();
     let eps = Eps::new(1.0).unwrap();
     let plan = Exec::seeded(3).threads(threads).chunk_size(chunk);

@@ -14,6 +14,10 @@
 //! * `MCIM_SCALE` — `small` (default) or `paper`,
 //! * `MCIM_TRIALS` — trial-count override, a positive integer.
 //!
+//! `oracle_throughput` and `stream_ingestion` read their workload sizes
+//! (`MCIM_BENCH_N`, `MCIM_BENCH_EXEC_N`, `MCIM_CHUNK`) through
+//! [`count_from_env`], just as strictly.
+//!
 //! The README section "Reproducing the paper's tables and figures" shows
 //! how to run the registry, whole or filtered by row name.
 
@@ -53,10 +57,9 @@ impl BenchEnv {
     /// [`io::ErrorKind::InvalidInput`] error that names the variable: zero
     /// trials would average nothing into all-zero tables.
     pub fn from_env(default_trials: usize) -> io::Result<Self> {
-        let var = |name| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
         Self::from_vars(
-            var("MCIM_SCALE").as_deref(),
-            var("MCIM_TRIALS").as_deref(),
+            env_value("MCIM_SCALE").as_deref(),
+            env_value("MCIM_TRIALS").as_deref(),
             default_trials,
         )
     }
@@ -68,21 +71,19 @@ impl BenchEnv {
         trials: Option<&str>,
         default_trials: usize,
     ) -> io::Result<Self> {
-        let invalid = |msg| Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
         let scale = match scale {
             None | Some("small" | "SMALL") => Scale::Small,
             Some("paper" | "PAPER" | "full") => Scale::Paper,
-            Some(s) => return invalid(format!("MCIM_SCALE={s}: expected `small` or `paper`")),
-        };
-        let trials = match (trials.map(str::parse), scale) {
-            (None, Scale::Small) => default_trials,
-            (None, Scale::Paper) => 20,
-            (Some(Ok(n)), _) if n > 0 => n,
-            _ => {
-                let t = trials.unwrap_or_default();
-                return invalid(format!("MCIM_TRIALS={t}: expected a count above 0"));
+            Some(s) => {
+                let msg = format!("MCIM_SCALE={s}: expected `small` or `paper`");
+                return Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
             }
         };
+        let default_trials = match scale {
+            Scale::Small => default_trials,
+            Scale::Paper => 20,
+        };
+        let trials = parse_count("MCIM_TRIALS", trials, default_trials)?;
         Ok(BenchEnv { scale, trials })
     }
 
@@ -92,6 +93,34 @@ impl BenchEnv {
             "== {bench} | scale={:?} trials={} (set MCIM_SCALE=paper / MCIM_TRIALS=n to change) ==",
             self.scale, self.trials
         );
+    }
+}
+
+/// Reads the count variable `name` (a workload size), `default` when
+/// unset. A value that is 0 or not a number is an
+/// [`io::ErrorKind::InvalidInput`] error that names the variable, as for
+/// `MCIM_TRIALS`.
+pub fn count_from_env(name: &str, default: usize) -> io::Result<usize> {
+    parse_count(name, env_value(name).as_deref(), default)
+}
+
+/// The environment variable `name`, if set.
+fn env_value(name: &str) -> Option<String> {
+    std::env::var_os(name).map(|v| v.to_string_lossy().into_owned())
+}
+
+/// [`count_from_env`] with the variable's value injected.
+fn parse_count(name: &str, value: Option<&str>, default: usize) -> io::Result<usize> {
+    match value.map(str::parse) {
+        None => Ok(default),
+        Some(Ok(n)) if n > 0 => Ok(n),
+        _ => Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "{name}={}: expected a count above 0",
+                value.unwrap_or_default()
+            ),
+        )),
     }
 }
 
@@ -301,6 +330,21 @@ mod tests {
             assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
             let shown = format!("{var}={}:", scale.or(trials).unwrap());
             assert!(err.to_string().starts_with(&shown), "{err}");
+        }
+    }
+
+    #[test]
+    fn counts_parse_strictly() {
+        let parse = |value| parse_count("MCIM_BENCH_N", value, 5);
+        assert_eq!(parse(None).unwrap(), 5);
+        assert_eq!(parse(Some("7")).unwrap(), 7);
+        for bad in ["0", "abc"] {
+            let err = parse(Some(bad)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+            assert!(
+                err.to_string().starts_with(&format!("MCIM_BENCH_N={bad}:")),
+                "{err}"
+            );
         }
     }
 

@@ -14,11 +14,16 @@
 //!
 //! Both file sources scan lines in place in an 8 KiB `BufReader`'s buffer:
 //! memory is that buffer plus one carry line (a line cut by a refill is
-//! copied there), with no allocation per line. A canonical `digits,digits`
-//! CSV line is parsed straight from its bytes; every other line — header,
-//! blanks and whitespace, signs, overflow, extra fields, invalid UTF-8 —
-//! goes through the format's one `&str` parser, so errors and the grammar
-//! are the same whichever way a line is read.
+//! copied there), with no allocation per line. The buffer is read 64 bytes
+//! at a time: SWAR over eight `u64` words marks each block's newlines and
+//! non-digit bytes as two bitmaps, and the scanner walks the newline bits.
+//! A CSV line that is exactly `digits,digits` with 1–9 digits a field (too
+//! few to overflow a `u32`) is decoded from those bitmaps and word
+//! arithmetic. Every other line — header, blanks and whitespace, CRLF,
+//! signs, 10+ digit fields, extra fields, invalid UTF-8, a line cut by a
+//! refill, and every NDJSON line — goes through the format's one `&str`
+//! parser, so errors and the grammar are the same whichever way a line is
+//! read. One UTF-8 byte-order mark at the start of the file is skipped.
 
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
@@ -117,17 +122,7 @@ impl PairFile {
             lineno,
             ..
         } = self;
-        // Parses the next line, handing its pair (if any) to `sink`.
-        let mut take = |line: &[u8]| -> Result<u64> {
-            *lineno += 1;
-            Ok(match grammar.parse(path, *lineno, line)? {
-                Some(pair) => {
-                    sink(pair);
-                    1
-                }
-                None => 0,
-            })
-        };
+        let grammar = *grammar;
         let mut got = 0u64;
         while got < want {
             let chunk = match reader.fill_buf() {
@@ -140,40 +135,118 @@ impl PairFile {
                 if carry.is_empty() {
                     break;
                 }
-                let taken = take(carry);
+                let parsed = grammar.parse_next(path, lineno, carry);
                 carry.clear();
-                got += taken?;
+                if let Some(pair) = parsed? {
+                    sink(pair);
+                    got += 1;
+                }
                 continue;
             }
-            let mut used = 0;
-            while got < want {
-                let rest = &chunk[used..];
-                let Some(len) = rest.iter().position(|&b| b == b'\n') else {
-                    carry.extend_from_slice(rest);
-                    used = chunk.len();
-                    break;
-                };
-                let line = if carry.is_empty() {
-                    &rest[..len]
-                } else {
-                    carry.extend_from_slice(&rest[..len]);
-                    &carry[..]
-                };
-                let taken = take(line);
-                carry.clear();
-                used += len + 1;
-                match taken {
-                    Ok(n) => got += n,
-                    Err(e) => {
-                        reader.consume(used);
-                        return Err(e);
+            // `used` is where the next line starts; `window` holds the
+            // non-digit bits of the block before `base` and of the block
+            // at `base`, so a short line across their edge is one mask.
+            let (mut used, mut base, mut window) = (0, 0, 0u128);
+            while got < want && base < chunk.len() {
+                let (mut newlines, non_digits) = classify_block(chunk, base);
+                window = window >> 64 | u128::from(non_digits) << 64;
+                while newlines != 0 && got < want {
+                    let end = base + newlines.trailing_zeros() as usize;
+                    newlines &= newlines - 1;
+                    let canonical = match (grammar, carry.is_empty()) {
+                        (Grammar::Csv, true) => canonical_csv_pair(chunk, used, end, window, base),
+                        _ => None,
+                    };
+                    let parsed = match canonical {
+                        Some(pair) => {
+                            *lineno += 1;
+                            Ok(Some(pair))
+                        }
+                        None if carry.is_empty() => {
+                            grammar.parse_next(path, lineno, &chunk[used..end])
+                        }
+                        None => {
+                            carry.extend_from_slice(&chunk[used..end]);
+                            let parsed = grammar.parse_next(path, lineno, carry);
+                            carry.clear();
+                            parsed
+                        }
+                    };
+                    used = end + 1;
+                    match parsed {
+                        Ok(Some(pair)) => {
+                            sink(pair);
+                            got += 1;
+                        }
+                        Ok(None) => {}
+                        Err(e) => {
+                            reader.consume(used);
+                            return Err(e);
+                        }
                     }
                 }
+                base += 64;
+            }
+            if got < want {
+                // No newline after `used`: the next refill ends this line.
+                carry.extend_from_slice(&chunk[used..]);
+                used = chunk.len();
             }
             reader.consume(used);
         }
         Ok(got)
     }
+}
+
+/// `(newlines, non_digits)`: bit `i` of each is set when byte `base + i`
+/// of `buf` is `\n`, or is not an ASCII digit. Bytes past the end of
+/// `buf` count as non-digits that are not newlines.
+fn classify_block(buf: &[u8], base: usize) -> (u64, u64) {
+    let mut padded = [0u8; 64];
+    let block = match buf[base..].first_chunk::<64>() {
+        Some(block) => block,
+        None => {
+            padded[..buf.len() - base].copy_from_slice(&buf[base..]);
+            &padded
+        }
+    };
+    let (mut newlines, mut digits) = (0, 0);
+    for (i, bytes) in block.chunks_exact(8).enumerate() {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(bytes);
+        let word = u64::from_le_bytes(word);
+        newlines |= byte_mask(eq_bytes(word, b'\n')) << (8 * i);
+        digits |= byte_mask(digit_bytes(word)) << (8 * i);
+    }
+    (newlines, !digits)
+}
+
+const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+const HIGH: u64 = 0x8080_8080_8080_8080;
+
+/// `byte` in every byte of a word.
+const fn splat(byte: u8) -> u64 {
+    0x0101_0101_0101_0101 * byte as u64
+}
+
+/// The high bit of each byte of `word` that equals `byte`; no other bits.
+fn eq_bytes(word: u64, byte: u8) -> u64 {
+    let x = word ^ splat(byte);
+    !(((x & LOW7) + LOW7) | x | LOW7)
+}
+
+/// The high bit of each byte of `word` that is an ASCII digit; no other
+/// bits. With the high bits cleared, the adds cannot carry between bytes.
+fn digit_bytes(word: u64) -> u64 {
+    let low = word & LOW7;
+    let at_least_0 = low + splat(0x80 - b'0');
+    let at_least_colon = low + splat(0x80 - b':');
+    at_least_0 & !at_least_colon & !word & HIGH
+}
+
+/// The high bit of each byte of `word` gathered into bit `i` for byte `i`.
+fn byte_mask(word: u64) -> u64 {
+    ((word & HIGH) >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56
 }
 
 /// The line grammar of a pair file.
@@ -184,48 +257,86 @@ enum Grammar {
 }
 
 impl Grammar {
-    /// Parses one line, given without its `\n`. A canonical CSV line is
-    /// read straight from its bytes; every other line goes through the
-    /// format's `&str` parser, so that parser stays the one grammar.
-    fn parse(self, path: &Path, lineno: u64, line: &[u8]) -> Result<Option<LabelItem>> {
+    /// Counts the next line and parses it, given without its `\n`,
+    /// through the format's `&str` parser, the one grammar of each format.
+    /// Line 1 starts the file: one UTF-8 byte-order mark there is skipped.
+    fn parse_next(self, path: &Path, lineno: &mut u64, line: &[u8]) -> Result<Option<LabelItem>> {
+        *lineno += 1;
+        let line = match *lineno {
+            1 => line.strip_prefix(b"\xEF\xBB\xBF").unwrap_or(line),
+            _ => line,
+        };
         let line = line.strip_suffix(b"\r").unwrap_or(line);
-        if let Grammar::Csv = self {
-            if let Some(pair) = canonical_csv_pair(line) {
-                return Ok(Some(pair));
-            }
-        }
         let line = std::str::from_utf8(line).map_err(|_| Error::Source {
             message: format!("{}: stream did not contain valid UTF-8", path.display()),
         })?;
         match self {
-            Grammar::Csv => parse_csv_line(path, lineno, line),
-            Grammar::Ndjson => parse_ndjson_line(path, lineno, line),
+            Grammar::Csv => parse_csv_line(path, *lineno, line),
+            Grammar::Ndjson => parse_ndjson_line(path, *lineno, line),
         }
     }
 }
 
-/// `Some` iff `line` is exactly `digits,digits` with both numbers in
-/// `u32` — lines [`parse_csv_line`] reads to the same pair — parsed
-/// without UTF-8 validation; `None` sends the line to the full grammar.
-fn canonical_csv_pair(line: &[u8]) -> Option<LabelItem> {
-    let comma = line.iter().position(|&b| b == b',')?;
-    let (label, item) = (&line[..comma], &line[comma + 1..]);
-    Some(LabelItem::new(decimal_u32(label)?, decimal_u32(item)?))
-}
-
-/// A non-empty run of ASCII digits (leading zeros allowed) as a `u32`;
-/// `None` for anything else, overflow included.
-fn decimal_u32(digits: &[u8]) -> Option<u32> {
-    if digits.is_empty() {
+/// `Some` iff the line `buf[start..end]` is exactly `digits,digits` with
+/// 1–9 digits a field — lines [`parse_csv_line`] reads to the same pair,
+/// and too short to overflow a `u32` — decoded without UTF-8 validation;
+/// `None` sends the line to the full grammar. `end` lies in the block at
+/// `base`, and `window` holds the non-digit bits of the 128 bytes from
+/// `base - 64`.
+fn canonical_csv_pair(
+    buf: &[u8],
+    start: usize,
+    end: usize,
+    window: u128,
+    base: usize,
+) -> Option<LabelItem> {
+    let len = end - start;
+    if !(3..=19).contains(&len) {
         return None;
     }
-    digits.iter().try_fold(0u32, |value, &b| {
-        let digit = b.wrapping_sub(b'0');
-        if digit > 9 {
-            return None;
-        }
-        value.checked_mul(10)?.checked_add(u32::from(digit))
-    })
+    // A line of at most 19 bytes ending in this block starts at most 19
+    // bytes before it, inside the window.
+    let non_digits = (window >> (start + 64 - base)) as u64 & ((1 << len) - 1);
+    let comma = non_digits.trailing_zeros() as usize;
+    let item_len = len.checked_sub(comma + 1)?;
+    let one_comma = non_digits.is_power_of_two() && buf[start + comma] == b',';
+    if !one_comma || !(1..=9).contains(&comma) || !(1..=9).contains(&item_len) {
+        return None;
+    }
+    Some(LabelItem::new(
+        decimal_u32(buf, start, comma),
+        decimal_u32(buf, start + comma + 1, item_len),
+    ))
+}
+
+/// The value of the `len` (1–9) ASCII digits at `buf[at..]`, read as
+/// words; nine digits cannot overflow a `u32`.
+fn decimal_u32(buf: &[u8], at: usize, len: usize) -> u32 {
+    let (high, at, len) = match len {
+        9 => (u32::from(buf[at] - b'0') * 100_000_000, at + 1, 8),
+        _ => (0, at, len),
+    };
+    // Little-endian, the field's first digit is the low byte; shifting it
+    // left drops the bytes after the field and leaves leading zeros. A
+    // borrow from those bytes only runs upward, out of the word.
+    let digits = word_at(buf, at).wrapping_sub(splat(b'0')) << (8 * (8 - len));
+    // Pairs, then quads, of digits: the 8-digit SWAR parse.
+    let pairs = digits.wrapping_mul(10).wrapping_add(digits >> 8);
+    let value = ((pairs & 0x0000_00ff_0000_00ff).wrapping_mul(100 + (1_000_000 << 32))
+        + ((pairs >> 16) & 0x0000_00ff_0000_00ff).wrapping_mul(1 + (10_000 << 32)))
+        >> 32;
+    high + value as u32
+}
+
+/// The 8 bytes of `buf` from `at`, zero-padded past its end, as a
+/// little-endian word.
+fn word_at(buf: &[u8], at: usize) -> u64 {
+    let mut word = [0u8; 8];
+    match buf[at..].first_chunk::<8>() {
+        Some(bytes) => word = *bytes,
+        None => word[..buf.len() - at].copy_from_slice(&buf[at..]),
+    }
+    u64::from_le_bytes(word)
 }
 
 /// Parses one `label,item` CSV line (line 1 may be a header).
@@ -607,19 +718,38 @@ mod tests {
 
     /// One line of a seeded test file: mostly canonical, with every other
     /// kind the grammar accepts mixed in — or, with `fault`, a line of a
-    /// kind the grammar rejects. CRLF endings are mixed into either.
+    /// kind the grammar rejects. CRLF endings are mixed into either. The
+    /// CSV rows cover the word decode's edges: 1–9 digit fields, 10-digit
+    /// fields around `u32::MAX`, and lines of 7–9 and 63–65 bytes that end
+    /// on and across word and block edges.
     fn random_line(rng: &mut StdRng, grammar: Grammar, fault: bool) -> Vec<u8> {
         let (a, b) = (
             rng.random_range(0..5000u32),
             rng.random_range(0..100_000u32),
         );
         let (max, over) = (u32::MAX, u64::from(u32::MAX) + 1);
+        // A field of exactly 1–9 digits, leading zeros included.
+        let mut field = || {
+            let width = rng.random_range(1..=9usize);
+            let value = rng.random_range(0..10u32.pow(width as u32));
+            format!("{value:0width$}")
+        };
+        let (c, d) = (field(), field());
+        let long = rng.random_range(63..=65usize) - 6;
         let kinds: Vec<Vec<u8>> = match (grammar, fault) {
             (Grammar::Csv, false) => vec![
                 format!("{a},{b}").into(),
-                format!("{a},{b}").into(),
-                format!("{a},{b}").into(),
+                format!("{},{}", a % 10, b % 10).into(),
+                format!("{},{}", a % 100, b % 100).into(),
+                format!("{c},{d}").into(),
+                format!("999999999,{}", 100_000_000 + b).into(),
                 format!("{max},{b}").into(),
+                format!("{a},{max}").into(),
+                format!("{a},0000000007").into(),
+                format!("{:03},{:03}", a % 1000, b % 1000).into(),
+                format!("{:04},{:03}", a % 1000, b % 1000).into(),
+                format!("{:04},{:04}", a % 1000, b % 1000).into(),
+                format!("{a:0long$},{:05}", b % 1000).into(),
                 format!("+{a},00{b}").into(),
                 format!(" {a} , {b}\t").into(),
                 b"".into(),
@@ -635,7 +765,12 @@ mod tests {
             ],
             (Grammar::Csv, true) => vec![
                 format!("{a},{over}").into(),
+                format!("{over},{b}").into(),
                 format!("{a},{b},7").into(),
+                format!(",{b}").into(),
+                format!("{a},").into(),
+                format!("{a},,{b}").into(),
+                format!("{a};{b}").into(),
                 b"label,item".into(),
                 [format!("{a},").as_bytes(), &[0xff, 0xfe]].concat(),
             ],
@@ -714,6 +849,51 @@ mod tests {
             }
         }
         assert_eq!(errors, 40, "every file with a fault must fail");
+    }
+
+    #[test]
+    fn a_byte_order_mark_at_the_file_start_is_skipped() {
+        let ndjson = "{\"label\": 0, \"item\": 1}\n{\"label\": 1, \"item\": 2}\n";
+        let cases = [
+            (Grammar::Csv, "label,item\n0,1\n1,2\n"),
+            (Grammar::Csv, "0,1\n1,2\n"),
+            (Grammar::Ndjson, ndjson),
+        ];
+        let pairs = vec![LabelItem::new(0, 1), LabelItem::new(1, 2)];
+        for (i, (grammar, body)) in cases.into_iter().enumerate() {
+            let (plain, marked) = (
+                tmp(&format!("bom-{i}.txt")),
+                tmp(&format!("bom-{i}-marked.txt")),
+            );
+            std::fs::write(&plain, body).unwrap();
+            std::fs::write(&marked, format!("\u{feff}{body}")).unwrap();
+            assert_eq!(drain_at(open_as(&plain, grammar), 7), (pairs.clone(), None));
+            assert_eq!(
+                drain_at(open_as(&marked, grammar), 7),
+                (pairs.clone(), None)
+            );
+            // A rewind re-reads the file from its first byte.
+            let mut source = open_as(&marked, grammar);
+            let mut seen = Vec::new();
+            while source.fill(&mut seen, 1).unwrap() > 0 {}
+            assert!(source.rewind(2).unwrap());
+            assert_eq!(
+                drain_at(source, 1),
+                (pairs.clone(), None),
+                "{grammar:?} {i}"
+            );
+        }
+        // Only one mark, and only at the start of the file.
+        for (i, body) in ["\u{feff}\u{feff}0,1\n", "0,1\n\u{feff}1,2\n"]
+            .into_iter()
+            .enumerate()
+        {
+            let path = tmp(&format!("bom-misplaced-{i}.csv"));
+            std::fs::write(&path, body).unwrap();
+            let (_, err) = drain_at(open_as(&path, Grammar::Csv), 7);
+            let err = err.expect("a misplaced mark is not a number");
+            assert!(err.contains(&format!("line {}: label", i + 1)), "{err}");
+        }
     }
 
     #[test]
